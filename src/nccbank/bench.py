@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import filterbank as fb
 from . import gridio
@@ -46,7 +45,20 @@ def _check_frame(frame, window):
         raise ValueError(
             f"frame {f.shape} smaller than the {window}x{window} window"
         )
+    if not np.all(np.isfinite(f)):
+        raise ValueError("frame contains non-finite pixels")
     return f
+
+
+def _window_response(scorer, frame):
+    """Valid-mode response map of a chunked float scorer: its
+    ``_score_block`` maps a (rows, cols, k, k) chunk of windows to their
+    rows * cols scores in raster order."""
+    k = scorer.window
+    blocks = pm._window_chunks(_check_frame(frame, k), k, scorer.chunk_rows)
+    return np.concatenate(
+        [scorer._score_block(b).reshape(b.shape[:2]) for b in blocks]
+    )
 
 
 class NccFilterScorer:
@@ -68,18 +80,14 @@ class NccFilterScorer:
             self._fvec = pm.normalize(g, mode).reshape(-1)
 
     def __call__(self, frame):
-        f = _check_frame(frame, self.window)
-        k = self.window
-        wins = sliding_window_view(f, (k, k))
-        out = np.empty(wins.shape[:2])
-        for r0 in range(0, wins.shape[0], self.chunk_rows):
-            block = wins[r0 : r0 + self.chunk_rows]
-            flat = block.reshape(-1, k * k)
-            norm, valid = nn.normalize_flat_batch(flat, self.mode)
-            scores = norm @ self._fvec
-            scores[~valid] = 0.0
-            out[r0 : r0 + block.shape[0]] = scores.reshape(block.shape[:2])
-        return out
+        return _window_response(self, frame)
+
+    def _score_block(self, block):
+        flat = block.reshape(-1, self.window**2)
+        norm, valid = nn.normalize_flat_batch(flat, self.mode)
+        scores = norm @ self._fvec
+        scores[~valid] = 0.0
+        return scores
 
 
 class NetworkScorer:
@@ -92,15 +100,12 @@ class NetworkScorer:
         self.chunk_rows = chunk_rows
 
     def __call__(self, frame):
-        f = _check_frame(frame, self.window)
+        return _window_response(self, frame)
+
+    def _score_block(self, block):
         k = self.window
-        wins = sliding_window_view(f, (k, k))
-        out = np.empty(wins.shape[:2])
-        for r0 in range(0, wins.shape[0], self.chunk_rows):
-            block = wins[r0 : r0 + self.chunk_rows]
-            scores, _ = nn.forward_batch(self.net, block.reshape(-1, k, k))
-            out[r0 : r0 + block.shape[0]] = scores.reshape(block.shape[:2])
-        return out
+        scores, _ = nn.forward_batch(self.net, block.reshape(-1, k, k))
+        return scores
 
 
 class MadRatioScorer:
@@ -114,21 +119,15 @@ class MadRatioScorer:
         self.chunk_rows = chunk_rows
 
     def __call__(self, frame):
-        f = _check_frame(frame, self.window)
-        k = self.window
-        hw = k // 2
-        wins = sliding_window_view(f, (k, k))
-        centers = f[hw : f.shape[0] - hw, hw : f.shape[1] - hw]
-        out = np.empty(wins.shape[:2])
-        for r0 in range(0, wins.shape[0], self.chunk_rows):
-            block = wins[r0 : r0 + self.chunk_rows]
-            flat = block.reshape(-1, k * k)
-            mu = flat.mean(axis=1)
-            mad = np.mean(np.abs(flat - mu[:, None]), axis=1)
-            dev = np.abs(centers[r0 : r0 + block.shape[0]].reshape(-1) - mu)
-            scores = np.where(mad > pm.MAD_MIN, dev / np.where(mad > 0, mad, 1.0), 0.0)
-            out[r0 : r0 + block.shape[0]] = scores.reshape(block.shape[:2])
-        return out
+        return _window_response(self, frame)
+
+    def _score_block(self, block):
+        hw = self.window // 2
+        flat = block.reshape(-1, self.window**2)
+        mu = flat.mean(axis=1)
+        mad = np.mean(np.abs(flat - mu[:, None]), axis=1)
+        dev = np.abs(block[:, :, hw, hw].reshape(-1) - mu)
+        return np.where(mad > pm.MAD_MIN, dev / np.where(mad > 0, mad, 1.0), 0.0)
 
 
 class FixedMadScorer:
@@ -258,6 +257,19 @@ def _as_truths(truths):
     return t
 
 
+def _match_pairs(dets, truths, match_radius):
+    """Ascending (distance, det index, truth index) over every detection
+    within ``match_radius`` of a truth; greedy matching walks this list."""
+    pairs = []
+    if truths.shape[0]:
+        for di, d in enumerate(dets):
+            dist = np.hypot(truths[:, 0] - d.row, truths[:, 1] - d.col)
+            for ti in np.nonzero(dist <= match_radius)[0]:
+                pairs.append((float(dist[ti]), di, int(ti)))
+    pairs.sort()
+    return pairs
+
+
 def match_detections(detections, truths, match_radius=DEFAULT_MATCH_RADIUS):
     """Greedy one-to-one matching by ascending detection-truth distance.
 
@@ -269,13 +281,7 @@ def match_detections(detections, truths, match_radius=DEFAULT_MATCH_RADIUS):
     """
     t = _as_truths(truths)
     dets = list(detections)
-    pairs = []
-    for di, d in enumerate(dets):
-        if t.shape[0]:
-            dist = np.hypot(t[:, 0] - d.row, t[:, 1] - d.col)
-            for ti in np.nonzero(dist <= match_radius)[0]:
-                pairs.append((float(dist[ti]), di, int(ti)))
-    pairs.sort()
+    pairs = _match_pairs(dets, t, match_radius)
     det_used = [False] * len(dets)
     truth_used = [False] * t.shape[0]
     matches = []
@@ -362,14 +368,7 @@ def roc_curve(scored_frames, thresholds, match_radius=DEFAULT_MATCH_RADIUS,
     prep = []
     for cands, t in frames:
         scores = np.array([d.score for d in cands])
-        pairs = []
-        for di, d in enumerate(cands):
-            if t.shape[0]:
-                dist = np.hypot(t[:, 0] - d.row, t[:, 1] - d.col)
-                for ti in np.nonzero(dist <= match_radius)[0]:
-                    pairs.append((float(dist[ti]), di, int(ti)))
-        pairs.sort()
-        prep.append((scores, pairs, t.shape[0]))
+        prep.append((scores, _match_pairs(cands, t, match_radius), t.shape[0]))
 
     hits = np.empty(thr.size)
     fas = np.empty(thr.size)
@@ -487,6 +486,17 @@ class BenchReport:
         raise KeyError(method)
 
 
+def _sweep(name, per_frame, truths, cfg, ms_per_frame=None):
+    """ROC sweep of one method's per-frame candidates, as its result."""
+    scored = list(zip(per_frame, truths))
+    thresholds = default_thresholds(scored, cfg.threshold_count)
+    curve = roc_curve(scored, thresholds, match_radius=cfg.match_radius, method=name)
+    return MethodResult(
+        name=name, curve=curve, ms_per_frame=ms_per_frame,
+        frame_candidates=per_frame,
+    )
+
+
 def run_benchmark(frames, truths, methods, config=None):
     """Score every frame with every method and sweep a ROC per method.
 
@@ -510,22 +520,8 @@ def run_benchmark(frames, truths, methods, config=None):
             detect_candidates(f, scorer, cfg.nms_radius) for f in frames
         ]
         elapsed = time.perf_counter() - start
-        scored = list(zip(per_frame, truth_arrays))
-        thresholds = default_thresholds(scored, cfg.threshold_count)
-        curve = roc_curve(
-            scored, thresholds, match_radius=cfg.match_radius,
-            method=scorer.name,
-        )
-        results.append(
-            MethodResult(
-                name=scorer.name,
-                curve=curve,
-                ms_per_frame=(
-                    1000.0 * elapsed / len(frames) if cfg.include_timing else None
-                ),
-                frame_candidates=per_frame,
-            )
-        )
+        ms = 1000.0 * elapsed / len(frames) if cfg.include_timing else None
+        results.append(_sweep(scorer.name, per_frame, truth_arrays, cfg, ms))
     return BenchReport(
         results=results,
         truths=truth_arrays,
@@ -542,6 +538,22 @@ def _safe_filename(name):
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name)
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _read_csv(path, header):
+    """Data rows of a report CSV whose first row must be ``header``."""
+    with open(path, "r", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != header:
+        raise ValueError(f"{path}: bad header")
+    return rows[1:]
+
+
 def write_benchmark_report(report, out_dir):
     """Write roc.csv, auc.csv, truths.csv, meta.csv and per-method
     detection dumps under ``out_dir``.  Every float is written with repr,
@@ -550,58 +562,41 @@ def write_benchmark_report(report, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     det_dir = os.path.join(out_dir, "detections")
     os.makedirs(det_dir, exist_ok=True)
+    results = report.results
+    cfg = report.config
 
-    with open(os.path.join(out_dir, "roc.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "threshold", "hit_rate", "fa_per_frame"])
-        for r in report.results:
-            c = r.curve
-            for t, h, fa in zip(c.thresholds, c.hit_rates, c.fa_per_frame):
-                w.writerow([r.name, repr(float(t)), repr(float(h)), repr(float(fa))])
-
-    with open(os.path.join(out_dir, "auc.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "auc", "ms_per_frame"])
-        for r in report.results:
-            ms = "" if r.ms_per_frame is None else repr(float(r.ms_per_frame))
-            w.writerow([r.name, repr(float(r.curve.auc)), ms])
-
-    with open(os.path.join(out_dir, "truths.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["frame", "row", "col"])
-        for fi, t in enumerate(report.truths):
-            for row, col in t:
-                w.writerow([fi, int(row), int(col)])
-
-    with open(os.path.join(out_dir, "meta.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["key", "value"])
-        w.writerow(["frame_count", report.frame_count])
-        w.writerow(["nms_radius", repr(float(report.config.nms_radius))])
-        w.writerow(["match_radius", repr(float(report.config.match_radius))])
-        w.writerow(["threshold_count", report.config.threshold_count])
-
-    for r in report.results:
-        path = os.path.join(det_dir, _safe_filename(r.name) + ".csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["frame", "row", "col", "score"])
-            for fi, dets in enumerate(r.frame_candidates):
-                for d in dets:
-                    w.writerow([fi, d.row, d.col, repr(d.score)])
+    _write_csv(os.path.join(out_dir, "roc.csv"),
+               ["method", "threshold", "hit_rate", "fa_per_frame"],
+               ([r.name, repr(float(t)), repr(float(h)), repr(float(fa))]
+                for r in results
+                for t, h, fa in zip(r.curve.thresholds, r.curve.hit_rates,
+                                    r.curve.fa_per_frame)))
+    _write_csv(os.path.join(out_dir, "auc.csv"), ["method", "auc", "ms_per_frame"],
+               ([r.name, repr(float(r.curve.auc)),
+                 "" if r.ms_per_frame is None else repr(float(r.ms_per_frame))]
+                for r in results))
+    _write_csv(os.path.join(out_dir, "truths.csv"), ["frame", "row", "col"],
+               ([fi, int(row), int(col)]
+                for fi, t in enumerate(report.truths) for row, col in t))
+    _write_csv(os.path.join(out_dir, "meta.csv"), ["key", "value"], [
+        ["frame_count", report.frame_count],
+        ["nms_radius", repr(float(cfg.nms_radius))],
+        ["match_radius", repr(float(cfg.match_radius))],
+        ["threshold_count", cfg.threshold_count],
+    ])
+    for r in results:
+        _write_csv(os.path.join(det_dir, _safe_filename(r.name) + ".csv"),
+                   ["frame", "row", "col", "score"],
+                   ([fi, d.row, d.col, repr(d.score)]
+                    for fi, dets in enumerate(r.frame_candidates) for d in dets))
 
 
 def read_detection_dump(path):
     """Read one detections/<method>.csv back into per-frame lists."""
-    with open(path, "r", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["frame", "row", "col", "score"]:
-        raise ValueError(f"{path}: not a detection dump")
     by_frame = {}
-    for rec in rows[1:]:
-        fi = int(rec[0])
-        by_frame.setdefault(fi, []).append(
-            Detection(int(rec[1]), int(rec[2]), float(rec[3]))
+    for fi, row, col, score in _read_csv(path, ["frame", "row", "col", "score"]):
+        by_frame.setdefault(int(fi), []).append(
+            Detection(int(row), int(col), float(score))
         )
     return by_frame
 
@@ -612,33 +607,20 @@ def read_benchmark_scores(out_dir):
     Returns ``(per_method, truths, meta)`` where ``per_method`` maps each
     method name (from roc.csv order) to per-frame candidate lists.
     """
-    meta = {}
-    with open(os.path.join(out_dir, "meta.csv"), "r", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["key", "value"]:
-        raise ValueError("meta.csv: bad header")
-    for key, value in rows[1:]:
-        meta[key] = value
+    meta = dict(_read_csv(os.path.join(out_dir, "meta.csv"), ["key", "value"]))
     frame_count = int(meta["frame_count"])
 
     truths = [[] for _ in range(frame_count)]
-    with open(os.path.join(out_dir, "truths.csv"), "r", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["frame", "row", "col"]:
-        raise ValueError("truths.csv: bad header")
-    for fi, row, col in rows[1:]:
+    for fi, row, col in _read_csv(os.path.join(out_dir, "truths.csv"),
+                                  ["frame", "row", "col"]):
         truths[int(fi)].append((float(row), float(col)))
     truths = [np.array(t).reshape(-1, 2) for t in truths]
 
-    with open(os.path.join(out_dir, "auc.csv"), "r", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["method", "auc", "ms_per_frame"]:
-        raise ValueError("auc.csv: bad header")
-    methods = [rec[0] for rec in rows[1:]]
-
+    aucs = _read_csv(os.path.join(out_dir, "auc.csv"),
+                     ["method", "auc", "ms_per_frame"])
     per_method = {}
     det_dir = os.path.join(out_dir, "detections")
-    for name in methods:
+    for name, *_ in aucs:
         dump = read_detection_dump(
             os.path.join(det_dir, _safe_filename(name) + ".csv")
         )
@@ -655,19 +637,8 @@ def resweep_roc(out_dir, dest_dir):
         threshold_count=int(meta["threshold_count"]),
         include_timing=False,
     )
-    results = []
-    for name, per_frame in per_method.items():
-        scored = list(zip(per_frame, truths))
-        thresholds = default_thresholds(scored, cfg.threshold_count)
-        curve = roc_curve(
-            scored, thresholds, match_radius=cfg.match_radius, method=name
-        )
-        results.append(
-            MethodResult(
-                name=name, curve=curve, ms_per_frame=None,
-                frame_candidates=per_frame,
-            )
-        )
+    results = [_sweep(name, per_frame, truths, cfg)
+               for name, per_frame in per_method.items()]
     report = BenchReport(
         results=results, truths=truths, frame_count=len(truths), config=cfg
     )

@@ -20,16 +20,11 @@ This module provides the non-learned half of the toolkit:
 import csv
 import dataclasses
 import math
-import os
 
 import numpy as np
 
+from nccbank import gridio
 from nccbank import patchmath as pm
-
-DEV_STD = "std"
-DEV_MAD = "mad"
-DEV_MODES = (DEV_STD, DEV_MAD)
-
 
 @dataclasses.dataclass(frozen=True)
 class QFormat:
@@ -67,45 +62,6 @@ class QFormat:
 
 TAP_QFORMAT = QFormat(8, 7)
 OUT_QFORMAT = QFormat(16, 10)
-
-
-@dataclasses.dataclass
-class FilterSpec:
-    """A named 2-D filter with deviation-mode and precision metadata.
-
-    ``grid`` always holds float taps.  For fixed-precision filters ``raw``
-    holds the quantized integers and ``grid`` their dequantized values;
-    for ideal filters ``raw`` is None.
-    """
-
-    name: str
-    grid: np.ndarray
-    deviation_mode: str = DEV_STD
-    qformat: QFormat = None
-    raw: np.ndarray = None
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        if self.grid.ndim != 2 or self.grid.shape[0] != self.grid.shape[1]:
-            raise ValueError(f"filter grid must be square, got {self.grid.shape}")
-        if self.grid.shape[0] % 2 == 0:
-            raise ValueError(f"filter side must be odd, got {self.grid.shape[0]}")
-        if self.deviation_mode not in DEV_MODES:
-            raise ValueError(f"unknown deviation mode {self.deviation_mode!r}")
-        if (self.qformat is None) != (self.raw is None):
-            raise ValueError("qformat and raw taps must be given together")
-        if self.raw is not None:
-            self.raw = np.asarray(self.raw)
-            if self.raw.shape != self.grid.shape:
-                raise ValueError("raw taps must match grid shape")
-
-    @property
-    def size(self):
-        return self.grid.shape[0]
-
-    @property
-    def precision(self):
-        return "ideal" if self.qformat is None else "fixed"
 
 
 @dataclasses.dataclass
@@ -149,12 +105,6 @@ def gaussian_grid(size, sigma):
     return np.exp(-rsq / (2.0 * sigma * sigma))
 
 
-def gaussian_filter(size, sigma, name=None):
-    if name is None:
-        name = f"gauss-{sigma:g}"
-    return FilterSpec(name=name, grid=gaussian_grid(size, sigma))
-
-
 def ricker_hat_grid(size, params=None):
     """Hat profile: Ricker wavelet minus a central pit, exactly zero-sum.
 
@@ -175,12 +125,6 @@ def ricker_hat_grid(size, params=None):
     pit = params.pit_depth * np.exp(-rsq / (2.0 * params.pit_radius**2))
     grid = ricker - pit
     return grid - grid.mean()
-
-
-def ricker_hat_filter(size, params=None, name=None):
-    if name is None:
-        name = f"hat{size}"
-    return FilterSpec(name=name, grid=ricker_hat_grid(size, params))
 
 
 def _golden_max(fun, lo, hi, tol=1e-4, max_iter=60):
@@ -275,18 +219,6 @@ def crop_grid(grid, new_size):
     return g[trim : trim + new_size, trim : trim + new_size].copy()
 
 
-def crop_filter(spec, new_size, name=None):
-    if spec.raw is not None:
-        raise ValueError("crop before quantizing, not after")
-    if name is None:
-        name = f"{spec.name}-crop{new_size}"
-    return FilterSpec(
-        name=name,
-        grid=crop_grid(spec.grid, new_size),
-        deviation_mode=spec.deviation_mode,
-    )
-
-
 def quantize_taps(values, qformat=TAP_QFORMAT):
     """Round-half-even to the format grid, saturating at the raw limits."""
     v = np.asarray(values, dtype=float)
@@ -317,22 +249,6 @@ def prepare_fixed_taps(grid, qformat=TAP_QFORMAT):
     return quantize_taps(prescale_for_qformat(centered, qformat), qformat)
 
 
-def quantize_filter(spec, qformat=TAP_QFORMAT, name=None):
-    """Fixed-precision version of an ideal filter (prescale + quantize)."""
-    if spec.raw is not None:
-        raise ValueError(f"filter {spec.name!r} is already quantized")
-    raw = prepare_fixed_taps(spec.grid, qformat)
-    if name is None:
-        name = f"{spec.name}-q{qformat.total_bits}.{qformat.frac_bits}"
-    return FilterSpec(
-        name=name,
-        grid=dequantize_taps(raw, qformat),
-        deviation_mode=spec.deviation_mode,
-        qformat=qformat,
-        raw=raw,
-    )
-
-
 @dataclasses.dataclass
 class FixedScore:
     """Output of the integer pipeline: raw Q(16, 10) score plus flags."""
@@ -354,6 +270,36 @@ def _trunc_div_int(num, den):
     return -((-num) // den)
 
 
+# Stage overflows in datapath order; a window raises the first that applies.
+_STAGE_OVERFLOWS = (
+    "pixel sum exceeds the 32-bit stage",
+    "sad exceeds the 32-bit stage",
+    "product exceeds the 32-bit stage",
+    "accumulator exceeds the 48-bit stage",
+)
+
+
+def _fixed_taps(filt, qformat):
+    """Validated square integer tap array of the fixed-point scorers."""
+    taps = np.asarray(filt)
+    if qformat is None:
+        raise ValueError("qformat is required")
+    if not np.issubdtype(taps.dtype, np.integer):
+        raise ValueError("fixed-point taps must be integers")
+    if taps.ndim != 2 or taps.shape[0] != taps.shape[1]:
+        raise ValueError(f"taps must be square, got shape {taps.shape}")
+    if np.any(np.abs(taps) > (1 << 31) - 1):
+        raise ValueError("taps exceed 32-bit range")
+    return taps
+
+
+def _check_u16(pixels, what):
+    if not np.issubdtype(pixels.dtype, np.integer):
+        raise ValueError(f"fixed-point {what} must be integer-valued")
+    if np.any(pixels < 0) or np.any(pixels > 0xFFFF):
+        raise ValueError("pixels must fit in 16-bit unsigned")
+
+
 def mad_ncc_fixed_score(patch, filt, qformat=None, out_qformat=OUT_QFORMAT):
     """Score one integer patch against quantized taps, bit-exactly.
 
@@ -369,52 +315,37 @@ def mad_ncc_fixed_score(patch, filt, qformat=None, out_qformat=OUT_QFORMAT):
     5. score_raw = trunc(acc * k * 2^out_frac / (sad * 2^tap_frac)),
        truncation toward zero, saturated to the output format.
 
-    ``filt`` is a fixed FilterSpec or an integer tap array (then
-    ``qformat`` is required).  A zero-sad (flat) patch returns raw 0 with
-    the degenerate flag set.
+    ``filt`` is an integer tap array in the Q-format ``qformat``.  A
+    zero-sad (flat) patch returns raw 0 with the degenerate flag set; a
+    stage overflow raises OverflowError.
     """
-    if isinstance(filt, FilterSpec):
-        if filt.raw is None:
-            raise ValueError(f"filter {filt.name!r} is not quantized")
-        taps = filt.raw
-        qformat = filt.qformat
-    else:
-        taps = np.asarray(filt)
-        if qformat is None:
-            raise ValueError("qformat is required with bare integer taps")
-    if not np.issubdtype(taps.dtype, np.integer):
-        raise ValueError("fixed-point taps must be integers")
+    taps = _fixed_taps(filt, qformat)
     p = np.asarray(patch)
-    if not np.issubdtype(p.dtype, np.integer):
-        raise ValueError("fixed-point patch must be integer-valued")
-    if p.shape != taps.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
+    _check_u16(p, "patch")
+    if p.shape != taps.shape:
         raise ValueError(f"patch {p.shape} must match square taps {taps.shape}")
-    if np.any(p < 0) or np.any(p > 0xFFFF):
-        raise ValueError("pixels must fit in 16-bit unsigned")
-    if np.any(np.abs(taps) > (1 << 31) - 1):
-        raise ValueError("taps exceed 32-bit range")
 
     k = p.shape[0]
     n = k * k
     pixels = [int(v) for v in p.ravel().tolist()]
     total = sum(pixels)
     if total >= 1 << 32:
-        raise OverflowError("pixel sum exceeds the 32-bit stage")
+        raise OverflowError(_STAGE_OVERFLOWS[0])
     mean = total // n  # non-negative, so floor == trunc
     devs = [v - mean for v in pixels]
     sad = sum(abs(d) for d in devs)
     if sad >= 1 << 32:
-        raise OverflowError("sad exceeds the 32-bit stage")
+        raise OverflowError(_STAGE_OVERFLOWS[1])
     if sad == 0:
         return FixedScore(raw=0, degenerate=True, out_qformat=out_qformat)
     acc = 0
     for d, f in zip(devs, [int(v) for v in taps.ravel().tolist()]):
         prod = d * f
         if not (-(1 << 31) <= prod < (1 << 31)):
-            raise OverflowError("product exceeds the 32-bit stage")
+            raise OverflowError(_STAGE_OVERFLOWS[2])
         acc += prod
     if not (-(1 << 47) <= acc < (1 << 47)):
-        raise OverflowError("accumulator exceeds the 48-bit stage")
+        raise OverflowError(_STAGE_OVERFLOWS[3])
     num = acc * k * out_qformat.scale
     den = sad * qformat.scale
     raw = _trunc_div_int(num, den)
@@ -436,48 +367,60 @@ def _trunc_div_array(num, den):
     return np.where(num >= 0, num // den, -((-num) // den))
 
 
+def _may_overflow(taps):
+    """Whether some 16-bit window can overflow a stage with these int64
+    taps.  Deviations satisfy |d_i| <= 0xFFFF, which bounds the pixel sum
+    and sad by n * 0xFFFF, each product by 0xFFFF * max|tap| and the
+    accumulator by n times that."""
+    n = taps.size
+    prod = 0xFFFF * int(np.max(np.abs(taps)))
+    return n * 0xFFFF >= 1 << 32 or prod >= 1 << 31 or n * prod >= 1 << 47
+
+
+def _raise_first_overflow(sums, sad, prods, acc):
+    """Raise what :func:`mad_ncc_fixed_score` raises at the first window,
+    in raster order, that overflows a stage; ``prods`` holds the per-tap
+    products of every window."""
+    over = np.stack([
+        sums >= 1 << 32,
+        sad >= 1 << 32,
+        ((prods < -(1 << 31)) | (prods >= 1 << 31)).any(axis=(2, 3)),
+        (acc < -(1 << 47)) | (acc >= 1 << 47),
+    ]).reshape(len(_STAGE_OVERFLOWS), -1)
+    bad = np.flatnonzero(over.any(axis=0))
+    if bad.size:
+        raise OverflowError(_STAGE_OVERFLOWS[int(np.argmax(over[:, bad[0]]))])
+
+
 def mad_ncc_fixed_response(frame, filt, qformat=None, out_qformat=OUT_QFORMAT,
                            chunk_rows=64):
     """Valid-mode response map of the fixed-point scorer over a frame.
 
     Vectorized but bit-identical to calling :func:`mad_ncc_fixed_score` at
-    every window position.  Returns ``(raw, degenerate)`` where ``raw`` is
+    every window position, errors included.  Windows are checked for stage
+    overflow only when the taps make one possible, which the default
+    Q(8, 7) taps never do.  Returns ``(raw, degenerate)`` where ``raw`` is
     int32 of shape (H - k + 1, W - k + 1) and ``degenerate`` marks zero-sad
     windows (their raw value is 0).
     """
-    if isinstance(filt, FilterSpec):
-        if filt.raw is None:
-            raise ValueError(f"filter {filt.name!r} is not quantized")
-        taps = filt.raw
-        qformat = filt.qformat
-    else:
-        taps = np.asarray(filt)
-        if qformat is None:
-            raise ValueError("qformat is required with bare integer taps")
+    taps = _fixed_taps(filt, qformat)
     fr = np.asarray(frame)
-    if not np.issubdtype(fr.dtype, np.integer):
-        raise ValueError("fixed-point frames must be integer-valued")
-    if np.any(fr < 0) or np.any(fr > 0xFFFF):
-        raise ValueError("pixels must fit in 16-bit unsigned")
+    _check_u16(fr, "frames")
     k = taps.shape[0]
     if fr.ndim != 2 or fr.shape[0] < k or fr.shape[1] < k:
         raise ValueError(f"frame {fr.shape} too small for {k}x{k} taps")
     n = k * k
     t64 = taps.astype(np.int64)
-    f64 = fr.astype(np.int64)
-    oh, ow = fr.shape[0] - k + 1, fr.shape[1] - k + 1
-    raw = np.empty((oh, ow), dtype=np.int32)
-    degenerate = np.empty((oh, ow), dtype=bool)
-    for r0 in range(0, oh, chunk_rows):
-        r1 = min(r0 + chunk_rows, oh)
-        win = np.lib.stride_tricks.sliding_window_view(
-            f64[r0 : r1 + k - 1], (k, k)
-        )
+    check_stages = _may_overflow(t64)
+    raw, degenerate = [], []
+    for win in pm._window_chunks(fr.astype(np.int64), k, chunk_rows):
         sums = win.sum(axis=(2, 3))
         means = sums // n  # sums >= 0, floor == trunc
         devs = win - means[..., None, None]
         sad = np.abs(devs).sum(axis=(2, 3))
         acc = np.einsum("ijkl,kl->ij", devs, t64, optimize=True)
+        if check_stages:
+            _raise_first_overflow(sums, sad, devs * t64, acc)
         num = acc * (k * out_qformat.scale)
         den = sad * qformat.scale
         safe_den = np.where(den > 0, den, 1)
@@ -485,25 +428,9 @@ def mad_ncc_fixed_response(frame, filt, qformat=None, out_qformat=OUT_QFORMAT,
         scores = np.clip(scores, out_qformat.raw_min, out_qformat.raw_max)
         flat = sad == 0
         scores[flat] = 0
-        raw[r0:r1] = scores
-        degenerate[r0:r1] = flat
-    return raw, degenerate
-
-
-def mad_ratio_detect(patch, threshold=2.5):
-    """Per-pixel deviation test: |p - mean| / mad > threshold.
-
-    Scale and offset free (invariant to a*p + b for a > 0).  A flat patch
-    has no deviations to test and returns an all-false mask.
-    """
-    p = pm.as_patch(patch)
-    if p.size < 2:
-        raise ValueError("mad_ratio_detect needs at least 2 pixels")
-    dev = np.abs(p - p.mean())
-    mad = float(dev.mean())
-    if mad <= pm.MAD_MIN:
-        return np.zeros(p.shape, dtype=bool)
-    return dev / mad > threshold
+        raw.append(scores.astype(np.int32))
+        degenerate.append(flat)
+    return np.concatenate(raw), np.concatenate(degenerate)
 
 
 @dataclasses.dataclass
@@ -580,8 +507,7 @@ def tiled_std_scan(frame, filt):
     makes it an approximation (that is the cost tradeoff being modeled).
     """
     img = pm.as_patch(frame, "frame")
-    fgrid = filt.grid if isinstance(filt, FilterSpec) else filt
-    fnorm = pm.normalize_std(fgrid)  # offline filter prep, not counted
+    fnorm = pm.normalize_std(filt)  # offline filter prep, not counted
     f = fnorm.shape[0]
     hh, ww = img.shape
     if hh < f or ww < f:
@@ -627,22 +553,12 @@ def save_quantized_filter(path, raw, qformat):
     ]
     for row in taps.tolist():
         lines.append(" ".join(str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if isinstance(path, (str, os.PathLike)):
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-    else:
-        path.write(text)
+    gridio.write_text("\n".join(lines) + "\n", path)
 
 
 def load_quantized_filter(path):
     """Read a quantized filter file; returns ``(raw int array, QFormat)``."""
-    if isinstance(path, (str, os.PathLike)):
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    else:
-        text = path.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in gridio.read_text(path).splitlines() if ln.strip()]
     if len(lines) < 4 or lines[0].split() != ["qfilter", "1"]:
         raise ValueError("not a version-1 quantized filter file")
     tok = lines[1].split()

@@ -3,10 +3,13 @@
 Format: one header line ``<rows> <cols>``, then ``rows`` lines of ``cols``
 decimal reals separated by single spaces.  Values are written with
 ``repr(float)``, which round-trips IEEE doubles exactly, so
-``read_grid(write_grid(g))`` reproduces ``g`` bit for bit.
+``read_grid(write_grid(g))`` reproduces ``g`` bit for bit.  Values must
+be finite: NaN and infinities are rejected on read.
+
+:func:`read_text` and :func:`write_text` are the path-or-handle text I/O
+shared by the grid, network and quantized-filter files.
 """
 
-import io
 import os
 
 import numpy as np
@@ -49,12 +52,13 @@ def parse_grid(text):
             out[r] = [float(t) for t in toks]
         except ValueError as exc:
             raise ValueError(f"row {r}: unparseable value") from exc
+    if not np.all(np.isfinite(out)):
+        raise ValueError("grid contains non-finite values")
     return out
 
 
-def write_grid(grid, path):
-    """Write a grid to ``path`` (string/PathLike or text file object)."""
-    text = format_grid(grid)
+def write_text(text, path):
+    """Write ``text`` to ``path`` (string/PathLike or text file object)."""
     if isinstance(path, (str, os.PathLike)):
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
@@ -62,11 +66,19 @@ def write_grid(grid, path):
         path.write(text)
 
 
-def read_grid(path):
-    """Read a grid from ``path`` (string/PathLike or text file object)."""
+def read_text(path):
+    """Whole text of ``path`` (string/PathLike or text file object)."""
     if isinstance(path, (str, os.PathLike)):
         with open(path, "r", encoding="ascii") as fh:
-            return parse_grid(fh.read())
-    if isinstance(path, io.TextIOBase):
-        return parse_grid(path.read())
-    return parse_grid(path.read())
+            return fh.read()
+    return path.read()
+
+
+def write_grid(grid, path):
+    """Write a grid to ``path`` (string/PathLike or text file object)."""
+    write_text(format_grid(grid), path)
+
+
+def read_grid(path):
+    """Read a grid from ``path`` (string/PathLike or text file object)."""
+    return parse_grid(read_text(path))

@@ -22,7 +22,6 @@ gradients are accumulated in normalized-filter space first.
 """
 
 import dataclasses
-import os
 
 import numpy as np
 
@@ -410,22 +409,12 @@ def save_network(net, path):
     for i in range(net.num_filters):
         lines.append(gridio.format_grid(net.filters[i]).rstrip("\n"))
     lines.append("weights " + " ".join(repr(v) for v in net.weights.tolist()))
-    text = "\n".join(lines) + "\n"
-    if isinstance(path, (str, os.PathLike)):
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-    else:
-        path.write(text)
+    gridio.write_text("\n".join(lines) + "\n", path)
 
 
 def load_network(path):
     """Read a network written by :func:`save_network`."""
-    if isinstance(path, (str, os.PathLike)):
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    else:
-        text = path.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in gridio.read_text(path).splitlines() if ln.strip()]
     if not lines or lines[0].split() != ["nccnet", "1"]:
         raise ValueError("not a version-1 nccnet file")
     if len(lines) < 4:
@@ -458,4 +447,6 @@ def load_network(path):
     if len(wtok) != count:
         raise ValueError(f"expected {count} weights, found {len(wtok)}")
     weights = np.array([float(t) for t in wtok])
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("non-finite weight")
     return NccNetwork(filters=np.stack(grids), weights=weights, norm_mode=mode)

@@ -92,6 +92,25 @@ def _centered(p):
     return q
 
 
+def _std_denominator(q):
+    """L2 norm ``sqrt(n - 1) * std`` of the centered patch ``q``."""
+    if q.size < 2:
+        raise ValueError("STD normalization needs at least 2 pixels")
+    ss = float(np.sqrt(np.sum(q * q)))
+    sigma = ss / np.sqrt(q.size - 1)
+    if sigma <= SIGMA_MIN:
+        raise DegeneratePatchError(f"flat patch: std={sigma:.3e}")
+    return ss
+
+
+def _mad_of_centered(q):
+    """Mean absolute value of the centered patch ``q``, i.e. its mad."""
+    mad = float(np.mean(np.abs(q)))
+    if mad <= MAD_MIN:
+        raise DegeneratePatchError(f"flat patch: mad={mad:.3e}")
+    return mad
+
+
 def normalize_std(patch):
     """Center and scale to unit L2 norm (STD normalization).
 
@@ -103,15 +122,8 @@ def normalize_std(patch):
     DegeneratePatchError
         If the patch standard deviation is at or below ``SIGMA_MIN``.
     """
-    p = as_patch(patch)
-    if p.size < 2:
-        raise ValueError("STD normalization needs at least 2 pixels")
-    q = _centered(p)
-    ss = float(np.sqrt(np.sum(q * q)))
-    sigma = ss / np.sqrt(p.size - 1)
-    if sigma <= SIGMA_MIN:
-        raise DegeneratePatchError(f"flat patch: std={sigma:.3e}")
-    return q / ss
+    q = _centered(as_patch(patch))
+    return q / _std_denominator(q)
 
 
 def normalize_mad(patch):
@@ -122,12 +134,8 @@ def normalize_mad(patch):
     DegeneratePatchError
         If the mean absolute deviation is at or below ``MAD_MIN``.
     """
-    p = as_patch(patch)
-    q = _centered(p)
-    mad = float(np.mean(np.abs(q)))
-    if mad <= MAD_MIN:
-        raise DegeneratePatchError(f"flat patch: mad={mad:.3e}")
-    return q / (np.sqrt(p.size) * mad)
+    q = _centered(as_patch(patch))
+    return q / (np.sqrt(q.size) * _mad_of_centered(q))
 
 
 def normalize(patch, mode):
@@ -156,6 +164,16 @@ def cross_correlate_valid(image, filt):
         )
     win = np.lib.stride_tricks.sliding_window_view(img, f.shape)
     return np.einsum("ijkl,kl->ij", win, f, optimize=True)
+
+
+def _window_chunks(image, k, chunk_rows):
+    """Every valid k x k window of ``image`` as a list of sliding-window
+    views, top to bottom, each covering at most ``chunk_rows`` output rows
+    (shape ``(rows, W - k + 1, k, k)``).  Concatenating per-chunk results
+    along axis 0 gives the (H - k + 1, W - k + 1) response map; chunking
+    bounds the memory of the per-window temporaries."""
+    wins = np.lib.stride_tricks.sliding_window_view(image, (k, k))
+    return [wins[r0 : r0 + chunk_rows] for r0 in range(0, wins.shape[0], chunk_rows)]
 
 
 def ncc_score(patch, filt, mode=NORM_STD):
@@ -187,15 +205,9 @@ def jacobian_normalize_std(patch):
     along the patch direction, then the scale.  The matrix is symmetric,
     its rows sum to zero, and ``J @ pbar = 0``.
     """
-    p = as_patch(patch)
-    if p.size < 2:
-        raise ValueError("STD normalization needs at least 2 pixels")
-    n = p.size
-    q = _centered(p)
-    ss = float(np.sqrt(np.sum(q * q)))
-    sigma = ss / np.sqrt(n - 1)
-    if sigma <= SIGMA_MIN:
-        raise DegeneratePatchError(f"flat patch: std={sigma:.3e}")
+    q = _centered(as_patch(patch))
+    n = q.size
+    ss = _std_denominator(q)
     pbar = (q / ss).ravel()
     proj = np.eye(n) - np.outer(pbar, pbar)
     return proj @ _centering_matrix(n) / ss
@@ -219,12 +231,9 @@ def jacobian_normalize_mad(patch, kink_tol=KINK_TOL):
     DegeneratePatchError
         If the patch is flat.
     """
-    p = as_patch(patch)
-    n = p.size
-    q = _centered(p).ravel()
-    mad = float(np.mean(np.abs(q)))
-    if mad <= MAD_MIN:
-        raise DegeneratePatchError(f"flat patch: mad={mad:.3e}")
+    q = _centered(as_patch(patch)).ravel()
+    n = q.size
+    mad = _mad_of_centered(q)
     if np.min(np.abs(q)) <= kink_tol:
         raise KinkProximityError(
             f"centered pixel within {kink_tol:.1e} of the |x| kink"
@@ -260,19 +269,12 @@ def backprop_normalization(upstream, patch, mode):
     n = p.size
     q = _centered(p)
     if mode == NORM_STD:
-        if n < 2:
-            raise ValueError("STD normalization needs at least 2 pixels")
-        ss = float(np.sqrt(np.sum(q * q)))
-        sigma = ss / np.sqrt(n - 1)
-        if sigma <= SIGMA_MIN:
-            raise DegeneratePatchError(f"flat patch: std={sigma:.3e}")
+        ss = _std_denominator(q)
         pbar = q / ss
         v = u - np.sum(u * pbar) * pbar
         return (v - np.mean(v)) / ss
     if mode == NORM_MAD:
-        mad = float(np.mean(np.abs(q)))
-        if mad <= MAD_MIN:
-            raise DegeneratePatchError(f"flat patch: mad={mad:.3e}")
+        mad = _mad_of_centered(q)
         w = u - np.sum(u * q) / (n * mad) * np.sign(q)
         return (w - np.mean(w)) / (np.sqrt(n) * mad)
     raise ValueError(f"unknown normalization mode {mode!r}")

@@ -130,6 +130,24 @@ class TestNetworkScorer:
                 assert resp[i, j] == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "make_scorer",
+    [
+        lambda: bn.resolve_method("hat15-ideal"),
+        lambda: bn.resolve_method("mad-ratio"),
+        lambda: bn.resolve_method("hat7-fixed-mad"),
+        lambda: bn.NetworkScorer(nn.init_network(num_filters=2, filter_size=5)),
+    ],
+    ids=["ncc", "mad-ratio", "fixed", "net"],
+)
+def test_non_finite_pixels_rejected(make_scorer, bad):
+    frame = textured_frame(20, 20, seed=8)
+    frame[10, 10] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        make_scorer()(frame)
+
+
 # ---------------------------------------------------------------------------
 # detection
 

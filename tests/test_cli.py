@@ -218,6 +218,15 @@ class TestDetect:
         assert run("detect", "--frame", str(tmp_path / "no.txt"),
                    "--method", "gauss-1.2", "--threshold", "0") == 1
 
+    def test_non_finite_frame_fails_cleanly(self, tmp_path, capsys):
+        frame = np.full((20, 20), 100.0)
+        frame[9, 9] = np.nan
+        path = tmp_path / "nan.txt"
+        gridio.write_grid(frame, path)
+        assert run("detect", "--frame", str(path),
+                   "--method", "hat15-ideal", "--threshold", "0") == 1
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestBenchAndRoc:
     def test_bench_writes_report(self, small_corpus, tmp_path, capsys):

@@ -54,6 +54,8 @@ def test_stream_roundtrip():
         "2 2\n1 x\n3 4\n",
         "0 4\n",
         "a b\n1 2\n",
+        "1 3\nnan inf -inf\n",
+        "2 1\n1\n-inf\n",
     ],
 )
 def test_malformed_rejected(text):

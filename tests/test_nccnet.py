@@ -320,6 +320,8 @@ class TestNetworkIO:
             "nccnet 1\nnorm_mode std\nfilters 2\n2 2\n1 2\n3 4\nweights 1.0\n",
             "nccnet 1\nnorm_mode std\nfilters 1\n2 2\n1 2\n3 4\nweights 1.0 2.0\n",
             "nccnet 1\nnorm_mode std\nfilters 1\n2 2\n1 2\n3 4\n",
+            "nccnet 1\nnorm_mode std\nfilters 1\n2 2\n1 nan\n3 4\nweights 1.0\n",
+            "nccnet 1\nnorm_mode std\nfilters 1\n2 2\n1 2\n3 4\nweights inf\n",
         ],
     )
     def test_malformed_rejected(self, text):
