@@ -55,7 +55,7 @@ def _window_response(scorer, frame):
     ``_score_block`` maps a (rows, cols, k, k) chunk of windows to their
     rows * cols scores in raster order."""
     k = scorer.window
-    blocks = pm._window_chunks(_check_frame(frame, k), k, scorer.chunk_rows)
+    blocks = pm._window_chunks(_check_frame(frame, k), k)
     return np.concatenate(
         [scorer._score_block(b).reshape(b.shape[:2]) for b in blocks]
     )
@@ -68,12 +68,11 @@ class NccFilterScorer:
     filter itself; ``none`` degrades to plain (unnormalized) correlation.
     """
 
-    def __init__(self, grid, mode=pm.NORM_STD, name=None, chunk_rows=48):
+    def __init__(self, grid, mode=pm.NORM_STD, name=None):
         g = pm.as_patch(grid, "filter")
         self.window = g.shape[0]
         self.mode = mode
         self.name = name or f"nccfilter-{self.window}-{mode}"
-        self.chunk_rows = chunk_rows
         if mode == pm.NORM_NONE:
             self._fvec = g.reshape(-1).copy()
         else:
@@ -93,11 +92,10 @@ class NccFilterScorer:
 class NetworkScorer:
     """Response of a trained filter bank applied at every window."""
 
-    def __init__(self, net, name=None, chunk_rows=48):
+    def __init__(self, net, name=None):
         self.net = net
         self.window = net.filter_size
         self.name = name or f"net-{net.num_filters}x{net.filter_size}-{net.norm_mode}"
-        self.chunk_rows = chunk_rows
 
     def __call__(self, frame):
         return _window_response(self, frame)
@@ -111,12 +109,11 @@ class NetworkScorer:
 class MadRatioScorer:
     """Center-pixel deviation ratio |p_c - mean| / mad over each window."""
 
-    def __init__(self, window=15, name=None, chunk_rows=48):
+    def __init__(self, window=15, name=None):
         if window % 2 == 0 or window < 3:
             raise ValueError(f"window must be odd and >= 3, got {window}")
         self.window = window
         self.name = name or "mad-ratio"
-        self.chunk_rows = chunk_rows
 
     def __call__(self, frame):
         return _window_response(self, frame)
@@ -270,6 +267,21 @@ def _match_pairs(dets, truths, match_radius):
     return pairs
 
 
+def _greedy_matches(pairs, live):
+    """One-to-one (det, truth) matches from walking ``pairs`` in order,
+    skipping detections whose ``live`` entry is false."""
+    det_used = set()
+    truth_used = set()
+    matches = []
+    for _, di, ti in pairs:
+        if not live[di] or di in det_used or ti in truth_used:
+            continue
+        det_used.add(di)
+        truth_used.add(ti)
+        matches.append((di, ti))
+    return matches
+
+
 def match_detections(detections, truths, match_radius=DEFAULT_MATCH_RADIUS):
     """Greedy one-to-one matching by ascending detection-truth distance.
 
@@ -281,16 +293,7 @@ def match_detections(detections, truths, match_radius=DEFAULT_MATCH_RADIUS):
     """
     t = _as_truths(truths)
     dets = list(detections)
-    pairs = _match_pairs(dets, t, match_radius)
-    det_used = [False] * len(dets)
-    truth_used = [False] * t.shape[0]
-    matches = []
-    for _, di, ti in pairs:
-        if det_used[di] or truth_used[ti]:
-            continue
-        det_used[di] = True
-        truth_used[ti] = True
-        matches.append((di, ti))
+    matches = _greedy_matches(_match_pairs(dets, t, match_radius), [True] * len(dets))
     tp = len(matches)
     return MatchResult(
         true_positives=tp,
@@ -368,25 +371,17 @@ def roc_curve(scored_frames, thresholds, match_radius=DEFAULT_MATCH_RADIUS,
     prep = []
     for cands, t in frames:
         scores = np.array([d.score for d in cands])
-        prep.append((scores, _match_pairs(cands, t, match_radius), t.shape[0]))
+        prep.append((scores, _match_pairs(cands, t, match_radius)))
 
     hits = np.empty(thr.size)
     fas = np.empty(thr.size)
     for k, t_k in enumerate(thr):
         tp_total = 0
         det_total = 0
-        for scores, pairs, n_truth in prep:
-            det_total += int(np.count_nonzero(scores > t_k))
-            if not n_truth or not pairs:
-                continue
-            truth_used = [False] * n_truth
-            det_used = set()
-            for _, di, ti in pairs:
-                if scores[di] <= t_k or di in det_used or truth_used[ti]:
-                    continue
-                det_used.add(di)
-                truth_used[ti] = True
-                tp_total += 1
+        for scores, pairs in prep:
+            live = scores > t_k
+            det_total += int(np.count_nonzero(live))
+            tp_total += len(_greedy_matches(pairs, live))
         hits[k] = tp_total / total_truths
         fas[k] = (det_total - tp_total) / len(frames)
     return RocCurve(

@@ -17,7 +17,6 @@ This module provides the non-learned half of the toolkit:
   instrumented scan whose counted square roots realize the STD cost model.
 """
 
-import csv
 import dataclasses
 import math
 
@@ -149,7 +148,7 @@ def _golden_max(fun, lo, hi, tol=1e-4, max_iter=60):
     return x, fun(x)
 
 
-def fit_hat(target, coarse_only=False):
+def fit_hat(target):
     """Fit hat parameters to an arbitrary square odd filter grid.
 
     Maximizes the mean-removed cosine similarity between the generated hat
@@ -194,11 +193,10 @@ def fit_hat(target, coarse_only=False):
                 if s > best[0]:
                     best = (s, float(a), float(depth), float(radius))
     _, a, depth, radius = best
-    if not coarse_only:
-        for _ in range(3):
-            a, _ = _golden_max(lambda x: sim(x, depth, radius), max(0.2, a - 0.6), a + 0.6)
-            depth, _ = _golden_max(lambda x: sim(a, x, radius), max(0.0, depth - 0.2), depth + 0.2)
-            radius, _ = _golden_max(lambda x: sim(a, depth, x), max(0.05, radius - 0.2), radius + 0.2)
+    for _ in range(3):
+        a, _ = _golden_max(lambda x: sim(x, depth, radius), max(0.2, a - 0.6), a + 0.6)
+        depth, _ = _golden_max(lambda x: sim(a, x, radius), max(0.0, depth - 0.2), depth + 0.2)
+        radius, _ = _golden_max(lambda x: sim(a, depth, x), max(0.05, radius - 0.2), radius + 0.2)
     params = HatParams(
         support_halfwidth=a, ricker_sigma=1.0, pit_depth=depth, pit_radius=radius
     )
@@ -392,8 +390,7 @@ def _raise_first_overflow(sums, sad, prods, acc):
         raise OverflowError(_STAGE_OVERFLOWS[int(np.argmax(over[:, bad[0]]))])
 
 
-def mad_ncc_fixed_response(frame, filt, qformat=None, out_qformat=OUT_QFORMAT,
-                           chunk_rows=64):
+def mad_ncc_fixed_response(frame, filt, qformat=None, out_qformat=OUT_QFORMAT):
     """Valid-mode response map of the fixed-point scorer over a frame.
 
     Vectorized but bit-identical to calling :func:`mad_ncc_fixed_score` at
@@ -413,7 +410,7 @@ def mad_ncc_fixed_response(frame, filt, qformat=None, out_qformat=OUT_QFORMAT,
     t64 = taps.astype(np.int64)
     check_stages = _may_overflow(t64)
     raw, degenerate = [], []
-    for win in pm._window_chunks(fr.astype(np.int64), k, chunk_rows):
+    for win in pm._window_chunks(fr.astype(np.int64), k):
         sums = win.sum(axis=(2, 3))
         means = sums // n  # sums >= 0, floor == trunc
         devs = win - means[..., None, None]
@@ -462,26 +459,6 @@ def op_count(method, image_side, filter_side):
     if method == "unnorm-corr":
         return OpCount(n2, per_patch, 0, 0)
     raise ValueError(f"unknown method {method!r}; expected one of {OP_METHODS}")
-
-
-def write_op_count_csv(path, image_side, filter_side, methods=OP_METHODS):
-    """CSV report: method,N,f,mul,add,div,sqrt."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "N", "f", "mul", "add", "div", "sqrt"])
-        for method in methods:
-            c = op_count(method, image_side, filter_side)
-            writer.writerow(
-                [
-                    method,
-                    image_side,
-                    filter_side,
-                    c.multiplications,
-                    c.additions,
-                    c.divisions,
-                    c.square_roots,
-                ]
-            )
 
 
 @dataclasses.dataclass

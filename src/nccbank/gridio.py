@@ -4,7 +4,7 @@ Format: one header line ``<rows> <cols>``, then ``rows`` lines of ``cols``
 decimal reals separated by single spaces.  Values are written with
 ``repr(float)``, which round-trips IEEE doubles exactly, so
 ``read_grid(write_grid(g))`` reproduces ``g`` bit for bit.  Values must
-be finite: NaN and infinities are rejected on read.
+be finite: NaN and infinities are rejected on write and on read.
 
 :func:`read_text` and :func:`write_text` are the path-or-handle text I/O
 shared by the grid, network and quantized-filter files.
@@ -15,11 +15,17 @@ import os
 import numpy as np
 
 
+def _check_finite(arr):
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("grid contains non-finite values")
+
+
 def format_grid(grid):
     """Render a 2-D float array in the text grid format."""
     arr = np.asarray(grid, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"grid must be 2-D, got shape {arr.shape}")
+    _check_finite(arr)
     rows, cols = arr.shape
     lines = [f"{rows} {cols}"]
     for r in range(rows):
@@ -52,8 +58,7 @@ def parse_grid(text):
             out[r] = [float(t) for t in toks]
         except ValueError as exc:
             raise ValueError(f"row {r}: unparseable value") from exc
-    if not np.all(np.isfinite(out)):
-        raise ValueError("grid contains non-finite values")
+    _check_finite(out)
     return out
 
 

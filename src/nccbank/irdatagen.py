@@ -44,6 +44,12 @@ CLUTTER_KINDS = (SKY, TERRAIN, SEA_GLINT, COLLIMATOR)
 
 DATASET_MAGIC = b"NCCD"
 DATASET_VERSION = 1
+_RECORD_DTYPE = np.dtype(
+    [("label", "<i1"), ("flags", "<u1"),
+     ("context", "<f4", (CONTEXT_SIZE, CONTEXT_SIZE))]
+)
+
+_TARGET_BORDER = 10  # truth centers keep this many px from the frame edge
 
 
 class DatasetFormatError(ValueError):
@@ -86,6 +92,11 @@ class SceneConfig:
             raise ValueError("target_count must be >= 0")
         if self.psf_sigma <= 0:
             raise ValueError("psf_sigma must be > 0")
+        if self.psf_sigma > _TARGET_BORDER / 4:
+            raise ValueError(
+                f"psf_sigma must be <= {_TARGET_BORDER / 4}: the 4-sigma PSF "
+                f"stamp must fit inside the {_TARGET_BORDER} px target border"
+            )
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         if not (0.0 <= self.bad_pixel_rate < 1.0):
@@ -126,6 +137,27 @@ class LabeledSample:
         return self.context[MARGIN : MARGIN + CORE_SIZE, MARGIN : MARGIN + CORE_SIZE]
 
 
+def _add_blob(field, cy, cx, sig, amp):
+    """Add a full-frame Gaussian of width ``sig`` centered at (cy, cx)."""
+    h, w = field.shape
+    ys = (np.arange(h)[:, None] - cy) / sig
+    xs = (np.arange(w)[None, :] - cx) / sig
+    field += amp * np.exp(-0.5 * (ys * ys + xs * xs))
+
+
+def _psf(sigma):
+    """Peak-1 Gaussian PSF truncated at max(ceil(4 sigma), 2) px."""
+    support = max(int(np.ceil(4.0 * sigma)), 2)
+    ys = np.arange(-support, support + 1)
+    return np.exp(-(ys[:, None] ** 2 + ys[None, :] ** 2) / (2.0 * sigma**2))
+
+
+def _stamp(field, blob, r, c, amp):
+    """Add ``amp * blob`` centered on pixel (r, c)."""
+    s = blob.shape[0] // 2
+    field[r - s : r + s + 1, c - s : c + s + 1] += amp * blob
+
+
 def _sky_clutter(shape, strength, rng):
     h, w = shape
     yy = np.linspace(0.0, 1.0, h)[:, None]
@@ -141,13 +173,8 @@ def _sky_clutter(shape, strength, rng):
     )
     # wide soft blobs standing in for cloud structure
     for _ in range(int(rng.integers(3, 8))):
-        cy = rng.uniform(0, h)
-        cx = rng.uniform(0, w)
-        sig = rng.uniform(8.0, 25.0)
-        amp = strength * rng.uniform(10.0, 45.0)
-        ys = (np.arange(h)[:, None] - cy) / sig
-        xs = (np.arange(w)[None, :] - cx) / sig
-        field += amp * np.exp(-0.5 * (ys * ys + xs * xs))
+        _add_blob(field, rng.uniform(0, h), rng.uniform(0, w),
+                  rng.uniform(8.0, 25.0), strength * rng.uniform(10.0, 45.0))
     return field
 
 
@@ -155,19 +182,14 @@ def _terrain_clutter(shape, strength, rng):
     h, w = shape
     field = np.zeros(shape)
     for _ in range(10):
-        cy = rng.uniform(0, h)
-        cx = rng.uniform(0, w)
-        sig = rng.uniform(10.0, 30.0)
-        amp = rng.uniform(-50.0, 50.0)
-        ys = (np.arange(h)[:, None] - cy) / sig
-        xs = (np.arange(w)[None, :] - cx) / sig
-        field += amp * np.exp(-0.5 * (ys * ys + xs * xs))
+        _add_blob(field, rng.uniform(0, h), rng.uniform(0, w),
+                  rng.uniform(10.0, 30.0), rng.uniform(-50.0, 50.0))
     # quantize the smooth field into plateaus: hard high-contrast edges
     step = max(35.0 * strength, 1e-6)
     return np.floor(field / step) * step
 
 
-def _sea_glint_clutter(shape, strength, rng, target_amplitude, psf_sigma):
+def _sea_glint_clutter(shape, strength, rng, target_amplitude, psf):
     h, w = shape
     field = np.zeros(shape)
     # Sun glitter arrives in sparkle bands: near-horizontal chains of
@@ -177,16 +199,10 @@ def _sea_glint_clutter(shape, strength, rng, target_amplitude, psf_sigma):
     # fainter partner flash a few pixels away.  Only a window wide enough
     # to see the partner can tell glint from target.  Lone hot pixels stay
     # below the noise floor.
-    support = max(int(np.ceil(4.0 * psf_sigma)), 2)
-    ys = np.arange(-support, support + 1)
-    blob = np.exp(-(ys[:, None] ** 2 + ys[None, :] ** 2) / (2.0 * psf_sigma**2))
+    support = psf.shape[0] // 2
 
     def in_frame(rr, cc):
         return (support <= rr < h - support) and (support <= cc < w - support)
-
-    def stamp(rr, cc, amp):
-        field[rr - support : rr + support + 1,
-              cc - support : cc + support + 1] += amp * blob
 
     mains = []
     n_bands = int(rng.integers(2, max(3, int(4 * strength) + 1)))
@@ -211,8 +227,8 @@ def _sea_glint_clutter(shape, strength, rng, target_amplitude, psf_sigma):
             if any(max(abs(rr - mr), abs(cc - mc)) < 9 for mr, mc in mains):
                 continue
             amp = target_amplitude * rng.uniform(0.8, 1.5)
-            stamp(rr, cc, amp)
-            stamp(pr, pc, amp * rng.uniform(0.4, 0.55))
+            _stamp(field, psf, rr, cc, amp)
+            _stamp(field, psf, pr, pc, amp * rng.uniform(0.4, 0.55))
             mains.append((rr, cc))
     n_singles = int(rng.integers(5, 15))
     for _ in range(n_singles):
@@ -246,8 +262,8 @@ def _place_targets(config, rng, clutter):
                 f"cannot place {config.target_count} separated targets "
                 f"on quiet background in a {h}x{w} scene"
             )
-        r = int(rng.integers(10, h - 10))
-        c = int(rng.integers(10, w - 10))
+        r = int(rng.integers(_TARGET_BORDER, h - _TARGET_BORDER))
+        c = int(rng.integers(_TARGET_BORDER, w - _TARGET_BORDER))
         if rough[r, c] >= limit or swing[r, c] >= 0.3 * config.target_amplitude:
             continue
         if all(max(abs(r - tr), abs(c - tc)) >= 16 for tr, tc in placed):
@@ -281,6 +297,7 @@ def synth_scene(config):
     rng = np.random.default_rng(config.rng_seed)
     h, w = config.height, config.width
     image = np.full((h, w), BASE_LEVEL)
+    psf = _psf(config.psf_sigma)
 
     if config.clutter_kind == SKY:
         image += _sky_clutter((h, w), config.clutter_strength, rng)
@@ -289,19 +306,13 @@ def synth_scene(config):
     elif config.clutter_kind == SEA_GLINT:
         image += _sea_glint_clutter(
             (h, w), config.clutter_strength, rng,
-            config.target_amplitude, config.psf_sigma,
+            config.target_amplitude, psf,
         )
     # COLLIMATOR: flat base, detector effects only
 
     truths = _place_targets(config, rng, image - BASE_LEVEL)
-    support = max(int(np.ceil(4.0 * config.psf_sigma)), 2)
     for r, c in truths:
-        ys = np.arange(-support, support + 1)
-        blob = np.exp(-(ys[:, None] ** 2 + ys[None, :] ** 2)
-                      / (2.0 * config.psf_sigma**2))
-        image[r - support : r + support + 1, c - support : c + support + 1] += (
-            config.target_amplitude * blob
-        )
+        _stamp(image, psf, r, c, config.target_amplitude)
 
     if config.noise_sigma > 0:
         image += rng.normal(0.0, config.noise_sigma, size=(h, w))
@@ -352,15 +363,16 @@ def extract_samples(scene):
 
 
 def shifted_core(context, dr, dc):
-    """The 15x15 core re-windowed by (dr, dc) inside a full 19x19 context."""
+    """The 15x15 core re-windowed by (dr, dc) inside a full 19x19 context,
+    or inside every context of a (..., 19, 19) stack."""
     ctx = np.asarray(context)
-    if ctx.shape != (CONTEXT_SIZE, CONTEXT_SIZE):
+    if ctx.shape[-2:] != (CONTEXT_SIZE, CONTEXT_SIZE):
         raise ValueError(f"context must be {CONTEXT_SIZE}x{CONTEXT_SIZE}")
     if not (-MARGIN <= dr <= MARGIN and -MARGIN <= dc <= MARGIN):
         raise ValueError(f"shift ({dr}, {dc}) exceeds the {MARGIN}-pixel margin")
     r0 = MARGIN + dr
     c0 = MARGIN + dc
-    return ctx[r0 : r0 + CORE_SIZE, c0 : c0 + CORE_SIZE]
+    return ctx[..., r0 : r0 + CORE_SIZE, c0 : c0 + CORE_SIZE]
 
 
 def _core_only_sample(label, core):
@@ -376,45 +388,53 @@ SHIFTS = tuple(
 )
 
 
+def _stack_contexts(samples):
+    """(n, 19, 19) float32 stack of the samples' contexts; n may be 0."""
+    ctx = np.array([s.context for s in samples], dtype=np.float32)
+    return ctx.reshape(-1, CONTEXT_SIZE, CONTEXT_SIZE)
+
+
+def augmented_arrays(samples):
+    """Augment straight into arrays: (patches (S, 15, 15) float64, labels (S,)).
+
+    A positive gives 4 rotations x 16 shifts = 64 cores (no (0, 0) shift),
+    a negative its 4 rotated unshifted cores; rows follow input order,
+    rotation-major within each sample.
+    """
+    samples = list(samples)
+    if not samples:
+        raise ValueError("no samples")
+    pos = np.array([s.label == 1 for s in samples])
+    if any(s.label == 1 and not s.margin_valid for s in samples):
+        raise ValueError("positive augmentation needs a full context margin")
+    counts = np.where(pos, 4 * len(SHIFTS), 4)
+    starts = np.cumsum(counts) - counts
+    patches = np.empty((int(counts.sum()), CORE_SIZE, CORE_SIZE))
+    labels = np.repeat(np.where(pos, 1.0, -1.0), counts)
+    pos_ctx = _stack_contexts(s for s in samples if s.label == 1)
+    neg_ctx = _stack_contexts(s for s in samples if s.label != 1)
+    pos_start, neg_start = starts[pos], starts[~pos]
+    for rot in range(4):
+        rpos = np.rot90(pos_ctx, rot, axes=(1, 2))
+        for j, (dr, dc) in enumerate(SHIFTS):
+            patches[pos_start + rot * len(SHIFTS) + j] = shifted_core(rpos, dr, dc)
+        rneg = np.rot90(neg_ctx, rot, axes=(1, 2))
+        patches[neg_start + rot] = shifted_core(rneg, 0, 0)
+    return patches, labels
+
+
 def augment_positive(sample):
     """4 rotations x 16 shifts = 64 core-only samples (no (0,0) shift)."""
     if sample.label != 1:
         raise ValueError("augment_positive needs a positive sample")
-    if not sample.margin_valid:
-        raise ValueError("positive augmentation needs a full context margin")
-    out = []
-    for rot in range(4):
-        rctx = np.rot90(sample.context, rot)
-        for dr, dc in SHIFTS:
-            out.append(_core_only_sample(1, shifted_core(rctx, dr, dc)))
-    return out
+    return [_core_only_sample(1, core) for core in augmented_arrays([sample])[0]]
 
 
 def augment_negative(sample):
     """Original + 3 rotations = 4 core-only samples."""
     if sample.label != -1:
         raise ValueError("augment_negative needs a negative sample")
-    return [
-        _core_only_sample(-1, shifted_core(np.rot90(sample.context, rot), 0, 0))
-        for rot in range(4)
-    ]
-
-
-def augment_all(samples):
-    """Dispatch by label; output order follows input order."""
-    out = []
-    for s in samples:
-        out.extend(augment_positive(s) if s.label == 1 else augment_negative(s))
-    return out
-
-
-def samples_to_arrays(samples):
-    """Stack cores into (S, 15, 15) float64 plus a (S,) +/-1 label array."""
-    if not samples:
-        raise ValueError("no samples")
-    patches = np.stack([s.core for s in samples]).astype(float)
-    labels = np.array([float(s.label) for s in samples])
-    return patches, labels
+    return [_core_only_sample(-1, core) for core in augmented_arrays([sample])[0]]
 
 
 def subsample_negatives(negatives, budget, seed=0):
@@ -482,13 +502,7 @@ def write_dataset(samples, path):
     samples = list(samples)
     if not samples:
         raise ValueError("refusing to write an empty dataset")
-    rec = np.empty(
-        len(samples),
-        dtype=np.dtype(
-            [("label", "<i1"), ("flags", "<u1"),
-             ("context", "<f4", (CONTEXT_SIZE, CONTEXT_SIZE))]
-        ),
-    )
+    rec = np.empty(len(samples), dtype=_RECORD_DTYPE)
     for i, s in enumerate(samples):
         rec[i] = (s.label, 1 if s.margin_valid else 0, s.context)
     header = DATASET_MAGIC + struct.pack(
@@ -516,10 +530,7 @@ def read_dataset(path):
         raise VersionMismatchError(f"unsupported dataset version {version}")
     if core != CORE_SIZE or ctx != CONTEXT_SIZE or core > ctx:
         raise CorruptHeaderError(f"unsupported patch geometry {core}/{ctx}")
-    rec_dtype = np.dtype(
-        [("label", "<i1"), ("flags", "<u1"), ("context", "<f4", (ctx, ctx))]
-    )
-    want = count * rec_dtype.itemsize
+    want = count * _RECORD_DTYPE.itemsize
     payload = blob[18:]
     if len(payload) < want:
         raise TruncatedFileError(
@@ -527,7 +538,7 @@ def read_dataset(path):
         )
     if len(payload) > want:
         raise CorruptHeaderError("payload larger than the declared count")
-    rec = np.frombuffer(payload, dtype=rec_dtype)
+    rec = np.frombuffer(payload, dtype=_RECORD_DTYPE)
     samples = []
     for i in range(count):
         label = int(rec["label"][i])
@@ -581,29 +592,29 @@ def read_frames(dirpath):
     return frames, [truth_map[name] for name in names]
 
 
+def _scene_recipe(count, seed, strength_range, **fixed):
+    """Configs cycling through all clutter kinds, with jittered strengths
+    and per-scene seeds drawn from one master seed."""
+    rng = np.random.default_rng(seed)
+    return [
+        SceneConfig(
+            clutter_kind=CLUTTER_KINDS[i % len(CLUTTER_KINDS)],
+            clutter_strength=float(rng.uniform(*strength_range)),
+            rng_seed=int(rng.integers(0, 2**31)),
+            **fixed,
+        )
+        for i in range(count)
+    ]
+
+
 def training_scene_configs(scene_count=36, seed=1000, width=128, height=128,
                            targets_per_scene=9):
-    """Training-scene recipe: cycle through all clutter kinds with jittered
-    strengths and per-scene seeds drawn from one master seed."""
-    rng = np.random.default_rng(seed)
-    configs = []
-    for i in range(scene_count):
-        kind = CLUTTER_KINDS[i % len(CLUTTER_KINDS)]
-        configs.append(
-            SceneConfig(
-                width=width,
-                height=height,
-                clutter_kind=kind,
-                clutter_strength=float(rng.uniform(0.7, 1.3)),
-                target_count=targets_per_scene,
-                target_amplitude=60.0,
-                psf_sigma=1.2,
-                noise_sigma=5.0,
-                bad_pixel_rate=3e-4,
-                rng_seed=int(rng.integers(0, 2**31)),
-            )
-        )
-    return configs
+    """Training-scene recipe: every clutter kind, strength 0.7-1.3."""
+    return _scene_recipe(
+        scene_count, seed, (0.7, 1.3), width=width, height=height,
+        target_count=targets_per_scene, target_amplitude=60.0, psf_sigma=1.2,
+        noise_sigma=5.0, bad_pixel_rate=3e-4,
+    )
 
 
 def standard_training_configs(seed=1000):
@@ -617,57 +628,14 @@ def standard_training_configs(seed=1000):
 def benchmark_scene_configs(count=48, seed=2000):
     """Benchmark frames: every clutter kind, bad pixels on, and every sixth
     frame target-free so false alarms have somewhere to live."""
-    rng = np.random.default_rng(seed)
-    configs = []
-    for i in range(count):
-        kind = CLUTTER_KINDS[i % len(CLUTTER_KINDS)]
-        configs.append(
-            SceneConfig(
-                width=160,
-                height=160,
-                clutter_kind=kind,
-                clutter_strength=float(rng.uniform(0.8, 1.2)),
-                target_count=0 if i % 6 == 5 else 3,
-                target_amplitude=80.0,
-                psf_sigma=1.2,
-                noise_sigma=3.0,
-                bad_pixel_rate=2.5e-4,
-                rng_seed=int(rng.integers(0, 2**31)),
-            )
-        )
+    configs = _scene_recipe(
+        count, seed, (0.8, 1.2), width=160, height=160, target_count=3,
+        target_amplitude=80.0, psf_sigma=1.2, noise_sigma=3.0,
+        bad_pixel_rate=2.5e-4,
+    )
+    for c in configs[5::6]:
+        c.target_count = 0
     return configs
-
-
-def augmented_arrays(samples):
-    """Augment straight into arrays: (patches (S, 15, 15), labels (S,)).
-
-    Equivalent to ``samples_to_arrays(augment_all(samples))`` but without
-    materializing hundreds of thousands of sample objects.
-    """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("no samples")
-    n_pos = sum(1 for s in samples if s.label == 1)
-    total = 64 * n_pos + 4 * (len(samples) - n_pos)
-    patches = np.empty((total, CORE_SIZE, CORE_SIZE))
-    labels = np.empty(total)
-    idx = 0
-    for s in samples:
-        if s.label == 1:
-            if not s.margin_valid:
-                raise ValueError("positive augmentation needs a full context")
-            for rot in range(4):
-                rctx = np.rot90(s.context, rot)
-                for dr, dc in SHIFTS:
-                    patches[idx] = shifted_core(rctx, dr, dc)
-                    labels[idx] = 1.0
-                    idx += 1
-        else:
-            for rot in range(4):
-                patches[idx] = shifted_core(np.rot90(s.context, rot), 0, 0)
-                labels[idx] = -1.0
-                idx += 1
-    return patches, labels
 
 
 def collect_samples(scenes):
@@ -684,7 +652,7 @@ def build_training_set(configs, negative_budget=None, subsample_seed=0):
     """Scenes -> samples -> thinned negatives, pre-augmentation.
 
     Returns positives followed by the subsampled negatives.  Augmentation
-    happens in memory at training time (augment_all), keeping dataset
+    happens in memory at training time (augmented_arrays), keeping dataset
     files 64x smaller.
     """
     scenes = [synth_scene(cfg) for cfg in configs]

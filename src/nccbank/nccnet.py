@@ -401,6 +401,8 @@ def max_pairwise_similarity(net):
 
 def save_network(net, path):
     """Write a network to a text file; exact float round-trip."""
+    if not np.all(np.isfinite(net.weights)):
+        raise ValueError("non-finite weight")
     lines = [
         "nccnet 1",
         f"norm_mode {net.norm_mode}",

@@ -166,14 +166,17 @@ def cross_correlate_valid(image, filt):
     return np.einsum("ijkl,kl->ij", win, f, optimize=True)
 
 
-def _window_chunks(image, k, chunk_rows):
+_CHUNK_ROWS = 48  # output rows per window chunk
+
+
+def _window_chunks(image, k):
     """Every valid k x k window of ``image`` as a list of sliding-window
-    views, top to bottom, each covering at most ``chunk_rows`` output rows
+    views, top to bottom, each covering at most ``_CHUNK_ROWS`` output rows
     (shape ``(rows, W - k + 1, k, k)``).  Concatenating per-chunk results
     along axis 0 gives the (H - k + 1, W - k + 1) response map; chunking
     bounds the memory of the per-window temporaries."""
     wins = np.lib.stride_tricks.sliding_window_view(image, (k, k))
-    return [wins[r0 : r0 + chunk_rows] for r0 in range(0, wins.shape[0], chunk_rows)]
+    return [wins[r0 : r0 + _CHUNK_ROWS] for r0 in range(0, len(wins), _CHUNK_ROWS)]
 
 
 def ncc_score(patch, filt, mode=NORM_STD):

@@ -72,6 +72,26 @@ def naive_correlate_valid(image, filt):
     return out
 
 
+def naive_augment(contexts, labels):
+    """Per-sample augmentation loop over 19x19 contexts.
+
+    A positive (+1) gives, for each of 4 rotations, its 15x15 core
+    re-windowed by every shift (dr, dc) with dr, dc in {-2, -1, 1, 2},
+    dc varying fastest; a negative gives its 4 rotated unshifted cores.
+    Rows follow input order.  Returns float64 (patches, labels).
+    """
+    shifts = [(dr, dc) for dr in (-2, -1, 1, 2) for dc in (-2, -1, 1, 2)]
+    patches = []
+    out_labels = []
+    for ctx, label in zip(contexts, labels):
+        for rot in range(4):
+            rctx = np.rot90(np.asarray(ctx, dtype=float), rot)
+            for dr, dc in shifts if label == 1 else [(0, 0)]:
+                patches.append(rctx[2 + dr : 17 + dr, 2 + dc : 17 + dc])
+                out_labels.append(float(label))
+    return np.array(patches), np.array(out_labels)
+
+
 def fd_jacobian(func, x, step=1e-6):
     """Central finite-difference Jacobian of ``func`` at flattened ``x``.
 

@@ -31,11 +31,12 @@ def textured_frame(h, w, seed):
 
 
 class TestNccFilterScorer:
-    def test_matches_patch_scores_exhaustively(self):
+    def test_matches_patch_scores_exhaustively(self, monkeypatch):
+        monkeypatch.setattr(pm, "_CHUNK_ROWS", 5)
         frame = textured_frame(24, 22, seed=0)
         filt = fb.gaussian_grid(7, 1.0)
         for mode in (pm.NORM_STD, pm.NORM_MAD):
-            scorer = bn.NccFilterScorer(filt, mode, chunk_rows=5)
+            scorer = bn.NccFilterScorer(filt, mode)
             resp = scorer(frame)
             assert resp.shape == (18, 16)
             for i in range(18):
@@ -64,9 +65,10 @@ class TestNccFilterScorer:
 
 
 class TestMadRatioScorer:
-    def test_matches_direct_window_math(self):
+    def test_matches_direct_window_math(self, monkeypatch):
+        monkeypatch.setattr(pm, "_CHUNK_ROWS", 3)
         frame = textured_frame(20, 21, seed=2)
-        scorer = bn.MadRatioScorer(window=5, chunk_rows=3)
+        scorer = bn.MadRatioScorer(window=5)
         resp = scorer(frame)
         assert resp.shape == (16, 17)
         for i in range(16):
@@ -117,12 +119,13 @@ class TestFrameToU16:
 
 
 class TestNetworkScorer:
-    def test_matches_single_forward(self):
+    def test_matches_single_forward(self, monkeypatch):
+        monkeypatch.setattr(pm, "_CHUNK_ROWS", 4)
         rng = np.random.default_rng(5)
         net = nn.init_network(num_filters=2, filter_size=5, norm_mode=pm.NORM_STD,
                               seed=7)
         frame = textured_frame(16, 15, seed=6)
-        resp = bn.NetworkScorer(net, chunk_rows=4)(frame)
+        resp = bn.NetworkScorer(net)(frame)
         assert resp.shape == (12, 11)
         for i in range(12):
             for j in range(11):

@@ -54,6 +54,13 @@ class TestDatagen:
         assert run("datagen", "--scenes", "2") == 1
         assert "nothing to do" in capsys.readouterr().err
 
+    def test_psf_wider_than_target_border_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "x.nccd"
+        assert run("datagen", "--scenes", "36", "--psf-sigma", "2.6",
+                   "--out", str(out)) == 1
+        assert "psf_sigma must be <= 2.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_dataset_and_frames(self, tmp_path, capsys):
         data = tmp_path / "train.nccd"
         frames = tmp_path / "frames"
@@ -219,10 +226,11 @@ class TestDetect:
                    "--method", "gauss-1.2", "--threshold", "0") == 1
 
     def test_non_finite_frame_fails_cleanly(self, tmp_path, capsys):
-        frame = np.full((20, 20), 100.0)
-        frame[9, 9] = np.nan
+        # write_grid refuses NaN, so put the bad value (9, 9) into the text
+        lines = gridio.format_grid(np.full((20, 20), 100.0)).splitlines()
+        lines[10] = " ".join(["100.0"] * 9 + ["nan"] + ["100.0"] * 10)
         path = tmp_path / "nan.txt"
-        gridio.write_grid(frame, path)
+        path.write_text("\n".join(lines) + "\n")
         assert run("detect", "--frame", str(path),
                    "--method", "hat15-ideal", "--threshold", "0") == 1
         assert "non-finite" in capsys.readouterr().err

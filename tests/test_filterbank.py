@@ -244,12 +244,13 @@ class TestFixedScore:
 
 
 class TestFixedResponse:
-    def test_bit_identical_to_scalar(self):
+    def test_bit_identical_to_scalar(self, monkeypatch):
+        monkeypatch.setattr(pm, "_CHUNK_ROWS", 7)
         rng = np.random.default_rng(95)
         frame = rng.integers(100, 5000, size=(30, 30)).astype(np.uint16)
         frame[5:14, 20:29] = 777  # one flat window somewhere in the field
         taps = fb.prepare_fixed_taps(fb.crop_grid(fb.ricker_hat_grid(15), 9))
-        raw, degen = fb.mad_ncc_fixed_response(frame, taps, fb.TAP_QFORMAT, chunk_rows=7)
+        raw, degen = fb.mad_ncc_fixed_response(frame, taps, fb.TAP_QFORMAT)
         assert raw.shape == (22, 22)
         for i in range(22):
             for j in range(22):
@@ -270,7 +271,9 @@ class TestFixedResponse:
             ((12, 13), 100, 300, True, "product exceeds the 32-bit stage"),
         ],
     )
-    def test_stage_overflow_matches_scalar(self, shape, lo, hi, hot, error):
+    def test_stage_overflow_matches_scalar(self, shape, lo, hi, hot, error,
+                                           monkeypatch):
+        monkeypatch.setattr(pm, "_CHUNK_ROWS", 2)
         rng = np.random.default_rng(99)
         frame = rng.integers(lo, hi, size=shape).astype(np.uint16)
         if hot:
@@ -286,10 +289,10 @@ class TestFixedResponse:
         except OverflowError as exc:
             assert str(exc) == error
             with pytest.raises(OverflowError, match=error):
-                fb.mad_ncc_fixed_response(frame, taps, q, chunk_rows=2)
+                fb.mad_ncc_fixed_response(frame, taps, q)
         else:
             assert error is None
-            raw, _ = fb.mad_ncc_fixed_response(frame, taps, q, chunk_rows=2)
+            raw, _ = fb.mad_ncc_fixed_response(frame, taps, q)
             np.testing.assert_array_equal(raw, want)
 
     def test_all_flat_frame(self):
@@ -327,14 +330,6 @@ class TestOpCount:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             fb.op_count("ipi", 256, 15)
-
-    def test_csv_report(self, tmp_path):
-        path = tmp_path / "ops.csv"
-        fb.write_op_count_csv(path, 256, 15)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "method,N,f,mul,add,div,sqrt"
-        assert lines[2] == "ncc-std,256,15,65536,582,291,291"
-        assert len(lines) == 5
 
 
 class TestTiledScan:

@@ -68,3 +68,8 @@ def test_non_2d_rejected():
         gridio.format_grid(np.zeros(4))
     with pytest.raises(ValueError):
         gridio.format_grid(np.zeros((2, 2, 2)))
+    # a grid read_grid would refuse is refused on write too, before any text
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="non-finite"):
+        gridio.write_grid(np.array([[np.nan, 1.0]]), buf)
+    assert buf.getvalue() == ""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from nccbank import irdatagen as dg
 
 
@@ -108,6 +109,21 @@ class TestSynth:
             dg.synth_scene(quiet_config(bad_pixel_rate=1.0))
         with pytest.raises(ValueError):
             dg.synth_scene(quiet_config(clutter_kind="fog"))
+        # the PSF stamp would overrun the 10-px border kept around truths
+        with pytest.raises(ValueError, match=r"psf_sigma must be <= 2\.5"):
+            dg.synth_scene(quiet_config(psf_sigma=2.6))
+
+    def test_psf_at_limit_fits_target_border(self):
+        # truths sit >= 10 px from the edge; the stamp reaches ceil(4 sigma)
+        edge_gaps = []
+        for kind in dg.CLUTTER_KINDS:
+            scene = dg.synth_scene(quiet_config(
+                psf_sigma=2.5, target_count=6, clutter_kind=kind,
+                clutter_strength=1.0, noise_sigma=5.0, width=96, height=96,
+            ))
+            assert len(scene.truths) == 6
+            edge_gaps += [min(r, c, 95 - r, 95 - c) for r, c in scene.truths]
+        assert min(edge_gaps) == 10  # a stamp of the full 10-px reach
 
 
 class TestExtract:
@@ -221,16 +237,6 @@ class TestAugment:
         clipped = dg.augment_positive(pos)[0]
         with pytest.raises(ValueError):
             dg.augment_positive(clipped)  # margin already gone
-
-    def test_augment_all_counts(self):
-        scene = dg.synth_scene(
-            quiet_config(width=96, height=96, target_count=2, noise_sigma=1.0)
-        )
-        samples = dg.extract_samples(scene)
-        n_pos = sum(1 for s in samples if s.label == 1)
-        n_neg = len(samples) - n_pos
-        out = dg.augment_all(samples)
-        assert len(out) == 64 * n_pos + 4 * n_neg
 
 
 def cluster_sample(kind, rng):
@@ -446,13 +452,19 @@ class TestTrainingSetRecipe:
             assert x.label == y.label
             assert np.array_equal(x.context, y.context)
 
-    def test_augmented_arrays_matches_object_path(self):
+    def test_augmented_arrays_matches_oracle(self):
         configs = dg.training_scene_configs(scene_count=2, seed=7)
         samples = dg.build_training_set(configs, negative_budget=10)
-        fast_p, fast_l = dg.augmented_arrays(samples)
-        slow_p, slow_l = dg.samples_to_arrays(dg.augment_all(samples))
-        assert np.array_equal(fast_p, slow_p)
-        assert np.array_equal(fast_l, slow_l)
+        # the training set lists all positives first; interleave the labels
+        order = np.random.default_rng(8).permutation(len(samples))
+        samples = [samples[i] for i in order]
+        assert {s.label for s in samples[:4]} == {1, -1}
+        patches, labels = dg.augmented_arrays(samples)
+        want_p, want_l = oracles.naive_augment([s.context for s in samples],
+                                               [s.label for s in samples])
+        assert patches.dtype == np.float64
+        assert np.array_equal(patches, want_p)
+        assert np.array_equal(labels, want_l)
 
     def test_augmented_arrays_rejects_empty(self):
         with pytest.raises(ValueError):

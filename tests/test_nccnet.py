@@ -303,6 +303,10 @@ class TestNetworkIO:
         assert back.norm_mode == "mad"
         assert np.array_equal(back.filters, net.filters)
         assert np.array_equal(back.weights, net.weights)
+        # weights load_network would refuse are refused on save too
+        net.weights[2] = np.inf
+        with pytest.raises(ValueError, match="non-finite weight"):
+            nn.save_network(net, io.StringIO())
 
     def test_file_roundtrip(self, tmp_path):
         net = nn.init_network(1, filter_size=15, seed=15)
