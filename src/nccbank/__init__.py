@@ -25,6 +25,7 @@ from nccbank.patchmath import (
     jacobian_normalize_std,
     ncc_score,
     normalize_mad,
+    normalize_rows,
     normalize_std,
     patch_mad,
     patch_mean,
@@ -42,6 +43,7 @@ __all__ = [
     "jacobian_normalize_std",
     "ncc_score",
     "normalize_mad",
+    "normalize_rows",
     "normalize_std",
     "patch_mad",
     "patch_mean",

@@ -83,7 +83,7 @@ class NccFilterScorer:
 
     def _score_block(self, block):
         flat = block.reshape(-1, self.window**2)
-        norm, valid = nn.normalize_flat_batch(flat, self.mode)
+        norm, valid = pm.normalize_rows(flat, self.mode)
         scores = norm @ self._fvec
         scores[~valid] = 0.0
         return scores

@@ -12,7 +12,6 @@ input, unknown method), 2 on usage errors.
 """
 
 import argparse
-import csv
 import dataclasses
 import sys
 
@@ -244,11 +243,8 @@ def _cmd_detect(args):
     for d in dets:
         print(f"{d.row},{d.col},{d.score!r}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["row", "col", "score"])
-            for d in dets:
-                w.writerow([d.row, d.col, repr(d.score)])
+        bn._write_csv(args.out, ["row", "col", "score"],
+                      ([d.row, d.col, repr(d.score)] for d in dets))
     print(f"{len(dets)} detections above {args.threshold}")
     return 0
 

@@ -82,6 +82,10 @@ class SceneConfig:
     rng_seed: int = 0
 
     def validate(self):
+        for name in ("clutter_strength", "target_amplitude", "psf_sigma",
+                     "noise_sigma", "bad_pixel_rate"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.width < 64 or self.height < 64:
             raise ValueError("scene dimensions must be at least 64")
         if self.clutter_kind not in CLUTTER_KINDS:
@@ -90,6 +94,8 @@ class SceneConfig:
             raise ValueError("clutter_strength must be >= 0")
         if self.target_count < 0:
             raise ValueError("target_count must be >= 0")
+        if self.target_amplitude <= 0:
+            raise ValueError("target_amplitude must be > 0")
         if self.psf_sigma <= 0:
             raise ValueError("psf_sigma must be > 0")
         if self.psf_sigma > _TARGET_BORDER / 4:
@@ -458,17 +464,12 @@ def subsample_negatives(negatives, budget, seed=0):
     if budget == len(negatives):
         return negatives
 
-    n = CORE_SIZE * CORE_SIZE
-    feats = np.zeros((len(negatives), n))
-    flats = []
-    pool = []
-    for i, s in enumerate(negatives):
-        core = s.core.astype(float)
-        try:
-            feats[i] = pm.normalize_std(core).ravel()
-            pool.append(i)
-        except pm.DegeneratePatchError:
-            flats.append(i)
+    cores = shifted_core(_stack_contexts(negatives), 0, 0)
+    feats, valid = pm.normalize_rows(
+        pm.as_patch(cores.reshape(len(negatives), -1), "negative cores"), pm.NORM_STD
+    )
+    pool = np.flatnonzero(valid).tolist()
+    flats = np.flatnonzero(~valid).tolist()
     if flats:
         pool.append(flats[0])  # the bucket representative, feature all-zero
         pool.sort()
@@ -492,12 +493,19 @@ def subsample_negatives(negatives, budget, seed=0):
     return [negatives[pool[i]] for i in order]
 
 
+def _check_contexts(rec):
+    bad = np.flatnonzero(~np.isfinite(rec["context"]).all(axis=(1, 2)))
+    if bad.size:
+        raise DatasetFormatError(f"record {bad[0]}: non-finite context")
+
+
 def write_dataset(samples, path):
     """Binary dataset file, little-endian.
 
     Layout: magic "NCCD", version u16, core_size u16, context_size u16,
     sample_count u64; then per record: label i8 (+1/-1), flags u8
-    (bit 0 = margin valid), context as float32 row-major.
+    (bit 0 = margin valid), context as float32 row-major.  Non-finite
+    contexts raise DatasetFormatError before anything is written.
     """
     samples = list(samples)
     if not samples:
@@ -505,6 +513,7 @@ def write_dataset(samples, path):
     rec = np.empty(len(samples), dtype=_RECORD_DTYPE)
     for i, s in enumerate(samples):
         rec[i] = (s.label, 1 if s.margin_valid else 0, s.context)
+    _check_contexts(rec)
     header = DATASET_MAGIC + struct.pack(
         "<HHHQ", DATASET_VERSION, CORE_SIZE, CONTEXT_SIZE, len(samples)
     )
@@ -516,8 +525,9 @@ def write_dataset(samples, path):
 def read_dataset(path):
     """Read a dataset file written by :func:`write_dataset`.
 
-    Raises CorruptHeaderError / VersionMismatchError / TruncatedFileError;
-    never returns a partial result.
+    Raises CorruptHeaderError / VersionMismatchError / TruncatedFileError,
+    or DatasetFormatError for a bad label or a non-finite context; never
+    returns a partial result.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -539,6 +549,7 @@ def read_dataset(path):
     if len(payload) > want:
         raise CorruptHeaderError("payload larger than the declared count")
     rec = np.frombuffer(payload, dtype=_RECORD_DTYPE)
+    _check_contexts(rec)
     samples = []
     for i in range(count):
         label = int(rec["label"][i])

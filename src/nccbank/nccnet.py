@@ -110,6 +110,8 @@ class TrainHistory:
 
 def init_network(num_filters, filter_size=15, norm_mode=pm.NORM_STD, seed=0):
     """Fresh network: taps i.i.d. uniform on [-0.05, 0.05], weights 1/N."""
+    if num_filters < 1:
+        raise ValueError(f"num_filters must be >= 1, got {num_filters}")
     rng = np.random.default_rng(seed)
     filters = rng.uniform(-0.05, 0.05, size=(num_filters, filter_size, filter_size))
     weights = np.full(num_filters, 1.0 / num_filters)
@@ -123,41 +125,11 @@ def normalized_filters(net):
     (possible in principle under aggressive weight decay).
     """
     flat = net.filters.reshape(net.num_filters, -1)
-    out, valid = normalize_flat_batch(flat, net.norm_mode)
+    out, valid = pm.normalize_rows(flat, net.norm_mode)
     if not np.all(valid):
         bad = int(np.flatnonzero(~valid)[0])
         raise pm.DegeneratePatchError(f"filter {bad} is flat and cannot be normalized")
     return out
-
-
-def normalize_flat_batch(flat, mode):
-    """Row-wise normalization of an (B, n) matrix.
-
-    Returns ``(normalized, valid)`` where degenerate rows are zeroed and
-    flagged False instead of raising; callers decide how to treat them.
-    """
-    x = np.asarray(flat, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected (B, n) matrix, got shape {x.shape}")
-    if mode == pm.NORM_NONE:
-        return x.copy(), np.ones(x.shape[0], dtype=bool)
-    n = x.shape[1]
-    q = x - x.mean(axis=1, keepdims=True)
-    q -= q.mean(axis=1, keepdims=True)
-    if mode == pm.NORM_STD:
-        if n < 2:
-            raise ValueError("STD normalization needs at least 2 pixels")
-        ss = np.sqrt(np.sum(q * q, axis=1, keepdims=True))
-        valid = (ss[:, 0] / np.sqrt(n - 1)) > pm.SIGMA_MIN
-    elif mode == pm.NORM_MAD:
-        mad = np.mean(np.abs(q), axis=1, keepdims=True)
-        ss = np.sqrt(n) * mad
-        valid = mad[:, 0] > pm.MAD_MIN
-    else:
-        raise ValueError(f"unknown normalization mode {mode!r}")
-    out = np.divide(q, ss, out=np.zeros_like(q), where=ss > 0)
-    out[~valid] = 0.0
-    return out, valid
 
 
 def forward(net, patch):
@@ -165,6 +137,11 @@ def forward(net, patch):
     p = pm.normalize(patch, net.norm_mode).ravel()
     scores = normalized_filters(net) @ p
     return float(np.maximum(scores, 0.0) @ net.weights)
+
+
+def _forward_rows(net, pn):
+    """Outputs for normalized patch rows ``pn`` (B, k*k)."""
+    return np.maximum(pn @ normalized_filters(net).T, 0.0) @ net.weights
 
 
 def forward_batch(net, patches):
@@ -179,10 +156,8 @@ def forward_batch(net, patches):
             f"patches must be (B, {net.filter_size}, {net.filter_size}), "
             f"got {arr.shape}"
         )
-    flat = arr.reshape(arr.shape[0], -1)
-    pn, valid = normalize_flat_batch(flat, net.norm_mode)
-    scores = pn @ normalized_filters(net).T
-    out = np.maximum(scores, 0.0) @ net.weights
+    pn, valid = pm.normalize_rows(arr.reshape(arr.shape[0], -1), net.norm_mode)
+    out = _forward_rows(net, pn)
     out[~valid] = 0.0
     return out, valid
 
@@ -200,11 +175,15 @@ def loss_and_gradients(net, patches, labels):
         raise ValueError("patches (B, k, k) and labels (B,) must align")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be +1 or -1")
-    bsz = arr.shape[0]
-    flat = arr.reshape(bsz, -1)
-    pn, valid = normalize_flat_batch(flat, net.norm_mode)
+    pn, valid = pm.normalize_rows(arr.reshape(arr.shape[0], -1), net.norm_mode)
     if not np.all(valid):
         raise pm.DegeneratePatchError("batch contains flat patches")
+    return _loss_and_gradients_rows(net, pn, y)
+
+
+def _loss_and_gradients_rows(net, pn, y):
+    """:func:`loss_and_gradients` over normalized patch rows ``pn``."""
+    bsz = pn.shape[0]
     fn = normalized_filters(net)
 
     scores = pn @ fn.T                      # (B, N)
@@ -305,18 +284,35 @@ def threshold_accuracy(scores, labels, threshold):
     return float(np.mean((s >= threshold) == (y > 0)))
 
 
+def _check_config(config):
+    if config.batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {config.batch_size}")
+    if config.max_epochs < 1:
+        raise ValueError(f"max_epochs must be >= 1, got {config.max_epochs}")
+    if not 0.0 <= config.holdout_fraction < 1.0:
+        raise ValueError(
+            f"holdout_fraction must be in [0, 1), got {config.holdout_fraction}"
+        )
+    for name in ("learning_rate", "momentum", "weight_decay"):
+        if not np.isfinite(getattr(config, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(config, name)}")
+
+
 def train(net, patches, labels, config=None):
     """Train the network in place; returns a TrainHistory.
 
     ``patches`` is (S, k, k) float, ``labels`` (S,) of +/-1.  The data is
-    split once into train/holdout using ``config.seed`` (holdout_fraction
-    of it held out), flat patches are dropped up front (counted in the
-    history), and each epoch shuffles the training split into batches of
+    normalized once (patches are inputs; every batch step and per-epoch
+    evaluation slices the normalized matrix) and split once into
+    train/holdout using ``config.seed`` (holdout_fraction of it held out);
+    flat patches are dropped up front (counted in the history), and each
+    epoch shuffles the training split into batches of
     ``batch_size``.  Holdout accuracy uses a threshold calibrated on the
     training split each epoch.  Fully deterministic for a given seed.
     """
     if config is None:
         config = TrainConfig()
+    _check_config(config)
     arr = np.asarray(patches, dtype=float)
     y = np.asarray(labels, dtype=float)
     if arr.ndim != 3 or arr.shape[0] != y.shape[0] or arr.shape[0] < 2:
@@ -329,8 +325,7 @@ def train(net, patches, labels, config=None):
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be +1 or -1")
 
-    flat = arr.reshape(arr.shape[0], -1)
-    _, valid = normalize_flat_batch(flat, net.norm_mode)
+    pn, valid = pm.normalize_rows(arr.reshape(arr.shape[0], -1), net.norm_mode)
     skipped = int(np.sum(~valid))
     keep = np.flatnonzero(valid)
     if keep.size < 2:
@@ -357,7 +352,7 @@ def train(net, patches, labels, config=None):
         counts = []
         for lo in range(0, order.size, config.batch_size):
             batch = order[lo : lo + config.batch_size]
-            loss, grads = loss_and_gradients(net, arr[batch], y[batch])
+            loss, grads = _loss_and_gradients_rows(net, pn[batch], y[batch])
             sgd_update(net, grads, state, config)
             losses.append(loss)
             counts.append(batch.size)
@@ -366,10 +361,10 @@ def train(net, patches, labels, config=None):
         denom = max(float(np.linalg.norm(start_filters)), 1e-30)
         rel_change = float(np.linalg.norm(net.filters - start_filters)) / denom
 
-        train_scores, _ = forward_batch(net, arr[train_idx])
+        train_scores = _forward_rows(net, pn[train_idx])
         thr = calibrate_threshold(train_scores, y[train_idx])
         if hold_idx.size:
-            hold_scores, _ = forward_batch(net, arr[hold_idx])
+            hold_scores = _forward_rows(net, pn[hold_idx])
             acc = threshold_accuracy(hold_scores, y[hold_idx], thr)
         else:
             acc = threshold_accuracy(train_scores, y[train_idx], thr)

@@ -19,10 +19,11 @@ Conventions used throughout the package:
     patches), which is why the FPGA path uses it.  Scores are not
     guaranteed to stay in [-1, 1].
 
-Degenerate (flat) patches have no direction information; normalizing them
+Degenerate (flat) patches have no direction information; normalizing one
 raises :class:`DegeneratePatchError` rather than silently dividing by an
-epsilon.  The MAD Jacobian is undefined where any centered pixel sits on
-the |x| kink; :func:`jacobian_normalize_mad` refuses those inputs with
+epsilon, and :func:`normalize_rows` zeroes and flags them.  The MAD
+Jacobian is undefined where any centered pixel sits on the |x| kink;
+:func:`jacobian_normalize_mad` refuses those inputs with
 :class:`KinkProximityError`, while the training-time backprop helper uses
 the subgradient ``sign(0) = 0`` and never raises for kinks.
 """
@@ -83,32 +84,78 @@ def patch_mad(patch):
     return float(np.mean(np.abs(p - np.mean(p))))
 
 
-def _centered(p):
-    # Two-pass centering: the second pass removes the O(eps * scale)
-    # rounding residual so the mean-zero invariant holds to ~1e-16 even
-    # for patches with large offsets.
-    q = p - np.mean(p)
-    q -= np.mean(q)
+def _centered(rows):
+    # Two-pass centering of each row of a (B, n) matrix: the second pass
+    # removes the O(eps * scale) rounding residual so the mean-zero
+    # invariant holds to ~1e-16 even for patches with large offsets.
+    q = rows - rows.mean(axis=1, keepdims=True)
+    q -= q.mean(axis=1, keepdims=True)
     return q
 
 
-def _std_denominator(q):
-    """L2 norm ``sqrt(n - 1) * std`` of the centered patch ``q``."""
-    if q.size < 2:
-        raise ValueError("STD normalization needs at least 2 pixels")
-    ss = float(np.sqrt(np.sum(q * q)))
-    sigma = ss / np.sqrt(q.size - 1)
-    if sigma <= SIGMA_MIN:
-        raise DegeneratePatchError(f"flat patch: std={sigma:.3e}")
-    return ss
+def _row_stats(q, mode):
+    """The one per-mode denominator check, over centered rows ``q``.
+
+    Returns ``(denominator, statistic, valid)`` per row: for STD the L2
+    norm ``sqrt(n - 1) * std`` and the std, for MAD ``sqrt(n) * mad`` and
+    the mad; ``valid`` is False where the statistic is at or below
+    ``SIGMA_MIN`` / ``MAD_MIN`` (or NaN).
+    """
+    n = q.shape[1]
+    if mode == NORM_STD:
+        if n < 2:
+            raise ValueError("STD normalization needs at least 2 pixels")
+        ss = np.sqrt(np.sum(q * q, axis=1))
+        sigma = ss / np.sqrt(n - 1)
+        return ss, sigma, sigma > SIGMA_MIN
+    if mode == NORM_MAD:
+        mad = np.mean(np.abs(q), axis=1)
+        return np.sqrt(n) * mad, mad, mad > MAD_MIN
+    raise ValueError(f"unknown normalization mode {mode!r}")
 
 
-def _mad_of_centered(q):
-    """Mean absolute value of the centered patch ``q``, i.e. its mad."""
-    mad = float(np.mean(np.abs(q)))
-    if mad <= MAD_MIN:
-        raise DegeneratePatchError(f"flat patch: mad={mad:.3e}")
-    return mad
+def _patch_stats(patch, mode):
+    """Centered flattened patch with its denominator and statistic (see
+    :func:`_row_stats`); raises DegeneratePatchError if it is flat."""
+    q = _centered(as_patch(patch).reshape(1, -1))
+    den, stat, valid = _row_stats(q, mode)
+    if not valid[0]:
+        raise DegeneratePatchError(f"flat patch: {mode}={stat[0]:.3e}")
+    return q[0], den[0], stat[0]
+
+
+def normalize_rows(rows, mode):
+    """Normalize each row of a (B, n) matrix; the one normalizer.
+
+    Returns ``(normalized, valid)``.  Degenerate (flat) rows are zeroed and
+    flagged False instead of raising; callers decide how to treat them.
+    Rows are independent: normalizing a matrix and then slicing it gives
+    the same bits as normalizing the slice.  ``none`` returns a copy.
+    """
+    x = np.asarray(rows, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"expected (B, n) matrix, got shape {x.shape}")
+    if mode == NORM_NONE:
+        return x.copy(), np.ones(x.shape[0], dtype=bool)
+    q = _centered(x)
+    den, _, valid = _row_stats(q, mode)
+    out = np.divide(q, den[:, None], out=np.zeros_like(q), where=valid[:, None])
+    return out, valid
+
+
+def normalize(patch, mode):
+    """Normalize one patch with ``mode``; ``none`` is the identity.
+
+    Raises
+    ------
+    DegeneratePatchError
+        If the patch std (mad) is at or below ``SIGMA_MIN`` (``MAD_MIN``).
+    """
+    p = as_patch(patch)
+    out, valid = normalize_rows(p.reshape(1, -1), mode)
+    if not valid[0]:
+        _patch_stats(p, mode)  # raises, naming the statistic
+    return out.reshape(p.shape)
 
 
 def normalize_std(patch):
@@ -116,37 +163,17 @@ def normalize_std(patch):
 
     The result has mean ~0 and unit Euclidean norm when flattened, so the
     dot of two STD-normalized patches is the correlation coefficient.
-
-    Raises
-    ------
-    DegeneratePatchError
-        If the patch standard deviation is at or below ``SIGMA_MIN``.
+    Raises DegeneratePatchError on a flat patch, as :func:`normalize`.
     """
-    q = _centered(as_patch(patch))
-    return q / _std_denominator(q)
+    return normalize(patch, NORM_STD)
 
 
 def normalize_mad(patch):
     """Center and scale by ``sqrt(n) * mad`` (MAD normalization).
 
-    Raises
-    ------
-    DegeneratePatchError
-        If the mean absolute deviation is at or below ``MAD_MIN``.
+    Raises DegeneratePatchError on a flat patch, as :func:`normalize`.
     """
-    q = _centered(as_patch(patch))
-    return q / (np.sqrt(q.size) * _mad_of_centered(q))
-
-
-def normalize(patch, mode):
-    """Dispatch to the requested normalization; ``none`` is the identity."""
-    if mode == NORM_STD:
-        return normalize_std(patch)
-    if mode == NORM_MAD:
-        return normalize_mad(patch)
-    if mode == NORM_NONE:
-        return as_patch(patch).copy()
-    raise ValueError(f"unknown normalization mode {mode!r}")
+    return normalize(patch, NORM_MAD)
 
 
 def cross_correlate_valid(image, filt):
@@ -208,10 +235,9 @@ def jacobian_normalize_std(patch):
     along the patch direction, then the scale.  The matrix is symmetric,
     its rows sum to zero, and ``J @ pbar = 0``.
     """
-    q = _centered(as_patch(patch))
+    q, ss, _ = _patch_stats(patch, NORM_STD)
     n = q.size
-    ss = _std_denominator(q)
-    pbar = (q / ss).ravel()
+    pbar = q / ss
     proj = np.eye(n) - np.outer(pbar, pbar)
     return proj @ _centering_matrix(n) / ss
 
@@ -234,15 +260,13 @@ def jacobian_normalize_mad(patch, kink_tol=KINK_TOL):
     DegeneratePatchError
         If the patch is flat.
     """
-    q = _centered(as_patch(patch)).ravel()
+    q, denom, mad = _patch_stats(patch, NORM_MAD)
     n = q.size
-    mad = _mad_of_centered(q)
     if np.min(np.abs(q)) <= kink_tol:
         raise KinkProximityError(
             f"centered pixel within {kink_tol:.1e} of the |x| kink"
         )
     s = np.sign(q)
-    denom = np.sqrt(n) * mad
     scale_dir = np.eye(n) - np.outer(q, s) / (n * mad)
     return scale_dir @ _centering_matrix(n) / denom
 
@@ -269,15 +293,11 @@ def backprop_normalization(upstream, patch, mode):
         raise ValueError(f"shape mismatch: upstream {u.shape} vs patch {p.shape}")
     if mode == NORM_NONE:
         return u.copy()
-    n = p.size
-    q = _centered(p)
+    q, den, stat = _patch_stats(p, mode)
+    q = q.reshape(p.shape)
     if mode == NORM_STD:
-        ss = _std_denominator(q)
-        pbar = q / ss
+        pbar = q / den
         v = u - np.sum(u * pbar) * pbar
-        return (v - np.mean(v)) / ss
-    if mode == NORM_MAD:
-        mad = _mad_of_centered(q)
-        w = u - np.sum(u * q) / (n * mad) * np.sign(q)
-        return (w - np.mean(w)) / (np.sqrt(n) * mad)
-    raise ValueError(f"unknown normalization mode {mode!r}")
+    else:
+        v = u - np.sum(u * q) / (p.size * stat) * np.sign(q)
+    return (v - np.mean(v)) / den

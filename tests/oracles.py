@@ -134,3 +134,56 @@ def rel_error(approx, exact):
     e = np.asarray(exact, dtype=float)
     denom = max(1.0, float(np.max(np.abs(e))))
     return float(np.max(np.abs(a - e))) / denom
+
+
+def naive_train(nn, net, patches, labels, config):
+    """Training loop that normalizes the raw patches again for every batch
+    step and every per-epoch evaluation.
+
+    ``nn`` is the nccnet module; only its public per-batch functions are
+    used (``forward_batch`` to find flat patches and to score,
+    ``loss_and_gradients`` per batch), with the same split, shuffles and
+    history as ``nn.train``.  Trains ``net`` in place; returns the history.
+    """
+    arr = np.asarray(patches, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    _, valid = nn.forward_batch(net, arr)
+    keep = np.flatnonzero(valid)
+    rng = np.random.default_rng(config.seed)
+    perm = keep[rng.permutation(keep.size)]
+    n_hold = int(round(keep.size * config.holdout_fraction))
+    n_hold = min(max(n_hold, 0), keep.size - 1)
+    hold_idx, train_idx = perm[:n_hold], perm[n_hold:]
+    state = nn.SgdState.zeros_like(net)
+    epochs = []
+    for epoch in range(config.max_epochs):
+        start_filters = net.filters.copy()
+        order = train_idx[rng.permutation(train_idx.size)]
+        losses, counts = [], []
+        for lo in range(0, order.size, config.batch_size):
+            batch = order[lo : lo + config.batch_size]
+            loss, grads = nn.loss_and_gradients(net, arr[batch], y[batch])
+            nn.sgd_update(net, grads, state, config)
+            losses.append(loss)
+            counts.append(batch.size)
+        denom = max(float(np.linalg.norm(start_filters)), 1e-30)
+        train_scores, _ = nn.forward_batch(net, arr[train_idx])
+        thr = nn.calibrate_threshold(train_scores, y[train_idx])
+        if hold_idx.size:
+            hold_scores, _ = nn.forward_batch(net, arr[hold_idx])
+            acc = nn.threshold_accuracy(hold_scores, y[hold_idx], thr)
+        else:
+            acc = nn.threshold_accuracy(train_scores, y[train_idx], thr)
+        epochs.append(nn.EpochStats(
+            epoch=epoch,
+            mean_loss=float(np.average(losses, weights=counts)),
+            filter_rel_change=float(np.linalg.norm(net.filters - start_filters)) / denom,
+            holdout_accuracy=acc,
+            threshold=thr,
+        ))
+    return nn.TrainHistory(
+        epochs=epochs,
+        train_size=int(train_idx.size),
+        holdout_size=int(hold_idx.size),
+        skipped_degenerate=int(np.sum(~valid)),
+    )

@@ -55,7 +55,7 @@ def _margin_ok(net, patches, labels, margin=1e-4):
     """Batch sits away from every loss/ReLU/MAD kink, so central
     differences with step 1e-6 stay on one side of each kink."""
     flat = np.asarray(patches, float).reshape(len(patches), -1)
-    pn, _ = nn.normalize_flat_batch(flat, net.norm_mode)
+    pn, _ = pm.normalize_rows(flat, net.norm_mode)
     scores = pn @ nn.normalized_filters(net).T
     out = np.maximum(scores, 0.0) @ net.weights
     if np.min(np.abs(scores)) < margin:

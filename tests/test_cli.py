@@ -61,6 +61,20 @@ class TestDatagen:
         assert "psf_sigma must be <= 2.5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--amplitude", "nan", "target_amplitude must be finite"),
+        ("--amplitude", "inf", "target_amplitude must be finite"),
+        ("--amplitude", "-5", "target_amplitude must be > 0"),
+        ("--noise", "nan", "noise_sigma must be finite"),
+        ("--psf-sigma", "nan", "psf_sigma must be finite"),
+    ])
+    def test_bad_scene_parameter_fails_cleanly(self, tmp_path, capsys, flag,
+                                               value, message):
+        out = tmp_path / "x.nccd"
+        assert run("datagen", "--scenes", "2", flag, value, "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_dataset_and_frames(self, tmp_path, capsys):
         data = tmp_path / "train.nccd"
         frames = tmp_path / "frames"
@@ -139,6 +153,22 @@ class TestTrain:
                 "--filters", "2", "--norm", "mad", "--epochs", "1",
             ) == 0
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epochs", "0", "max_epochs must be >= 1"),
+        ("--batch-size", "0", "batch_size must be >= 1"),
+        ("--holdout", "1.5", "holdout_fraction must be in [0, 1)"),
+        ("--holdout", "nan", "holdout_fraction must be in [0, 1)"),
+        ("--filters", "0", "num_filters must be >= 1"),
+        ("--lr", "nan", "learning_rate must be finite"),
+    ])
+    def test_bad_config_fails_before_writing(self, small_corpus, tmp_path, capsys,
+                                             flag, value, message):
+        data, _ = small_corpus
+        out = tmp_path / "net.txt"
+        assert run("train", "--data", str(data), "--out", str(out), flag, value) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_data_file(self, tmp_path):
         assert run("train", "--data", str(tmp_path / "nope.nccd"),

@@ -1,7 +1,11 @@
 import io
+from unittest import mock
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nccbank import filterbank as fb
 from nccbank import patchmath as pm
@@ -243,7 +247,46 @@ class TestFixedScore:
             fb.mad_ncc_fixed_score(self.PATCH, self.TAPS)
 
 
+@st.composite
+def fixed_cases(draw):
+    """Tap Q-format, u16 frame, integer taps and window chunk size."""
+    total = draw(st.integers(2, 32))
+    qformat = fb.QFormat(total, draw(st.integers(0, total - 1)))
+    k = draw(st.integers(2, 6))
+    shape = (draw(st.integers(k, k + 8)), draw(st.integers(k, k + 8)))
+    lo = draw(st.integers(0, 0xFFFF))
+    hi = draw(st.integers(lo, 0xFFFF))
+    frame = draw(hnp.arrays(np.uint16, shape, elements=st.integers(lo, hi)))
+    m = qformat.raw_max
+    taps = draw(hnp.arrays(np.int64, (k, k), elements=st.integers(-m, m)))
+    return qformat, frame, taps, draw(st.integers(1, 6))
+
+
 class TestFixedResponse:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(case=fixed_cases())
+    def test_matches_scalar_at_every_window(self, case):
+        qformat, frame, taps, chunk_rows = case
+        k = taps.shape[0]
+        try:
+            want = [
+                [fb.mad_ncc_fixed_score(frame[i : i + k, j : j + k], taps, qformat)
+                 for j in range(frame.shape[1] - k + 1)]
+                for i in range(frame.shape[0] - k + 1)
+            ]
+        except OverflowError as exc:  # the first window in raster order
+            want = str(exc)
+        with mock.patch.object(pm, "_CHUNK_ROWS", chunk_rows):
+            if isinstance(want, str):
+                with pytest.raises(OverflowError) as info:
+                    fb.mad_ncc_fixed_response(frame, taps, qformat)
+                assert str(info.value) == want
+                return
+            raw, degenerate = fb.mad_ncc_fixed_response(frame, taps, qformat)
+        np.testing.assert_array_equal(raw, [[s.raw for s in row] for row in want])
+        np.testing.assert_array_equal(
+            degenerate, [[s.degenerate for s in row] for row in want])
+
     def test_bit_identical_to_scalar(self, monkeypatch):
         monkeypatch.setattr(pm, "_CHUNK_ROWS", 7)
         rng = np.random.default_rng(95)

@@ -112,6 +112,14 @@ class TestSynth:
         # the PSF stamp would overrun the 10-px border kept around truths
         with pytest.raises(ValueError, match=r"psf_sigma must be <= 2\.5"):
             dg.synth_scene(quiet_config(psf_sigma=2.6))
+        for field in ("clutter_strength", "target_amplitude", "psf_sigma",
+                      "noise_sigma", "bad_pixel_rate"):
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    dg.synth_scene(quiet_config(**{field: bad}))
+        for amplitude in (0.0, -5.0):
+            with pytest.raises(ValueError, match="target_amplitude must be > 0"):
+                dg.synth_scene(quiet_config(target_amplitude=amplitude))
 
     def test_psf_at_limit_fits_target_border(self):
         # truths sit >= 10 px from the edge; the stamp reaches ceil(4 sigma)
@@ -390,6 +398,25 @@ class TestDatasetIO:
         blob[18] = 3  # first record's label byte
         path.write_bytes(bytes(blob))
         with pytest.raises(dg.DatasetFormatError):
+            dg.read_dataset(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_context_rejected(self, tmp_path, bad):
+        rng = np.random.default_rng(54)
+        samples = self.random_samples(rng, count=3)
+        path = tmp_path / "set.nccd"
+        dg.write_dataset(samples, path)
+        good = path.read_bytes()
+        samples[1].context[4, 7] = bad
+        with pytest.raises(dg.DatasetFormatError, match="record 1: non-finite"):
+            dg.write_dataset(samples, tmp_path / "bad.nccd")
+        assert not (tmp_path / "bad.nccd").exists()
+        # the same record corrupted on disk
+        blob = bytearray(good)
+        offset = 18 + dg._RECORD_DTYPE.itemsize + 2 + 4 * (4 * 19 + 7)
+        blob[offset : offset + 4] = np.float32(bad).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(dg.DatasetFormatError, match="record 1: non-finite"):
             dg.read_dataset(path)
 
     def test_empty_write_rejected(self, tmp_path):

@@ -31,7 +31,7 @@ def margin_ok(net, patches, labels, margin=1e-4):
     """True when the batch sits away from every loss/ReLU/MAD kink, so
     central differences with step 1e-6 stay on one side of each kink."""
     flat = np.asarray(patches, float).reshape(len(patches), -1)
-    pn, _ = nn.normalize_flat_batch(flat, net.norm_mode)
+    pn, _ = pm.normalize_rows(flat, net.norm_mode)
     scores = pn @ nn.normalized_filters(net).T
     out = np.maximum(scores, 0.0) @ net.weights
     if np.min(np.abs(scores)) < margin:
@@ -218,6 +218,64 @@ class TestTrain:
         assert hist.skipped_degenerate == 5
         assert hist.train_size + hist.holdout_size == 55
 
+    @pytest.mark.parametrize(
+        "mode, holdout", [("std", 0.25), ("mad", 0.25), ("none", 0.25), ("std", 0.0)]
+    )
+    def test_equals_per_batch_normalization_oracle(self, mode, holdout):
+        # train normalizes the corpus once and slices it; the oracle
+        # normalizes every batch and evaluation again from the raw patches
+        rng = np.random.default_rng(84)
+        patches, labels = toy_dataset(rng, count=90)
+        patches[::15] = 4.0  # six flat patches
+        patches[7] = 1e4 + 1e-13 * np.arange(25.0).reshape(5, 5)  # near-flat
+        cfg = nn.TrainConfig(learning_rate=0.01, batch_size=7, max_epochs=3,
+                             holdout_fraction=holdout, seed=12)
+        runs = []
+        for fit in (nn.train, lambda *a: oracles.naive_train(nn, *a)):
+            net = nn.init_network(2, filter_size=5, norm_mode=mode, seed=13)
+            runs.append((net, fit(net, patches, labels, cfg)))
+        (net, hist), (ref_net, ref_hist) = runs
+        assert net.filters.tobytes() == ref_net.filters.tobytes()
+        assert net.weights.tobytes() == ref_net.weights.tobytes()
+        assert hist == ref_hist
+        assert hist.skipped_degenerate == (0 if mode == "none" else 7)
+
+    def test_corpus_normalized_once(self, monkeypatch):
+        calls = []
+        real = pm.normalize_rows
+
+        def counting(rows, mode):
+            calls.append(np.shape(rows)[0])
+            return real(rows, mode)
+
+        monkeypatch.setattr(pm, "normalize_rows", counting)
+        rng = np.random.default_rng(85)
+        patches, labels = toy_dataset(rng, count=60)
+        net = nn.init_network(3, filter_size=5, seed=14)
+        cfg = nn.TrainConfig(batch_size=8, max_epochs=2, seed=15)
+        hist = nn.train(net, patches, labels, cfg)
+        # the corpus once, then the 3-filter bank once per batch step and
+        # once per train/holdout evaluation
+        steps = -(-hist.train_size // 8)
+        assert calls[0] == 60
+        assert calls[1:] == [3] * (2 * (steps + 2))
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("max_epochs", 0), ("holdout_fraction", 1.0),
+        ("holdout_fraction", 1.5), ("holdout_fraction", -0.1),
+        ("holdout_fraction", float("nan")), ("learning_rate", float("nan")),
+        ("momentum", float("inf")), ("weight_decay", float("-inf")),
+    ])
+    def test_config_validation(self, field, value):
+        rng = np.random.default_rng(86)
+        patches, labels = toy_dataset(rng, count=20)
+        net = nn.init_network(1, filter_size=5, seed=0)
+        before = net.filters.copy()
+        cfg = nn.TrainConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            nn.train(net, patches, labels, cfg)
+        assert np.array_equal(net.filters, before)
+
     def test_shape_and_label_validation(self):
         net = nn.init_network(1, filter_size=5, seed=0)
         with pytest.raises(ValueError):
@@ -270,6 +328,10 @@ class TestInitAndSimilarity:
         assert np.all(np.abs(net.filters) <= 0.05)
         assert net.filters.std() > 0.01
         np.testing.assert_allclose(net.weights, 0.25)
+
+    def test_init_needs_a_filter(self):
+        with pytest.raises(ValueError, match="num_filters must be >= 1"):
+            nn.init_network(0, filter_size=5)
 
     def test_init_deterministic(self):
         a = nn.init_network(2, filter_size=7, seed=13)

@@ -107,6 +107,53 @@ class TestNormalize:
             pm.normalize(p, "l2")
 
 
+class TestNormalizeRows:
+    @staticmethod
+    def corpus(rng):
+        """5x5 patches as rows: offsets up to 1e4, every fifth row flat or
+        near-flat."""
+        rows = rng.normal(size=(40, 25)) * rng.uniform(0.01, 100.0, size=(40, 1))
+        rows += rng.uniform(-1e4, 1e4, size=(40, 1))
+        rows[::10] = 3.25
+        rows[5::10] = 7.0 + 1e-15 * np.arange(25.0)
+        return rows
+
+    @pytest.mark.parametrize("mode", pm.NORM_MODES)
+    def test_rows_equal_single_patch_wrappers(self, mode):
+        rows = self.corpus(np.random.default_rng(16))
+        out, valid = pm.normalize_rows(rows, mode)
+        assert valid.sum() == (40 if mode == pm.NORM_NONE else 32)
+        single = {pm.NORM_STD: pm.normalize_std, pm.NORM_MAD: pm.normalize_mad}
+        for row, got, ok in zip(rows, out, valid):
+            patch = row.reshape(5, 5)
+            if ok:
+                want = pm.normalize(patch, mode).ravel()
+                assert got.tobytes() == want.tobytes()
+                if mode in single:
+                    assert single[mode](patch).ravel().tobytes() == want.tobytes()
+            else:
+                assert not got.any()
+                with pytest.raises(pm.DegeneratePatchError):
+                    pm.normalize(patch, mode)
+
+    @pytest.mark.parametrize("mode", pm.NORM_MODES)
+    def test_normalize_then_slice_equals_slice_then_normalize(self, mode):
+        rows = self.corpus(np.random.default_rng(17))
+        out, valid = pm.normalize_rows(rows, mode)
+        for idx in (slice(0, 7), slice(3, 40, 4), [39, 0, 5, 10, 5], slice(20, 21)):
+            part, part_valid = pm.normalize_rows(rows[idx], mode)
+            assert part.tobytes() == out[idx].tobytes()
+            np.testing.assert_array_equal(part_valid, valid[idx])
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="expected"):
+            pm.normalize_rows(np.zeros(4), pm.NORM_STD)
+        with pytest.raises(ValueError, match="at least 2 pixels"):
+            pm.normalize_rows(np.zeros((3, 1)), pm.NORM_STD)
+        with pytest.raises(ValueError, match="unknown"):
+            pm.normalize_rows(np.ones((2, 4)), "l2")
+
+
 class TestCorrelation:
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(21)
