@@ -130,24 +130,18 @@ class MadRatioScorer:
 class FixedMadScorer:
     """Integer MAD-NCC pipeline; scores are the fixed outputs as floats."""
 
-    def __init__(self, raw_taps, qformat=fb.TAP_QFORMAT, name=None,
-                 out_qformat=fb.OUT_QFORMAT):
+    def __init__(self, raw_taps, qformat=fb.TAP_QFORMAT, name=None):
         raw = np.asarray(raw_taps)
         self.raw = raw
         self.qformat = qformat
-        self.out_qformat = out_qformat
         self.window = raw.shape[0]
         self.name = name or f"fixed-mad-{self.window}"
 
     def __call__(self, frame):
         f = _check_frame(frame, self.window)
         u16 = frame_to_u16(f)
-        raw, degenerate = fb.mad_ncc_fixed_response(
-            u16, self.raw, qformat=self.qformat, out_qformat=self.out_qformat
-        )
-        out = raw.astype(float) / self.out_qformat.scale
-        out[degenerate] = 0.0
-        return out
+        raw, _ = fb.mad_ncc_fixed_response(u16, self.raw, qformat=self.qformat)
+        return raw.astype(float) / fb.OUT_QFORMAT.scale
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +180,22 @@ def _local_maxima(response):
     return ge_all & gt_any
 
 
+def _check_radius(radius, name):
+    """``radius`` as a float; ValueError unless it is finite and >= 0."""
+    r = float(radius)
+    if not (np.isfinite(r) and r >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {radius!r}")
+    return r
+
+
 def detect_candidates(frame, scorer, nms_radius=DEFAULT_NMS_RADIUS):
     """All NMS-surviving local maxima with their scores, threshold-free.
 
     Returns detections in frame coordinates (window centers), sorted by
-    descending score with (row, col) tie-breaks; deterministic.
+    descending score with (row, col) tie-breaks; deterministic.  Raises
+    ValueError for a negative or non-finite ``nms_radius``.
     """
+    r2 = _check_radius(nms_radius, "nms_radius") ** 2
     response = scorer(np.asarray(frame, dtype=float))
     mask = _local_maxima(response)
     rows, cols = np.nonzero(mask)
@@ -200,7 +204,6 @@ def detect_candidates(frame, scorer, nms_radius=DEFAULT_NMS_RADIUS):
     scores = response[rows, cols]
     order = np.lexsort((cols, rows, -scores))
     rows, cols, scores = rows[order], cols[order], scores[order]
-    r2 = float(nms_radius) ** 2
     keep_r = np.empty(rows.size)
     keep_c = np.empty(rows.size)
     kept = []
@@ -256,7 +259,10 @@ def _as_truths(truths):
 
 def _match_pairs(dets, truths, match_radius):
     """Ascending (distance, det index, truth index) over every detection
-    within ``match_radius`` of a truth; greedy matching walks this list."""
+    within ``match_radius`` of a truth; greedy matching walks this list.
+    Raises ValueError for a negative or non-finite ``match_radius``, with
+    or without truths."""
+    match_radius = _check_radius(match_radius, "match_radius")
     pairs = []
     if truths.shape[0]:
         for di, d in enumerate(dets):
@@ -540,15 +546,6 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _read_csv(path, header):
-    """Data rows of a report CSV whose first row must be ``header``."""
-    with open(path, "r", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != header:
-        raise ValueError(f"{path}: bad header")
-    return rows[1:]
-
-
 def write_benchmark_report(report, out_dir):
     """Write roc.csv, auc.csv, truths.csv, meta.csv and per-method
     detection dumps under ``out_dir``.  Every float is written with repr,
@@ -589,10 +586,10 @@ def write_benchmark_report(report, out_dir):
 def read_detection_dump(path):
     """Read one detections/<method>.csv back into per-frame lists."""
     by_frame = {}
-    for fi, row, col, score in _read_csv(path, ["frame", "row", "col", "score"]):
-        by_frame.setdefault(int(fi), []).append(
-            Detection(int(row), int(col), float(score))
-        )
+    for fi, row, col, score in gridio._read_csv(
+        path, ["frame", "row", "col", "score"], (int, int, int, float)
+    ):
+        by_frame.setdefault(fi, []).append(Detection(row, col, score))
     return by_frame
 
 
@@ -602,17 +599,18 @@ def read_benchmark_scores(out_dir):
     Returns ``(per_method, truths, meta)`` where ``per_method`` maps each
     method name (from roc.csv order) to per-frame candidate lists.
     """
-    meta = dict(_read_csv(os.path.join(out_dir, "meta.csv"), ["key", "value"]))
+    meta = dict(gridio._read_csv(os.path.join(out_dir, "meta.csv"),
+                                 ["key", "value"], (str, str)))
     frame_count = int(meta["frame_count"])
 
     truths = [[] for _ in range(frame_count)]
-    for fi, row, col in _read_csv(os.path.join(out_dir, "truths.csv"),
-                                  ["frame", "row", "col"]):
-        truths[int(fi)].append((float(row), float(col)))
+    for fi, row, col in gridio._read_csv(os.path.join(out_dir, "truths.csv"),
+                                         ["frame", "row", "col"], (int, float, float)):
+        truths[fi].append((row, col))
     truths = [np.array(t).reshape(-1, 2) for t in truths]
 
-    aucs = _read_csv(os.path.join(out_dir, "auc.csv"),
-                     ["method", "auc", "ms_per_frame"])
+    aucs = gridio._read_csv(os.path.join(out_dir, "auc.csv"),
+                            ["method", "auc", "ms_per_frame"], (str, str, str))
     per_method = {}
     det_dir = os.path.join(out_dir, "detections")
     for name, *_ in aucs:

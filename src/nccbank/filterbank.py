@@ -254,11 +254,10 @@ class FixedScore:
     raw: int
     degenerate: bool = False
     saturated: bool = False
-    out_qformat: QFormat = OUT_QFORMAT
 
     @property
     def value(self):
-        return self.raw / self.out_qformat.scale
+        return self.raw / OUT_QFORMAT.scale
 
 
 def _trunc_div_int(num, den):
@@ -298,7 +297,7 @@ def _check_u16(pixels, what):
         raise ValueError("pixels must fit in 16-bit unsigned")
 
 
-def mad_ncc_fixed_score(patch, filt, qformat=None, out_qformat=OUT_QFORMAT):
+def mad_ncc_fixed_score(patch, filt, qformat=None):
     """Score one integer patch against quantized taps, bit-exactly.
 
     Pipeline (all integer, no square root anywhere):
@@ -335,7 +334,7 @@ def mad_ncc_fixed_score(patch, filt, qformat=None, out_qformat=OUT_QFORMAT):
     if sad >= 1 << 32:
         raise OverflowError(_STAGE_OVERFLOWS[1])
     if sad == 0:
-        return FixedScore(raw=0, degenerate=True, out_qformat=out_qformat)
+        return FixedScore(raw=0, degenerate=True)
     acc = 0
     for d, f in zip(devs, [int(v) for v in taps.ravel().tolist()]):
         prod = d * f
@@ -344,12 +343,12 @@ def mad_ncc_fixed_score(patch, filt, qformat=None, out_qformat=OUT_QFORMAT):
         acc += prod
     if not (-(1 << 47) <= acc < (1 << 47)):
         raise OverflowError(_STAGE_OVERFLOWS[3])
-    num = acc * k * out_qformat.scale
+    num = acc * k * OUT_QFORMAT.scale
     den = sad * qformat.scale
     raw = _trunc_div_int(num, den)
-    saturated = raw < out_qformat.raw_min or raw > out_qformat.raw_max
-    raw = min(max(raw, out_qformat.raw_min), out_qformat.raw_max)
-    return FixedScore(raw=raw, saturated=saturated, out_qformat=out_qformat)
+    saturated = raw < OUT_QFORMAT.raw_min or raw > OUT_QFORMAT.raw_max
+    raw = min(max(raw, OUT_QFORMAT.raw_min), OUT_QFORMAT.raw_max)
+    return FixedScore(raw=raw, saturated=saturated)
 
 
 def mad_ncc_float_score(patch, taps):
@@ -375,6 +374,14 @@ def _may_overflow(taps):
     return n * 0xFFFF >= 1 << 32 or prod >= 1 << 31 or n * prod >= 1 << 47
 
 
+def _num_may_wrap(k):
+    """Whether the output numerator ``acc * k * OUT_QFORMAT.scale`` can
+    leave int64 for k x k taps.  A window that passes the stage checks has
+    |acc| <= min(n * (2**31 - 1), 2**47 - 1), so only k >= 162 can."""
+    acc_max = min(k * k * ((1 << 31) - 1), (1 << 47) - 1)
+    return acc_max * k * OUT_QFORMAT.scale >= 1 << 63
+
+
 def _raise_first_overflow(sums, sad, prods, acc):
     """Raise what :func:`mad_ncc_fixed_score` raises at the first window,
     in raster order, that overflows a stage; ``prods`` holds the per-tap
@@ -390,15 +397,17 @@ def _raise_first_overflow(sums, sad, prods, acc):
         raise OverflowError(_STAGE_OVERFLOWS[int(np.argmax(over[:, bad[0]]))])
 
 
-def mad_ncc_fixed_response(frame, filt, qformat=None, out_qformat=OUT_QFORMAT):
+def mad_ncc_fixed_response(frame, filt, qformat=None):
     """Valid-mode response map of the fixed-point scorer over a frame.
 
     Vectorized but bit-identical to calling :func:`mad_ncc_fixed_score` at
     every window position, errors included.  Windows are checked for stage
     overflow only when the taps make one possible, which the default
-    Q(8, 7) taps never do.  Returns ``(raw, degenerate)`` where ``raw`` is
-    int32 of shape (H - k + 1, W - k + 1) and ``degenerate`` marks zero-sad
-    windows (their raw value is 0).
+    Q(8, 7) taps never do, and the output numerator is computed in Python
+    integers only when k alone makes an int64 wrap possible (k >= 162).
+    Returns ``(raw, degenerate)`` where ``raw`` is int32 of shape
+    (H - k + 1, W - k + 1) and ``degenerate`` marks zero-sad windows
+    (their raw value is 0).
     """
     taps = _fixed_taps(filt, qformat)
     fr = np.asarray(frame)
@@ -409,6 +418,7 @@ def mad_ncc_fixed_response(frame, filt, qformat=None, out_qformat=OUT_QFORMAT):
     n = k * k
     t64 = taps.astype(np.int64)
     check_stages = _may_overflow(t64)
+    wide = _num_may_wrap(k)
     raw, degenerate = [], []
     for win in pm._window_chunks(fr.astype(np.int64), k):
         sums = win.sum(axis=(2, 3))
@@ -418,11 +428,11 @@ def mad_ncc_fixed_response(frame, filt, qformat=None, out_qformat=OUT_QFORMAT):
         acc = np.einsum("ijkl,kl->ij", devs, t64, optimize=True)
         if check_stages:
             _raise_first_overflow(sums, sad, devs * t64, acc)
-        num = acc * (k * out_qformat.scale)
+        num = (acc.astype(object) if wide else acc) * (k * OUT_QFORMAT.scale)
         den = sad * qformat.scale
         safe_den = np.where(den > 0, den, 1)
         scores = _trunc_div_array(num, safe_den)
-        scores = np.clip(scores, out_qformat.raw_min, out_qformat.raw_max)
+        scores = np.clip(scores, OUT_QFORMAT.raw_min, OUT_QFORMAT.raw_max)
         flat = sad == 0
         scores[flat] = 0
         raw.append(scores.astype(np.int32))

@@ -7,9 +7,11 @@ decimal reals separated by single spaces.  Values are written with
 be finite: NaN and infinities are rejected on write and on read.
 
 :func:`read_text` and :func:`write_text` are the path-or-handle text I/O
-shared by the grid, network and quantized-filter files.
+shared by the grid, network and quantized-filter files; ``_read_csv`` is
+the one header-checked reader of the frame-folder and report CSVs.
 """
 
+import csv
 import os
 
 import numpy as np
@@ -77,6 +79,32 @@ def read_text(path):
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
     return path.read()
+
+
+def _read_csv(path, header, types):
+    """Data rows of the CSV file ``path``, whose first row must be
+    ``header``, each field converted by its column's callable in ``types``.
+    Blank lines are skipped.  A wrong header, a row of the wrong length or
+    a field its converter rejects raises ValueError naming the file (and
+    the line)."""
+    with open(path, "r", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise ValueError(f"{path}: bad header")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{where}: expected {len(header)} fields, found {len(row)}"
+                )
+            try:
+                rows.append([conv(v) for conv, v in zip(types, row)])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+    return rows
 
 
 def write_grid(grid, path):

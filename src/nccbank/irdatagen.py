@@ -593,13 +593,12 @@ def read_frames(dirpath):
     truth_map = {name: [] for name in names}
     csv_path = d / "truths.csv"
     if csv_path.exists():
-        with open(csv_path, "r", encoding="ascii", newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                name = row["frame"]
-                if name not in truth_map:
-                    raise ValueError(f"truths.csv references unknown frame {name!r}")
-                truth_map[name].append((int(row["row"]), int(row["col"])))
+        for name, row, col in gridio._read_csv(
+            csv_path, ["frame", "row", "col"], (str, int, int)
+        ):
+            if name not in truth_map:
+                raise ValueError(f"truths.csv references unknown frame {name!r}")
+            truth_map[name].append((row, col))
     return frames, [truth_map[name] for name in names]
 
 

@@ -11,14 +11,16 @@ Labels are +1 (target) / -1 (clutter) and training minimizes the mean L1
 loss ``|out - label|`` with SGD plus classical momentum and weight decay.
 
 All gradients are derived by hand.  Patches are inputs, so gradients flow
-only into the filter taps (through the normalization Jacobian, via
-:func:`nccbank.patchmath.backprop_normalization`) and into the weights.
+only into the filter taps (through the normalization Jacobian, in the
+factored form of :func:`nccbank.patchmath.backprop_normalization`) and
+into the weights.
 Subgradient conventions at the kinks: ``relu'(0) = 0``, ``d|x|/dx = 0`` at
 ``x = 0``, and ``sign(0) = 0`` inside the MAD backprop.
 
 Because normalization backprop is linear in the upstream gradient, a whole
-batch can be pulled through each filter's Jacobian in one call: upstream
-gradients are accumulated in normalized-filter space first.
+batch can be pulled through the bank's Jacobians in one call: upstream
+gradients are accumulated in normalized-filter space first, and each step
+normalizes the bank once for both the forward and the backward pass.
 """
 
 import dataclasses
@@ -118,18 +120,25 @@ def init_network(num_filters, filter_size=15, norm_mode=pm.NORM_STD, seed=0):
     return NccNetwork(filters=filters, weights=weights, norm_mode=norm_mode)
 
 
+def _normalized_bank(net):
+    """Normalized filters as (N, k*k) rows plus their backprop stats (see
+    :func:`nccbank.patchmath._normalize_full`); raises DegeneratePatchError
+    naming the first flat filter."""
+    flat = net.filters.reshape(net.num_filters, -1)
+    out, valid, stats = pm._normalize_full(flat, net.norm_mode)
+    if not np.all(valid):
+        bad = int(np.flatnonzero(~valid)[0])
+        raise pm.DegeneratePatchError(f"filter {bad} is flat and cannot be normalized")
+    return out, stats
+
+
 def normalized_filters(net):
     """Normalize every filter, returned as an (N, k*k) matrix.
 
     Raises DegeneratePatchError naming the filter if one has gone flat
     (possible in principle under aggressive weight decay).
     """
-    flat = net.filters.reshape(net.num_filters, -1)
-    out, valid = pm.normalize_rows(flat, net.norm_mode)
-    if not np.all(valid):
-        bad = int(np.flatnonzero(~valid)[0])
-        raise pm.DegeneratePatchError(f"filter {bad} is flat and cannot be normalized")
-    return out
+    return _normalized_bank(net)[0]
 
 
 def forward(net, patch):
@@ -184,7 +193,7 @@ def loss_and_gradients(net, patches, labels):
 def _loss_and_gradients_rows(net, pn, y):
     """:func:`loss_and_gradients` over normalized patch rows ``pn``."""
     bsz = pn.shape[0]
-    fn = normalized_filters(net)
+    fn, stats = _normalized_bank(net)
 
     scores = pn @ fn.T                      # (B, N)
     acts = np.maximum(scores, 0.0)
@@ -196,14 +205,10 @@ def _loss_and_gradients_rows(net, pn, y):
     g_weights = acts.T @ g_out              # (N,)
     g_scores = np.outer(g_out, net.weights) * (scores > 0.0)
     upstream = g_scores.T @ pn              # (N, n), normalized-filter space
-
-    k = net.filter_size
-    g_filters = np.empty_like(net.filters)
-    for i in range(net.num_filters):
-        g_filters[i] = pm.backprop_normalization(
-            upstream[i].reshape(k, k), net.filters[i], net.norm_mode
-        )
-    return mean_loss, GradientSet(filters=g_filters, weights=g_weights)
+    g_filters = pm._backprop_rows(upstream, stats, net.norm_mode)
+    return mean_loss, GradientSet(
+        filters=g_filters.reshape(net.filters.shape), weights=g_weights
+    )
 
 
 def momentum_step(param, grad, velocity, lr, momentum, weight_decay):
@@ -214,39 +219,6 @@ def momentum_step(param, grad, velocity, lr, momentum, weight_decay):
     """
     v = momentum * velocity - lr * (grad + weight_decay * param)
     return param + v, v
-
-
-@dataclasses.dataclass
-class SgdState:
-    filter_velocity: np.ndarray
-    weight_velocity: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, net):
-        return cls(
-            filter_velocity=np.zeros_like(net.filters),
-            weight_velocity=np.zeros_like(net.weights),
-        )
-
-
-def sgd_update(net, grads, state, config):
-    """Apply one momentum step to the network in place."""
-    net.filters, state.filter_velocity = momentum_step(
-        net.filters,
-        grads.filters,
-        state.filter_velocity,
-        config.learning_rate,
-        config.momentum,
-        config.weight_decay,
-    )
-    net.weights, state.weight_velocity = momentum_step(
-        net.weights,
-        grads.weights,
-        state.weight_velocity,
-        config.learning_rate,
-        config.momentum,
-        config.weight_decay,
-    )
 
 
 def calibrate_threshold(scores, labels):
@@ -302,13 +274,14 @@ def train(net, patches, labels, config=None):
     """Train the network in place; returns a TrainHistory.
 
     ``patches`` is (S, k, k) float, ``labels`` (S,) of +/-1.  The data is
-    normalized once (patches are inputs; every batch step and per-epoch
-    evaluation slices the normalized matrix) and split once into
-    train/holdout using ``config.seed`` (holdout_fraction of it held out);
-    flat patches are dropped up front (counted in the history), and each
-    epoch shuffles the training split into batches of
-    ``batch_size``.  Holdout accuracy uses a threshold calibrated on the
-    training split each epoch.  Fully deterministic for a given seed.
+    normalized once (patches are inputs; every batch step slices the
+    normalized matrix) and split once into train/holdout using
+    ``config.seed`` (holdout_fraction of it held out); flat patches are
+    dropped up front (counted in the history), and each epoch shuffles the
+    training split into batches of ``batch_size``.  After each epoch every
+    row is scored once; holdout accuracy (training accuracy when nothing is
+    held out) uses a threshold calibrated on the training split's scores.
+    Fully deterministic for a given seed.
     """
     if config is None:
         config = TrainConfig()
@@ -338,7 +311,9 @@ def train(net, patches, labels, config=None):
     hold_idx = perm[:n_hold]
     train_idx = perm[n_hold:]
 
-    state = SgdState.zeros_like(net)
+    f_velocity = np.zeros_like(net.filters)
+    w_velocity = np.zeros_like(net.weights)
+    hyper = (config.learning_rate, config.momentum, config.weight_decay)
     history = TrainHistory(
         epochs=[],
         train_size=int(train_idx.size),
@@ -353,7 +328,10 @@ def train(net, patches, labels, config=None):
         for lo in range(0, order.size, config.batch_size):
             batch = order[lo : lo + config.batch_size]
             loss, grads = _loss_and_gradients_rows(net, pn[batch], y[batch])
-            sgd_update(net, grads, state, config)
+            net.filters, f_velocity = momentum_step(
+                net.filters, grads.filters, f_velocity, *hyper)
+            net.weights, w_velocity = momentum_step(
+                net.weights, grads.weights, w_velocity, *hyper)
             losses.append(loss)
             counts.append(batch.size)
         mean_loss = float(np.average(losses, weights=counts))
@@ -361,13 +339,10 @@ def train(net, patches, labels, config=None):
         denom = max(float(np.linalg.norm(start_filters)), 1e-30)
         rel_change = float(np.linalg.norm(net.filters - start_filters)) / denom
 
-        train_scores = _forward_rows(net, pn[train_idx])
-        thr = calibrate_threshold(train_scores, y[train_idx])
-        if hold_idx.size:
-            hold_scores = _forward_rows(net, pn[hold_idx])
-            acc = threshold_accuracy(hold_scores, y[hold_idx], thr)
-        else:
-            acc = threshold_accuracy(train_scores, y[train_idx], thr)
+        scores = _forward_rows(net, pn)
+        thr = calibrate_threshold(scores[train_idx], y[train_idx])
+        eval_idx = hold_idx if hold_idx.size else train_idx
+        acc = threshold_accuracy(scores[eval_idx], y[eval_idx], thr)
         history.epochs.append(
             EpochStats(
                 epoch=epoch,

@@ -114,14 +114,28 @@ def _row_stats(q, mode):
     raise ValueError(f"unknown normalization mode {mode!r}")
 
 
-def _patch_stats(patch, mode):
-    """Centered flattened patch with its denominator and statistic (see
-    :func:`_row_stats`); raises DegeneratePatchError if it is flat."""
-    q = _centered(as_patch(patch).reshape(1, -1))
+def _normalize_full(x, mode):
+    """:func:`normalize_rows` over a (B, n) float matrix, also returning
+    ``stats = (q, den, stat)``: the centered rows and their
+    :func:`_row_stats` (None for ``none``), as :func:`_backprop_rows`
+    takes them.  Returns ``(normalized, valid, stats)``."""
+    if mode == NORM_NONE:
+        return x.copy(), np.ones(x.shape[0], dtype=bool), None
+    q = _centered(x)
     den, stat, valid = _row_stats(q, mode)
+    out = np.divide(q, den[:, None], out=np.zeros_like(q), where=valid[:, None])
+    return out, valid, (q, den, stat)
+
+
+def _patch_stats(patch, mode):
+    """One patch through :func:`_normalize_full` as a (1, n) row; returns
+    ``(normalized, stats)``, both still (1, n)-shaped, and raises
+    DegeneratePatchError if the patch is flat."""
+    p = as_patch(patch)
+    out, valid, stats = _normalize_full(p.reshape(1, -1), mode)
     if not valid[0]:
-        raise DegeneratePatchError(f"flat patch: {mode}={stat[0]:.3e}")
-    return q[0], den[0], stat[0]
+        raise DegeneratePatchError(f"flat patch: {mode}={stats[2][0]:.3e}")
+    return out, stats
 
 
 def normalize_rows(rows, mode):
@@ -135,11 +149,7 @@ def normalize_rows(rows, mode):
     x = np.asarray(rows, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected (B, n) matrix, got shape {x.shape}")
-    if mode == NORM_NONE:
-        return x.copy(), np.ones(x.shape[0], dtype=bool)
-    q = _centered(x)
-    den, _, valid = _row_stats(q, mode)
-    out = np.divide(q, den[:, None], out=np.zeros_like(q), where=valid[:, None])
+    out, valid, _ = _normalize_full(x, mode)
     return out, valid
 
 
@@ -152,10 +162,7 @@ def normalize(patch, mode):
         If the patch std (mad) is at or below ``SIGMA_MIN`` (``MAD_MIN``).
     """
     p = as_patch(patch)
-    out, valid = normalize_rows(p.reshape(1, -1), mode)
-    if not valid[0]:
-        _patch_stats(p, mode)  # raises, naming the statistic
-    return out.reshape(p.shape)
+    return _patch_stats(p, mode)[0].reshape(p.shape)
 
 
 def normalize_std(patch):
@@ -235,7 +242,7 @@ def jacobian_normalize_std(patch):
     along the patch direction, then the scale.  The matrix is symmetric,
     its rows sum to zero, and ``J @ pbar = 0``.
     """
-    q, ss, _ = _patch_stats(patch, NORM_STD)
+    _, (q, ss, _) = _patch_stats(patch, NORM_STD)  # q is one (1, n) row
     n = q.size
     pbar = q / ss
     proj = np.eye(n) - np.outer(pbar, pbar)
@@ -260,7 +267,7 @@ def jacobian_normalize_mad(patch, kink_tol=KINK_TOL):
     DegeneratePatchError
         If the patch is flat.
     """
-    q, denom, mad = _patch_stats(patch, NORM_MAD)
+    _, (q, denom, mad) = _patch_stats(patch, NORM_MAD)  # q is one (1, n) row
     n = q.size
     if np.min(np.abs(q)) <= kink_tol:
         raise KinkProximityError(
@@ -269,6 +276,22 @@ def jacobian_normalize_mad(patch, kink_tol=KINK_TOL):
     s = np.sign(q)
     scale_dir = np.eye(n) - np.outer(q, s) / (n * mad)
     return scale_dir @ _centering_matrix(n) / denom
+
+
+def _backprop_rows(u, stats, mode):
+    """Pull upstream gradients ``u`` (B, n) back through the normalization
+    of B rows, given their ``stats`` from :func:`_normalize_full`; rows
+    are independent.  See :func:`backprop_normalization` for the formulas."""
+    if mode == NORM_NONE:
+        return u.copy()
+    q, den, stat = stats
+    if mode == NORM_STD:
+        pbar = q / den[:, None]
+        v = u - np.sum(u * pbar, axis=1, keepdims=True) * pbar
+    else:
+        dot = np.sum(u * q, axis=1, keepdims=True)
+        v = u - dot / (q.shape[1] * stat[:, None]) * np.sign(q)
+    return (v - v.mean(axis=1, keepdims=True)) / den[:, None]
 
 
 def backprop_normalization(upstream, patch, mode):
@@ -291,13 +314,5 @@ def backprop_normalization(upstream, patch, mode):
     p = as_patch(patch)
     if u.shape != p.shape:
         raise ValueError(f"shape mismatch: upstream {u.shape} vs patch {p.shape}")
-    if mode == NORM_NONE:
-        return u.copy()
-    q, den, stat = _patch_stats(p, mode)
-    q = q.reshape(p.shape)
-    if mode == NORM_STD:
-        pbar = q / den
-        v = u - np.sum(u * pbar) * pbar
-    else:
-        v = u - np.sum(u * q) / (p.size * stat) * np.sign(q)
-    return (v - np.mean(v)) / den
+    _, stats = _patch_stats(p, mode)
+    return _backprop_rows(u.reshape(1, -1), stats, mode).reshape(p.shape)

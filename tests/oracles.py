@@ -142,8 +142,8 @@ def naive_train(nn, net, patches, labels, config):
 
     ``nn`` is the nccnet module; only its public per-batch functions are
     used (``forward_batch`` to find flat patches and to score,
-    ``loss_and_gradients`` per batch), with the same split, shuffles and
-    history as ``nn.train``.  Trains ``net`` in place; returns the history.
+    ``loss_and_gradients`` and ``momentum_step`` per batch), with the same
+    split, shuffles and history as ``nn.train``.  Trains ``net`` in place; returns the history.
     """
     arr = np.asarray(patches, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -154,7 +154,9 @@ def naive_train(nn, net, patches, labels, config):
     n_hold = int(round(keep.size * config.holdout_fraction))
     n_hold = min(max(n_hold, 0), keep.size - 1)
     hold_idx, train_idx = perm[:n_hold], perm[n_hold:]
-    state = nn.SgdState.zeros_like(net)
+    f_velocity = np.zeros_like(net.filters)
+    w_velocity = np.zeros_like(net.weights)
+    hyper = (config.learning_rate, config.momentum, config.weight_decay)
     epochs = []
     for epoch in range(config.max_epochs):
         start_filters = net.filters.copy()
@@ -163,7 +165,10 @@ def naive_train(nn, net, patches, labels, config):
         for lo in range(0, order.size, config.batch_size):
             batch = order[lo : lo + config.batch_size]
             loss, grads = nn.loss_and_gradients(net, arr[batch], y[batch])
-            nn.sgd_update(net, grads, state, config)
+            net.filters, f_velocity = nn.momentum_step(
+                net.filters, grads.filters, f_velocity, *hyper)
+            net.weights, w_velocity = nn.momentum_step(
+                net.weights, grads.weights, w_velocity, *hyper)
             losses.append(loss)
             counts.append(batch.size)
         denom = max(float(np.linalg.norm(start_filters)), 1e-30)

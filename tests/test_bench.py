@@ -323,6 +323,25 @@ class TestMatchDetections:
         assert (m.true_positives, m.false_alarms, m.false_negatives) == (0, 1, 0)
 
 
+@pytest.mark.parametrize("radius", [-2.0, -7.0, float("nan"), float("inf")])
+def test_bad_radius_rejected(radius):
+    # checked where each radius is used, even with nothing to suppress or match
+    flat = np.zeros((6, 6))
+    scorer = bn.MadRatioScorer(window=3)
+    with pytest.raises(ValueError, match="nms_radius"):
+        bn.detect_candidates(flat, scorer, nms_radius=radius)
+    with pytest.raises(ValueError, match="nms_radius"):
+        bn.sliding_detect(flat, scorer, 0.0, nms_radius=radius)
+    with pytest.raises(ValueError, match="match_radius"):
+        bn.match_detections([D(1, 1)], [], match_radius=radius)
+    with pytest.raises(ValueError, match="match_radius"):
+        bn.roc_curve([([D(1, 1)], [(1, 1)])], [0.5], match_radius=radius)
+    for field in ("nms_radius", "match_radius"):
+        cfg = bn.BenchConfig(include_timing=False, **{field: radius})
+        with pytest.raises(ValueError, match=field):
+            bn.run_benchmark([flat], [[(3, 3)]], [scorer], cfg)
+
+
 # ---------------------------------------------------------------------------
 # ROC
 

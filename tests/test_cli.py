@@ -255,6 +255,15 @@ class TestDetect:
         assert run("detect", "--frame", str(tmp_path / "no.txt"),
                    "--method", "gauss-1.2", "--threshold", "0") == 1
 
+    @pytest.mark.parametrize("radius", ["-7", "nan"])
+    def test_bad_nms_radius_fails_cleanly(self, small_corpus, tmp_path, capsys,
+                                          radius):
+        _, frames = small_corpus
+        assert run("detect", "--frame", str(frames / "frame_0000.txt"),
+                   "--method", "hat7-fixed-mad", "--threshold", "0",
+                   "--nms-radius", radius) == 1
+        assert "nms_radius must be finite and >= 0" in capsys.readouterr().err
+
     def test_non_finite_frame_fails_cleanly(self, tmp_path, capsys):
         # write_grid refuses NaN, so put the bad value (9, 9) into the text
         lines = gridio.format_grid(np.full((20, 20), 100.0)).splitlines()
@@ -305,6 +314,45 @@ class TestBenchAndRoc:
         again = tmp_path / "again"
         assert run("roc", "--scores", str(orig), "--out-dir", str(again)) == 0
         assert dir_bytes(orig) == dir_bytes(again)
+
+    @pytest.mark.parametrize("flag, radius", [
+        ("--match-radius", "-2"), ("--match-radius", "nan"),
+        ("--nms-radius", "-7"), ("--nms-radius", "nan"),
+    ])
+    def test_bad_radius_fails_cleanly(self, small_corpus, tmp_path, capsys,
+                                      flag, radius):
+        _, frames = small_corpus
+        assert run("bench", "--data", str(frames), "--methods", "hat7-fixed-mad",
+                   "--out-dir", str(tmp_path / "r"), flag, radius) == 1
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be finite and >= 0" in capsys.readouterr().err
+
+    def test_roc_rejects_bad_stored_radius(self, small_corpus, tmp_path, capsys):
+        _, frames = small_corpus
+        orig = tmp_path / "orig"
+        assert run(
+            "bench", "--data", str(frames), "--methods", "mad-ratio",
+            "--out-dir", str(orig), "--thresholds", "8", "--no-timing",
+        ) == 0
+        meta = orig / "meta.csv"
+        meta.write_text(meta.read_text().replace("match_radius,2.0", "match_radius,nan"))
+        assert run("roc", "--scores", str(orig), "--out-dir", str(tmp_path / "a")) == 1
+        assert "match_radius must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("frame,r,c\n", "truths.csv: bad header"),
+        ("frame,row,col\nframe_0000.txt,5\n", "truths.csv: line 2: expected 3"),
+        ("frame,row,col\nframe_0000.txt,5,x\n", "truths.csv: line 2: invalid"),
+    ])
+    def test_malformed_truths_fail_cleanly(self, small_corpus, tmp_path, capsys,
+                                           text, message):
+        _, frames = small_corpus
+        copy = tmp_path / "frames"
+        shutil.copytree(frames, copy)
+        (copy / "truths.csv").write_text(text)
+        assert run("bench", "--data", str(copy), "--methods", "mad-ratio",
+                   "--out-dir", str(tmp_path / "r")) == 1
+        assert message in capsys.readouterr().err
 
     def test_empty_method_list(self, small_corpus, tmp_path):
         _, frames = small_corpus

@@ -338,6 +338,24 @@ class TestFixedResponse:
             raw, _ = fb.mad_ncc_fixed_response(frame, taps, q)
             np.testing.assert_array_equal(raw, want)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_wide_window_output_does_not_wrap(self, sign):
+        # k = 162 is the first side where acc * k * 1024 can leave int64:
+        # half the pixels 0, half 65535, Q(18, 0) taps of +-65535 following
+        # the deviation signs saturate the output without any stage overflow
+        k = 162
+        frame = np.zeros((k, k), dtype=np.uint16)
+        frame.ravel()[: k * k // 2] = 0xFFFF
+        mean = int(frame.sum()) // (k * k)
+        taps = sign * np.where(frame.astype(np.int64) >= mean, 65535, -65535)
+        q = fb.QFormat(18, 0)
+        want = fb.mad_ncc_fixed_score(frame, taps, q)
+        assert want.saturated
+        assert want.raw == (fb.OUT_QFORMAT.raw_max if sign > 0 else fb.OUT_QFORMAT.raw_min)
+        raw, degenerate = fb.mad_ncc_fixed_response(frame, taps, q)
+        np.testing.assert_array_equal(raw, [[want.raw]])
+        assert raw.dtype == np.int32 and not degenerate.any()
+
     def test_all_flat_frame(self):
         taps = fb.prepare_fixed_taps(fb.ricker_hat_grid(15))
         raw, degen = fb.mad_ncc_fixed_response(

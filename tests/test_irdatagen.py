@@ -443,6 +443,20 @@ class TestFramesIO:
         with pytest.raises(FileNotFoundError):
             dg.read_frames(tmp_path / "nope")
 
+    @pytest.mark.parametrize("text, message", [
+        ("frame,r,c\nframe_0000.txt,5,6\n", "truths.csv: bad header"),
+        ("frame,row,col\nframe_0000.txt,5\n",
+         "truths.csv: line 2: expected 3 fields, found 2"),
+        ("frame,row,col\nframe_0000.txt,5,6\nframe_0000.txt,5,x\n",
+         "truths.csv: line 3: invalid literal"),
+    ])
+    def test_malformed_truths_rejected(self, tmp_path, text, message):
+        scenes = [dg.synth_scene(quiet_config(target_count=1, noise_sigma=1.0))]
+        dg.write_frames(tmp_path, scenes)
+        (tmp_path / "truths.csv").write_text(text)
+        with pytest.raises(ValueError, match=message):
+            dg.read_frames(tmp_path)
+
 
 class TestTrainingSetRecipe:
     def test_augmented_class_ratio_lands_at_reference_proportion(self):

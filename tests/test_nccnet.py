@@ -242,23 +242,23 @@ class TestTrain:
 
     def test_corpus_normalized_once(self, monkeypatch):
         calls = []
-        real = pm.normalize_rows
+        real = pm._normalize_full
 
         def counting(rows, mode):
             calls.append(np.shape(rows)[0])
             return real(rows, mode)
 
-        monkeypatch.setattr(pm, "normalize_rows", counting)
+        monkeypatch.setattr(pm, "_normalize_full", counting)
         rng = np.random.default_rng(85)
         patches, labels = toy_dataset(rng, count=60)
         net = nn.init_network(3, filter_size=5, seed=14)
         cfg = nn.TrainConfig(batch_size=8, max_epochs=2, seed=15)
         hist = nn.train(net, patches, labels, cfg)
-        # the corpus once, then the 3-filter bank once per batch step and
-        # once per train/holdout evaluation
+        # the corpus once, then the 3-filter bank once per batch step (for
+        # both the forward and the backward pass) and once per epoch's
+        # scoring of the corpus
         steps = -(-hist.train_size // 8)
-        assert calls[0] == 60
-        assert calls[1:] == [3] * (2 * (steps + 2))
+        assert calls == [60] + [3] * (2 * (steps + 1))
 
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 0), ("max_epochs", 0), ("holdout_fraction", 1.0),

@@ -331,3 +331,19 @@ class TestBackprop:
     def test_flat_patch_raises(self):
         with pytest.raises(pm.DegeneratePatchError):
             pm.backprop_normalization(np.ones((3, 3)), np.zeros((3, 3)), "mad")
+
+    @pytest.mark.parametrize("mode", ["std", "mad"])
+    def test_batched_rows_are_independent(self, mode):
+        # 4 filters of 3x3; row 0 is 0..8, whose centre tap sits exactly on
+        # the mean (zero deviation, the MAD kink)
+        rng = np.random.default_rng(44)
+        rows = rng.normal(scale=2.0, size=(4, 9))
+        rows[0] = np.arange(9.0)
+        u = rng.normal(size=(4, 9))
+        _, valid, stats = pm._normalize_full(rows, mode)
+        assert valid.all() and stats[0][0, 4] == 0.0
+        got = pm._backprop_rows(u, stats, mode)
+        for i in range(4):
+            one = pm.backprop_normalization(
+                u[i].reshape(3, 3), rows[i].reshape(3, 3), mode)
+            np.testing.assert_array_equal(got[i], one.ravel())
