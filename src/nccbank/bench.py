@@ -50,15 +50,26 @@ def _check_frame(frame, window):
     return f
 
 
-def _window_response(scorer, frame):
-    """Valid-mode response map of a chunked float scorer: its
-    ``_score_block`` maps a (rows, cols, k, k) chunk of windows to their
-    rows * cols scores in raster order."""
-    k = scorer.window
+def _chunk_scores(block, mode, mat):
+    """(rows, cols, N) scores of one (rows, cols, k, k) chunk of windows
+    against the N rows of ``mat``; degenerate windows score 0.0."""
+    rows, cols = block.shape[:2]
+    if mode == pm.NORM_NONE:
+        return (block.reshape(rows * cols, -1) @ mat.T).reshape(rows, cols, -1)
+    # unnamed, so the pixel copy is freed before the statistics allocate
+    q = pm._centered(block.reshape(rows * cols, -1))
+    den, _, valid = pm._row_stats(q, mode)
+    dots = q @ mat.T
+    out = np.divide(dots, den[:, None], out=np.zeros_like(dots), where=valid[:, None])
+    return out.reshape(rows, cols, -1)
+
+
+def _window_scores(frame, k, mode, mat):
+    """(H - k + 1, W - k + 1, N) map of every k x k window of ``frame``
+    against the rows of ``mat``: the window's N dots divided by its
+    ``mode`` denominator, not its k*k pixels (plain dots for ``none``)."""
     blocks = pm._window_chunks(_check_frame(frame, k), k)
-    return np.concatenate(
-        [scorer._score_block(b).reshape(b.shape[:2]) for b in blocks]
-    )
+    return np.concatenate([_chunk_scores(b, mode, mat) for b in blocks])
 
 
 class NccFilterScorer:
@@ -70,61 +81,49 @@ class NccFilterScorer:
 
     def __init__(self, grid, mode=pm.NORM_STD, name=None):
         g = pm.as_patch(grid, "filter")
+        if g.shape[0] != g.shape[1]:
+            raise ValueError(f"filter must be square, got shape {g.shape}")
         self.window = g.shape[0]
         self.mode = mode
         self.name = name or f"nccfilter-{self.window}-{mode}"
-        if mode == pm.NORM_NONE:
-            self._fvec = g.reshape(-1).copy()
-        else:
-            self._fvec = pm.normalize(g, mode).reshape(-1)
+        if mode != pm.NORM_NONE:
+            g = pm.normalize(g, mode)
+        self._mat = g.reshape(1, -1).copy()
 
     def __call__(self, frame):
-        return _window_response(self, frame)
-
-    def _score_block(self, block):
-        flat = block.reshape(-1, self.window**2)
-        norm, valid = pm.normalize_rows(flat, self.mode)
-        scores = norm @ self._fvec
-        scores[~valid] = 0.0
-        return scores
+        return _window_scores(frame, self.window, self.mode, self._mat)[..., 0]
 
 
 class NetworkScorer:
-    """Response of a trained filter bank applied at every window."""
+    """Response of a trained filter bank at every window; the bank is
+    normalized once, here, so a flat filter raises DegeneratePatchError."""
 
     def __init__(self, net, name=None):
         self.net = net
         self.window = net.filter_size
         self.name = name or f"net-{net.num_filters}x{net.filter_size}-{net.norm_mode}"
+        self._bank = nn.normalized_filters(net)
 
     def __call__(self, frame):
-        return _window_response(self, frame)
-
-    def _score_block(self, block):
-        k = self.window
-        scores, _ = nn.forward_batch(self.net, block.reshape(-1, k, k))
-        return scores
+        dots = _window_scores(frame, self.window, self.net.norm_mode, self._bank)
+        return np.maximum(dots, 0.0) @ self.net.weights
 
 
 class MadRatioScorer:
-    """Center-pixel deviation ratio |p_c - mean| / mad over each window."""
+    """Center-pixel deviation ratio |p_c - mean| / mad over each window:
+    the absolute MAD-NCC response of a centre impulse of height k, as the
+    window denominator is ``sqrt(k*k) * mad`` and ``sqrt(k*k) == k``."""
 
     def __init__(self, window=15, name=None):
         if window % 2 == 0 or window < 3:
             raise ValueError(f"window must be odd and >= 3, got {window}")
         self.window = window
         self.name = name or "mad-ratio"
+        self._mat = np.zeros((1, window * window))
+        self._mat[0, window * window // 2] = window
 
     def __call__(self, frame):
-        return _window_response(self, frame)
-
-    def _score_block(self, block):
-        hw = self.window // 2
-        flat = block.reshape(-1, self.window**2)
-        mu = flat.mean(axis=1)
-        mad = np.mean(np.abs(flat - mu[:, None]), axis=1)
-        dev = np.abs(block[:, :, hw, hw].reshape(-1) - mu)
-        return np.where(mad > pm.MAD_MIN, dev / np.where(mad > 0, mad, 1.0), 0.0)
+        return np.abs(_window_scores(frame, self.window, pm.NORM_MAD, self._mat)[..., 0])
 
 
 class FixedMadScorer:
@@ -228,8 +227,11 @@ def sliding_detect(frame, scorer, threshold, nms_radius=DEFAULT_NMS_RADIUS):
     """Detections = NMS-surviving local maxima with score > threshold.
 
     Thresholding after suppression equals suppressing the thresholded set:
-    greedy NMS only ever suppresses downward in score order.
+    greedy NMS only ever suppresses downward in score order.  A NaN
+    ``threshold`` raises ValueError; +-inf are allowed.
     """
+    if np.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     return [
         d for d in detect_candidates(frame, scorer, nms_radius)
         if d.score > threshold
@@ -583,41 +585,54 @@ def write_benchmark_report(report, out_dir):
                     for fi, dets in enumerate(r.frame_candidates) for d in dets))
 
 
-def read_detection_dump(path):
-    """Read one detections/<method>.csv back into per-frame lists."""
-    by_frame = {}
-    for fi, row, col, score in gridio._read_csv(
-        path, ["frame", "row", "col", "score"], (int, int, int, float)
-    ):
-        by_frame.setdefault(fi, []).append(Detection(row, col, score))
-    return by_frame
+_META_KEYS = ("frame_count", "nms_radius", "match_radius", "threshold_count")
 
 
 def read_benchmark_scores(out_dir):
     """Load a written report's inputs back for a ROC re-sweep.
 
     Returns ``(per_method, truths, meta)`` where ``per_method`` maps each
-    method name (from roc.csv order) to per-frame candidate lists.
+    method name (from auc.csv order) to per-frame candidate lists.  A
+    missing meta key, a ``frame_count`` below 1, or a truth or detection
+    row whose frame is outside ``[0, frame_count)`` raises ValueError
+    naming the file (and the line).
     """
-    meta = dict(gridio._read_csv(os.path.join(out_dir, "meta.csv"),
-                                 ["key", "value"], (str, str)))
-    frame_count = int(meta["frame_count"])
+    meta_path = os.path.join(out_dir, "meta.csv")
+    meta = dict(gridio._read_csv(meta_path, ["key", "value"], (str, str)))
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise ValueError(f"{meta_path}: missing {', '.join(missing)}")
+    count = meta["frame_count"]
+    if not (count.isdecimal() and int(count) >= 1):
+        raise ValueError(
+            f"{meta_path}: frame_count must be an integer >= 1, got {count!r}"
+        )
+    frame_count = int(count)
 
-    truths = [[] for _ in range(frame_count)]
-    for fi, row, col in gridio._read_csv(os.path.join(out_dir, "truths.csv"),
-                                         ["frame", "row", "col"], (int, float, float)):
-        truths[fi].append((row, col))
+    def frame(text):
+        fi = int(text)
+        if not 0 <= fi < frame_count:
+            raise ValueError(f"frame {fi} outside [0, {frame_count})")
+        return fi
+
+    def by_frame(name, header, types, make):
+        per_frame = [[] for _ in range(frame_count)]
+        for fi, *fields in gridio._read_csv(os.path.join(out_dir, name), header,
+                                            (frame, *types)):
+            per_frame[fi].append(make(*fields))
+        return per_frame
+
+    truths = by_frame("truths.csv", ["frame", "row", "col"], (float, float),
+                      lambda row, col: (row, col))
     truths = [np.array(t).reshape(-1, 2) for t in truths]
 
     aucs = gridio._read_csv(os.path.join(out_dir, "auc.csv"),
                             ["method", "auc", "ms_per_frame"], (str, str, str))
-    per_method = {}
-    det_dir = os.path.join(out_dir, "detections")
-    for name, *_ in aucs:
-        dump = read_detection_dump(
-            os.path.join(det_dir, _safe_filename(name) + ".csv")
-        )
-        per_method[name] = [dump.get(fi, []) for fi in range(frame_count)]
+    per_method = {
+        name: by_frame(os.path.join("detections", _safe_filename(name) + ".csv"),
+                       ["frame", "row", "col", "score"], (int, int, float), Detection)
+        for name, *_ in aucs
+    }
     return per_method, truths, meta
 
 

@@ -63,6 +63,10 @@ class TestNccFilterScorer:
         with pytest.raises(ValueError):
             bn.NccFilterScorer(fb.gaussian_grid(15, 1.2))(np.ones((10, 40)))
 
+    def test_non_square_filter_rejected(self):
+        with pytest.raises(ValueError, match="filter must be square"):
+            bn.NccFilterScorer(np.arange(15.0).reshape(5, 3))
+
 
 class TestMadRatioScorer:
     def test_matches_direct_window_math(self, monkeypatch):
@@ -131,6 +135,33 @@ class TestNetworkScorer:
             for j in range(11):
                 want = nn.forward(net, frame[i : i + 5, j : j + 5])
                 assert resp[i, j] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", [pm.NORM_MAD, pm.NORM_NONE])
+    def test_mad_and_none_modes_match_single_forward(self, monkeypatch, mode):
+        monkeypatch.setattr(pm, "_CHUNK_ROWS", 4)
+        net = nn.init_network(num_filters=3, filter_size=5, norm_mode=mode, seed=8)
+        net.weights = np.array([0.7, -0.4, 1.1])
+        frame = textured_frame(17, 15, seed=9) / 100.0
+        frame[:7, :8] = 4.0  # flat windows in the first chunk
+        resp = bn.NetworkScorer(net)(frame)
+        assert resp.shape == (13, 11)
+        flat = 0
+        for i in range(13):
+            for j in range(11):
+                try:
+                    want = nn.forward(net, frame[i : i + 5, j : j + 5])
+                except pm.DegeneratePatchError:
+                    flat += 1
+                    want = 0.0
+                assert resp[i, j] == pytest.approx(want, abs=1e-12)
+        assert flat == (0 if mode == pm.NORM_NONE else 12)
+
+    def test_flat_filter_rejected_when_resolved(self, tmp_path):
+        net = nn.init_network(num_filters=3, filter_size=5, seed=1)
+        net.filters[1] = 0.25
+        nn.save_network(net, tmp_path / "flat.nccnet")
+        with pytest.raises(pm.DegeneratePatchError, match="filter 1 is flat"):
+            bn.resolve_method(f"net:{tmp_path / 'flat.nccnet'}")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -234,6 +265,17 @@ class TestDetect:
         frame[0, 0] = 5.0
         dets = bn.detect_candidates(frame, IdentityScorer())
         assert dets[0] == bn.Detection(0, 0, 5.0)
+
+    def test_nan_threshold_rejected_inf_allowed(self):
+        frame = np.zeros((9, 9))
+        frame[4, 4] = 5.0
+        scorer = IdentityScorer()
+        with pytest.raises(ValueError, match="threshold must not be NaN"):
+            bn.sliding_detect(frame, scorer, float("nan"))
+        assert bn.sliding_detect(frame, scorer, float("inf")) == []
+        assert bn.sliding_detect(frame, scorer, -float("inf")) == [
+            bn.Detection(4, 4, 5.0)
+        ]
 
     def test_sliding_detect_equals_filtered_candidates(self):
         frame = textured_frame(40, 40, seed=8)
@@ -614,6 +656,52 @@ class TestReportFiles:
         per_method, truths_back, meta = bn.read_benchmark_scores(tmp_path / "out")
         assert set(per_method) == {name}
         assert len(truths_back) == 4
+
+
+class TestReadBenchmarkScores:
+    @pytest.fixture
+    def report_dir(self, tmp_path):
+        frames, truths = tiny_benchmark()
+        cfg = bn.BenchConfig(include_timing=False, threshold_count=8)
+        report = bn.run_benchmark(frames, truths, ["mad-ratio"], cfg)
+        bn.write_benchmark_report(report, tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("frame", ["4", "99", "-1"])
+    def test_truth_frame_out_of_range(self, report_dir, frame):
+        with open(report_dir / "truths.csv", "a") as fh:
+            fh.write(f"{frame},5,5\n")
+        lines = len((report_dir / "truths.csv").read_text().splitlines())
+        with pytest.raises(ValueError, match=(
+            rf"truths.csv: line {lines}: frame {frame} outside \[0, 4\)"
+        )):
+            bn.read_benchmark_scores(report_dir)
+
+    def test_detection_frame_out_of_range(self, report_dir):
+        dump = report_dir / "detections" / "mad-ratio.csv"
+        with open(dump, "a") as fh:
+            fh.write("7,5,5,1.0\n")
+        lines = len(dump.read_text().splitlines())
+        with pytest.raises(ValueError, match=(
+            rf"mad-ratio.csv: line {lines}: frame 7 outside \[0, 4\)"
+        )):
+            bn.read_benchmark_scores(report_dir)
+
+    @pytest.mark.parametrize("key", ["frame_count", "nms_radius", "match_radius",
+                                     "threshold_count"])
+    def test_missing_meta_key(self, report_dir, key):
+        meta = report_dir / "meta.csv"
+        kept = [ln for ln in meta.read_text().splitlines() if not ln.startswith(key)]
+        meta.write_text("\n".join(kept) + "\n")
+        with pytest.raises(ValueError, match=f"meta.csv: missing {key}"):
+            bn.read_benchmark_scores(report_dir)
+
+    @pytest.mark.parametrize("count", ["-3", "0", "x"])
+    def test_bad_frame_count(self, report_dir, count):
+        meta = report_dir / "meta.csv"
+        meta.write_text(meta.read_text().replace("frame_count,4", f"frame_count,{count}"))
+        with pytest.raises(ValueError, match="meta.csv: frame_count must be an integer >= 1"):
+            bn.read_benchmark_scores(report_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,20 @@ class TestDetect:
                    "--nms-radius", radius) == 1
         assert "nms_radius must be finite and >= 0" in capsys.readouterr().err
 
+    def test_non_square_filter_fails_cleanly(self, small_corpus, tmp_path, capsys):
+        _, frames = small_corpus
+        gridio.write_grid(np.arange(15.0).reshape(5, 3), tmp_path / "f.txt")
+        assert run("detect", "--frame", str(frames / "frame_0000.txt"),
+                   "--method", f"filter:{tmp_path / 'f.txt'}",
+                   "--threshold", "0") == 1
+        assert "filter must be square" in capsys.readouterr().err
+
+    def test_nan_threshold_fails_cleanly(self, small_corpus, capsys):
+        _, frames = small_corpus
+        assert run("detect", "--frame", str(frames / "frame_0000.txt"),
+                   "--method", "hat7-fixed-mad", "--threshold", "nan") == 1
+        assert "threshold must not be NaN" in capsys.readouterr().err
+
     def test_non_finite_frame_fails_cleanly(self, tmp_path, capsys):
         # write_grid refuses NaN, so put the bad value (9, 9) into the text
         lines = gridio.format_grid(np.full((20, 20), 100.0)).splitlines()
@@ -353,6 +367,34 @@ class TestBenchAndRoc:
         assert run("bench", "--data", str(copy), "--methods", "mad-ratio",
                    "--out-dir", str(tmp_path / "r")) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("truths.csv", lambda t: t + "99,5,5\n", "frame 99 outside [0, 4)"),
+        ("truths.csv", lambda t: t + "-1,5,5\n", "frame -1 outside [0, 4)"),
+        ("detections/mad-ratio.csv", lambda t: t + "7,5,5,1.0\n",
+         "frame 7 outside [0, 4)"),
+        ("meta.csv", lambda t: t.replace("frame_count,4\n", ""),
+         "meta.csv: missing frame_count"),
+        ("meta.csv", lambda t: t.replace("frame_count,4", "frame_count,-3"),
+         "meta.csv: frame_count must be an integer >= 1, got '-3'"),
+    ], ids=["truth-99", "truth-minus-1", "detection-7", "meta-no-frame-count",
+            "meta-frame-count-minus-3"])
+    def test_roc_rejects_bad_report_rows(self, small_corpus, tmp_path, capsys,
+                                         name, edit, message):
+        _, frames = small_corpus
+        orig = tmp_path / "orig"
+        assert run(
+            "bench", "--data", str(frames), "--methods", "mad-ratio",
+            "--out-dir", str(orig), "--thresholds", "8", "--no-timing",
+        ) == 0
+        path = orig / name
+        path.write_text(edit(path.read_text()))
+        assert run("roc", "--scores", str(orig), "--out-dir", str(tmp_path / "a")) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        if name != "meta.csv":
+            lines = len(path.read_text().splitlines())
+            assert f"{path}: line {lines}: " in err
 
     def test_empty_method_list(self, small_corpus, tmp_path):
         _, frames = small_corpus
