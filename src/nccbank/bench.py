@@ -50,26 +50,104 @@ def _check_frame(frame, window):
     return f
 
 
-def _chunk_scores(block, mode, mat):
-    """(rows, cols, N) scores of one (rows, cols, k, k) chunk of windows
-    against the N rows of ``mat``; degenerate windows score 0.0."""
-    rows, cols = block.shape[:2]
+# Largest score error, relative to max(1, |score|), that the response
+# map's error bound may allow a window before the window is recomputed
+# by the exact two-pass path.
+_SCORE_RTOL = 5e-11
+
+
+def _box_sums(a, k):
+    """Sum of every k x k window of ``a``: k-term sums along the rows,
+    then along the columns, so each window's sum takes 2(k - 1) additions
+    of its own pixels and its rounding is bounded by its own magnitudes."""
+    h, w = a.shape[0] - k + 1, a.shape[1] - k + 1
+    rows = a[:, :w].copy()
+    for j in range(1, k):
+        rows += a[:, j : j + w]
+    out = rows[:h].copy()
+    for i in range(1, k):
+        out += rows[i : i + h]
+    return out
+
+
+def _sad(x, mu, k):
+    """Sum of |x - mu| over every k x k window of ``x``, window means
+    ``mu``: one pass per window offset, no per-window pixel copies."""
+    h, w = mu.shape
+    sad = np.zeros_like(mu)
+    dev = np.empty_like(mu)
+    for i in range(k):
+        for j in range(k):
+            np.subtract(x[i : i + h, j : j + w], mu, out=dev)
+            sad += np.abs(dev, out=dev)
+    return sad
+
+
+def _exact_scores(rows, mode, mat):
+    """(B, N) scores of B flattened windows by the two-pass path of the
+    normalizer: centered rows, their N dots divided by the ``mode``
+    denominator, 0.0 where flat (plain dots for ``none``)."""
     if mode == pm.NORM_NONE:
-        return (block.reshape(rows * cols, -1) @ mat.T).reshape(rows, cols, -1)
-    # unnamed, so the pixel copy is freed before the statistics allocate
-    q = pm._centered(block.reshape(rows * cols, -1))
+        return rows @ mat.T
+    q = pm._centered(rows)
     den, _, valid = pm._row_stats(q, mode)
     dots = q @ mat.T
-    out = np.divide(dots, den[:, None], out=np.zeros_like(dots), where=valid[:, None])
-    return out.reshape(rows, cols, -1)
+    return np.divide(dots, den[:, None], out=np.zeros_like(dots), where=valid[:, None])
 
 
 def _window_scores(frame, k, mode, mat):
     """(H - k + 1, W - k + 1, N) map of every k x k window of ``frame``
     against the rows of ``mat``: the window's N dots divided by its
-    ``mode`` denominator, not its k*k pixels (plain dots for ``none``)."""
-    blocks = pm._window_chunks(_check_frame(frame, k), k)
-    return np.concatenate([_chunk_scores(b, mode, mat) for b in blocks])
+    ``mode`` denominator, not its k*k pixels (plain dots for ``none``).
+
+    The dots are FFT correlations of the frame, less the window mean times
+    each row's sum; the STD denominator comes from box sums, the MAD one
+    from one |x - mean| pass per window offset.  Every window gets a bound
+    on its score's error, from the frame's energy and its own magnitude,
+    spread and (STD) cancellation; where the bound exceeds
+    ``_SCORE_RTOL * max(1, |score|)`` or cannot tell the flat flag, the
+    window is recomputed exactly as :func:`_exact_scores`.
+    """
+    f = _check_frame(frame, k)
+    n = k * k
+    eps = np.finfo(float).eps
+    x = f if mode == pm.NORM_NONE else f - f.mean()
+    dots = pm._correlate(x, mat.reshape(-1, k, k))
+    l1 = np.abs(mat).sum(axis=1).max()
+    # the FFT's error: spread over the frame, a few eps * rms * l1
+    err = eps * l1 * np.log2(x.size) * np.sqrt(np.mean(x * x))
+    if mode == pm.NORM_NONE:
+        fast = err <= _SCORE_RTOL * np.maximum(1.0, np.abs(dots).min(axis=0))
+    else:
+        s1 = _box_sums(x, k)
+        mu = s1 / n
+        sums = mat.sum(axis=1)
+        dots -= mu * sums[:, None, None]
+        a1 = _box_sums(np.abs(x), k)
+        # plus the rounding of x and of the window mean, through the filter
+        err = err + eps * a1 * (np.abs(mat).max() / 2 + 2 * k * np.abs(sums).max() / n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if mode == pm.NORM_STD:
+                s2 = _box_sums(x * x, k)
+                den = np.sqrt(np.maximum(s2 - s1 * mu, 0.0))
+                stat, floor = den / np.sqrt(n - 1), pm.SIGMA_MIN
+                # S2 - S1^2 / n cancels by the factor S2 / den^2
+                rel = err / den + 4 * k * eps * s2 / (den * den)
+            else:
+                sad = _sad(x, mu, k)
+                stat, floor = sad / n, pm.MAD_MIN
+                den = np.sqrt(n) * stat
+                rel = err / den + (2 * k + 1) * eps * a1 / sad + (n + 1) * eps
+            fast = (rel <= _SCORE_RTOL) & (stat * (1.0 - rel) > floor)
+        dots = np.divide(dots, den, out=np.zeros_like(dots), where=fast)
+    rows, cols = np.nonzero(~fast)
+    wins = np.lib.stride_tricks.sliding_window_view(f, (k, k))
+    # batches of one fixed-path chunk's windows bound the (B, k*k) copies
+    step = pm._CHUNK_ROWS * fast.shape[1]
+    for lo in range(0, rows.size, step):
+        r, c = rows[lo : lo + step], cols[lo : lo + step]
+        dots[:, r, c] = _exact_scores(wins[r, c].reshape(r.size, n), mode, mat).T
+    return np.moveaxis(dots, 0, -1)
 
 
 class NccFilterScorer:
@@ -180,8 +258,11 @@ def _local_maxima(response):
 
 
 def _check_radius(radius, name):
-    """``radius`` as a float; ValueError unless it is finite and >= 0."""
-    r = float(radius)
+    """``radius`` as a float; ValueError unless it is a finite number >= 0."""
+    try:
+        r = float(radius)
+    except ValueError:  # unparseable text fails the check below
+        r = np.nan
     if not (np.isfinite(r) and r >= 0.0):
         raise ValueError(f"{name} must be finite and >= 0, got {radius!r}")
     return r
@@ -194,28 +275,27 @@ def detect_candidates(frame, scorer, nms_radius=DEFAULT_NMS_RADIUS):
     descending score with (row, col) tie-breaks; deterministic.  Raises
     ValueError for a negative or non-finite ``nms_radius``.
     """
-    r2 = _check_radius(nms_radius, "nms_radius") ** 2
+    radius = _check_radius(nms_radius, "nms_radius")
     response = scorer(np.asarray(frame, dtype=float))
-    mask = _local_maxima(response)
-    rows, cols = np.nonzero(mask)
+    rows, cols = np.nonzero(_local_maxima(response))
     if rows.size == 0:
         return []
     scores = response[rows, cols]
     order = np.lexsort((cols, rows, -scores))
     rows, cols, scores = rows[order], cols[order], scores[order]
-    keep_r = np.empty(rows.size)
-    keep_c = np.empty(rows.size)
+    # Candidates sit on integer cells, so "within the radius of a kept
+    # candidate" is "inside the integer disk painted around it".  Offsets
+    # beyond the response cannot matter, which also keeps radius**2 finite.
+    h, w = response.shape
+    pr, pc = min(int(radius), h - 1), min(int(radius), w - 1)
+    disk = (np.arange(-pr, pr + 1)[:, None] ** 2 + np.arange(-pc, pc + 1) ** 2
+            <= min(radius, h + w) ** 2)
+    suppressed = np.zeros((h + 2 * pr, w + 2 * pc), dtype=bool)
     kept = []
-    m = 0
-    for i in range(rows.size):
-        if m:
-            d2 = (keep_r[:m] - rows[i]) ** 2 + (keep_c[:m] - cols[i]) ** 2
-            if np.any(d2 <= r2):
-                continue
-        keep_r[m] = rows[i]
-        keep_c[m] = cols[i]
-        m += 1
-        kept.append(i)
+    for i, (r, c) in enumerate(zip(rows.tolist(), cols.tolist())):
+        if not suppressed[r + pr, c + pc]:
+            kept.append(i)
+            suppressed[r : r + 2 * pr + 1, c : c + 2 * pc + 1] |= disk
     half = scorer.window // 2
     return [
         Detection(int(rows[i] + half), int(cols[i] + half), float(scores[i]))
@@ -585,29 +665,42 @@ def write_benchmark_report(report, out_dir):
                     for fi, dets in enumerate(r.frame_candidates) for d in dets))
 
 
-_META_KEYS = ("frame_count", "nms_radius", "match_radius", "threshold_count")
+def _check_count(text, name):
+    """Decimal ``text`` as an int; ValueError unless it is >= 1."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
+_META_CHECKS = {
+    "frame_count": _check_count,
+    "nms_radius": _check_radius,
+    "match_radius": _check_radius,
+    "threshold_count": _check_count,
+}
 
 
 def read_benchmark_scores(out_dir):
     """Load a written report's inputs back for a ROC re-sweep.
 
     Returns ``(per_method, truths, meta)`` where ``per_method`` maps each
-    method name (from auc.csv order) to per-frame candidate lists.  A
-    missing meta key, a ``frame_count`` below 1, or a truth or detection
-    row whose frame is outside ``[0, frame_count)`` raises ValueError
-    naming the file (and the line).
+    method name (from auc.csv order) to per-frame candidate lists and
+    ``meta`` maps each meta.csv key to its value: ``frame_count`` and
+    ``threshold_count`` as ints >= 1, the two radii as finite floats
+    >= 0.  A missing or malformed meta value, or a truth or detection row
+    whose frame is outside ``[0, frame_count)``, raises ValueError naming
+    the file (and the line).
     """
     meta_path = os.path.join(out_dir, "meta.csv")
-    meta = dict(gridio._read_csv(meta_path, ["key", "value"], (str, str)))
-    missing = [key for key in _META_KEYS if key not in meta]
+    text = dict(gridio._read_csv(meta_path, ["key", "value"], (str, str)))
+    missing = [key for key in _META_CHECKS if key not in text]
     if missing:
         raise ValueError(f"{meta_path}: missing {', '.join(missing)}")
-    count = meta["frame_count"]
-    if not (count.isdecimal() and int(count) >= 1):
-        raise ValueError(
-            f"{meta_path}: frame_count must be an integer >= 1, got {count!r}"
-        )
-    frame_count = int(count)
+    try:
+        meta = {key: check(text[key], key) for key, check in _META_CHECKS.items()}
+    except ValueError as exc:
+        raise ValueError(f"{meta_path}: {exc}") from None
+    frame_count = meta["frame_count"]
 
     def frame(text):
         fi = int(text)
@@ -640,9 +733,9 @@ def resweep_roc(out_dir, dest_dir):
     """Recompute roc.csv/auc.csv from a stored report's detection dumps."""
     per_method, truths, meta = read_benchmark_scores(out_dir)
     cfg = BenchConfig(
-        nms_radius=float(meta["nms_radius"]),
-        match_radius=float(meta["match_radius"]),
-        threshold_count=int(meta["threshold_count"]),
+        nms_radius=meta["nms_radius"],
+        match_radius=meta["match_radius"],
+        threshold_count=meta["threshold_count"],
         include_timing=False,
     )
     results = [_sweep(name, per_frame, truths, cfg)

@@ -72,6 +72,75 @@ def naive_correlate_valid(image, filt):
     return out
 
 
+def naive_window_scores(frame, k, mode, mat):
+    """Window scores by the chunked per-window loop.
+
+    Every k x k window of ``frame`` is copied out, 48 rows of windows at
+    a time, and two-pass centered; its N dots with the rows of ``mat``
+    are divided by its ``mode`` denominator, and a window whose std or
+    mad is at or below 1e-12 is flat and scores 0.0 (``none`` gives the
+    plain dots).  Returns the (H - k + 1, W - k + 1, N) scores and the
+    (H - k + 1, W - k + 1) flat flags.
+    """
+    f = np.asarray(frame, dtype=float)
+    wins = np.lib.stride_tricks.sliding_window_view(f, (k, k))
+    scores, flat = [], []
+    for r0 in range(0, wins.shape[0], 48):
+        block = wins[r0 : r0 + 48]
+        rows, cols = block.shape[:2]
+        x = block.reshape(rows * cols, -1)
+        if mode == "none":
+            valid = np.ones(rows * cols, dtype=bool)
+            out = x @ mat.T
+        else:
+            q = x - x.mean(axis=1, keepdims=True)
+            q -= q.mean(axis=1, keepdims=True)
+            n = q.shape[1]
+            if mode == "std":
+                den = np.sqrt(np.sum(q * q, axis=1))
+                valid = den / np.sqrt(n - 1) > 1e-12
+            else:
+                mad = np.mean(np.abs(q), axis=1)
+                den = np.sqrt(n) * mad
+                valid = mad > 1e-12
+            dots = q @ mat.T
+            out = np.divide(dots, den[:, None], out=np.zeros_like(dots),
+                            where=valid[:, None])
+        scores.append(out.reshape(rows, cols, -1))
+        flat.append(~valid.reshape(rows, cols))
+    return np.concatenate(scores), np.concatenate(flat)
+
+
+def naive_nms(response, candidates, radius):
+    """Greedy non-maximum suppression by the per-candidate loop.
+
+    The cells flagged in the boolean ``candidates`` mask are visited by
+    descending ``response`` score, ties by (row, col); each is kept unless
+    a kept one lies within ``radius`` (Euclidean, inclusive).  Returns the
+    kept ``(row, col, score)`` triples in visiting order.
+    """
+    r = np.asarray(response, dtype=float)
+    r2 = float(radius) ** 2
+    rows, cols = np.nonzero(candidates)
+    scores = r[rows, cols]
+    order = np.lexsort((cols, rows, -scores))
+    rows, cols, scores = rows[order], cols[order], scores[order]
+    keep_r = np.empty(rows.size)
+    keep_c = np.empty(rows.size)
+    kept = []
+    m = 0
+    for i in range(rows.size):
+        if m:
+            d2 = (keep_r[:m] - rows[i]) ** 2 + (keep_c[:m] - cols[i]) ** 2
+            if np.any(d2 <= r2):
+                continue
+        keep_r[m] = rows[i]
+        keep_c[m] = cols[i]
+        m += 1
+        kept.append((int(rows[i]), int(cols[i]), float(scores[i])))
+    return kept
+
+
 def naive_augment(contexts, labels):
     """Per-sample augmentation loop over 19x19 contexts.
 

@@ -1,5 +1,10 @@
+from unittest import mock
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from nccbank import bench as bn
@@ -30,9 +35,72 @@ def textured_frame(h, w, seed):
 # scorers
 
 
+@st.composite
+def window_cases(draw):
+    """Frame, window, mode and filter rows for the response-map core, plus
+    an exact-path batch size.  Frames sit at an offset up to 6e4 with a
+    spread from 20 down to 1e-12 (or none), optionally beside a bright
+    region and with a flat block.  Pixels are multiples of 2**-40 (2**-20
+    for ``none``, whose dyadic filters then make the oracle's dots exact)."""
+    mode = draw(st.sampled_from(pm.NORM_MODES))
+    k = draw(st.integers(3, 15))
+    h, w = draw(st.integers(k, k + 10)), draw(st.integers(k, k + 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = 2.0 ** (-20 if mode == pm.NORM_NONE else -40)
+    spread = draw(st.sampled_from([20.0, 1e-3, 1e-6, 1e-12, 0.0]))
+    offset = draw(st.integers(0, 60000))
+    frame = offset + np.round(spread * rng.standard_normal((h, w)) / step) * step
+    if draw(st.booleans()):
+        frame[draw(st.integers(0, h - 1)):, draw(st.integers(0, w - 1)):] += (
+            draw(st.integers(1, 5000)))
+    if draw(st.booleans()):
+        r, c = draw(st.integers(0, h - k)), draw(st.integers(0, w - k))
+        frame[r : r + k, c : c + k] = offset
+    rows = rng.standard_normal((draw(st.integers(1, 4)), k * k))
+    if mode == pm.NORM_NONE:
+        mat = np.round(8.0 * rows) / 8.0
+    elif draw(st.booleans()):
+        mat, _ = pm.normalize_rows(rows, mode)
+    else:  # the mad-ratio centre impulse: a filter that does not sum to 0
+        mat = np.zeros_like(rows)
+        mat[:, k * k // 2] = k
+    return frame, k, mode, mat, draw(st.integers(1, 6))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=window_cases())
+def test_window_scores_match_naive_loop(case):
+    """Every score within 1e-10 * max(1, |score|) of the per-window loop's
+    (twice the core's own error bound, leaving room for the loop's
+    rounding), and exactly 0.0 on the loop's flat windows; a non-flat
+    window scored 0.0 would miss by its whole score."""
+    frame, k, mode, mat, chunk_rows = case
+    want, flat = oracles.naive_window_scores(frame, k, mode, mat)
+    with mock.patch.object(pm, "_CHUNK_ROWS", chunk_rows):
+        got = bn._window_scores(frame, k, mode, mat)
+    assert got.shape == want.shape
+    assert np.all(got[flat] == 0.0)
+    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    response=hnp.arrays(np.int64, st.tuples(st.integers(1, 14), st.integers(1, 14)),
+                        elements=st.integers(0, 3)),
+    radius=st.one_of(st.sampled_from([0.0, 1.0, 1.5, 2.0, 7.0, 20.0, 1e3]),
+                     st.floats(0.0, 30.0)),
+)
+def test_mask_nms_matches_greedy_loop(response, radius):
+    """Integer-valued responses: ties everywhere, radii of zero,
+    fractional and beyond the frame."""
+    r = response.astype(float)
+    got = bn.detect_candidates(r, IdentityScorer(), radius)
+    want = oracles.naive_nms(r, bn._local_maxima(r), radius)
+    assert [(d.row, d.col, d.score) for d in got] == want
+
+
 class TestNccFilterScorer:
-    def test_matches_patch_scores_exhaustively(self, monkeypatch):
-        monkeypatch.setattr(pm, "_CHUNK_ROWS", 5)
+    def test_matches_patch_scores_exhaustively(self):
         frame = textured_frame(24, 22, seed=0)
         filt = fb.gaussian_grid(7, 1.0)
         for mode in (pm.NORM_STD, pm.NORM_MAD):
@@ -69,8 +137,7 @@ class TestNccFilterScorer:
 
 
 class TestMadRatioScorer:
-    def test_matches_direct_window_math(self, monkeypatch):
-        monkeypatch.setattr(pm, "_CHUNK_ROWS", 3)
+    def test_matches_direct_window_math(self):
         frame = textured_frame(20, 21, seed=2)
         scorer = bn.MadRatioScorer(window=5)
         resp = scorer(frame)
@@ -123,8 +190,7 @@ class TestFrameToU16:
 
 
 class TestNetworkScorer:
-    def test_matches_single_forward(self, monkeypatch):
-        monkeypatch.setattr(pm, "_CHUNK_ROWS", 4)
+    def test_matches_single_forward(self):
         rng = np.random.default_rng(5)
         net = nn.init_network(num_filters=2, filter_size=5, norm_mode=pm.NORM_STD,
                               seed=7)
@@ -137,8 +203,7 @@ class TestNetworkScorer:
                 assert resp[i, j] == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("mode", [pm.NORM_MAD, pm.NORM_NONE])
-    def test_mad_and_none_modes_match_single_forward(self, monkeypatch, mode):
-        monkeypatch.setattr(pm, "_CHUNK_ROWS", 4)
+    def test_mad_and_none_modes_match_single_forward(self, mode):
         net = nn.init_network(num_filters=3, filter_size=5, norm_mode=mode, seed=8)
         net.weights = np.array([0.7, -0.4, 1.1])
         frame = textured_frame(17, 15, seed=9) / 100.0

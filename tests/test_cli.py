@@ -377,8 +377,15 @@ class TestBenchAndRoc:
          "meta.csv: missing frame_count"),
         ("meta.csv", lambda t: t.replace("frame_count,4", "frame_count,-3"),
          "meta.csv: frame_count must be an integer >= 1, got '-3'"),
+        ("meta.csv", lambda t: t.replace("threshold_count,8", "threshold_count,abc"),
+         "meta.csv: threshold_count must be an integer >= 1, got 'abc'"),
+        ("meta.csv", lambda t: t.replace("nms_radius,7.0", "nms_radius,x"),
+         "meta.csv: nms_radius must be finite and >= 0, got 'x'"),
+        ("meta.csv", lambda t: t.replace("match_radius,2.0", "match_radius,-1"),
+         "meta.csv: match_radius must be finite and >= 0, got '-1'"),
     ], ids=["truth-99", "truth-minus-1", "detection-7", "meta-no-frame-count",
-            "meta-frame-count-minus-3"])
+            "meta-frame-count-minus-3", "meta-threshold-count-abc",
+            "meta-nms-radius-x", "meta-match-radius-minus-1"])
     def test_roc_rejects_bad_report_rows(self, small_corpus, tmp_path, capsys,
                                          name, edit, message):
         _, frames = small_corpus
