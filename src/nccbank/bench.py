@@ -55,32 +55,8 @@ def _check_frame(frame, window):
 # by the exact two-pass path.
 _SCORE_RTOL = 5e-11
 
-
-def _box_sums(a, k):
-    """Sum of every k x k window of ``a``: k-term sums along the rows,
-    then along the columns, so each window's sum takes 2(k - 1) additions
-    of its own pixels and its rounding is bounded by its own magnitudes."""
-    h, w = a.shape[0] - k + 1, a.shape[1] - k + 1
-    rows = a[:, :w].copy()
-    for j in range(1, k):
-        rows += a[:, j : j + w]
-    out = rows[:h].copy()
-    for i in range(1, k):
-        out += rows[i : i + h]
-    return out
-
-
-def _sad(x, mu, k):
-    """Sum of |x - mu| over every k x k window of ``x``, window means
-    ``mu``: one pass per window offset, no per-window pixel copies."""
-    h, w = mu.shape
-    sad = np.zeros_like(mu)
-    dev = np.empty_like(mu)
-    for i in range(k):
-        for j in range(k):
-            np.subtract(x[i : i + h, j : j + w], mu, out=dev)
-            sad += np.abs(dev, out=dev)
-    return sad
+# Windows per batch of the exact fallback; bounds its (B, k*k) copies.
+_EXACT_BATCH = 8192
 
 
 def _exact_scores(rows, mode, mat):
@@ -119,22 +95,22 @@ def _window_scores(frame, k, mode, mat):
     if mode == pm.NORM_NONE:
         fast = err <= _SCORE_RTOL * np.maximum(1.0, np.abs(dots).min(axis=0))
     else:
-        s1 = _box_sums(x, k)
+        s1 = pm._box_sums(x, k)
         mu = s1 / n
         sums = mat.sum(axis=1)
         dots -= mu * sums[:, None, None]
-        a1 = _box_sums(np.abs(x), k)
+        a1 = pm._box_sums(np.abs(x), k)
         # plus the rounding of x and of the window mean, through the filter
         err = err + eps * a1 * (np.abs(mat).max() / 2 + 2 * k * np.abs(sums).max() / n)
         with np.errstate(divide="ignore", invalid="ignore"):
             if mode == pm.NORM_STD:
-                s2 = _box_sums(x * x, k)
+                s2 = pm._box_sums(x * x, k)
                 den = np.sqrt(np.maximum(s2 - s1 * mu, 0.0))
                 stat, floor = den / np.sqrt(n - 1), pm.SIGMA_MIN
                 # S2 - S1^2 / n cancels by the factor S2 / den^2
                 rel = err / den + 4 * k * eps * s2 / (den * den)
             else:
-                sad = _sad(x, mu, k)
+                sad = pm._sad(x, mu, k)
                 stat, floor = sad / n, pm.MAD_MIN
                 den = np.sqrt(n) * stat
                 rel = err / den + (2 * k + 1) * eps * a1 / sad + (n + 1) * eps
@@ -142,10 +118,8 @@ def _window_scores(frame, k, mode, mat):
         dots = np.divide(dots, den, out=np.zeros_like(dots), where=fast)
     rows, cols = np.nonzero(~fast)
     wins = np.lib.stride_tricks.sliding_window_view(f, (k, k))
-    # batches of one fixed-path chunk's windows bound the (B, k*k) copies
-    step = pm._CHUNK_ROWS * fast.shape[1]
-    for lo in range(0, rows.size, step):
-        r, c = rows[lo : lo + step], cols[lo : lo + step]
+    for lo in range(0, rows.size, _EXACT_BATCH):
+        r, c = rows[lo : lo + _EXACT_BATCH], cols[lo : lo + _EXACT_BATCH]
         dots[:, r, c] = _exact_scores(wins[r, c].reshape(r.size, n), mode, mat).T
     return np.moveaxis(dots, 0, -1)
 
@@ -208,10 +182,9 @@ class FixedMadScorer:
     """Integer MAD-NCC pipeline; scores are the fixed outputs as floats."""
 
     def __init__(self, raw_taps, qformat=fb.TAP_QFORMAT, name=None):
-        raw = np.asarray(raw_taps)
-        self.raw = raw
+        self.raw = fb._fixed_taps(raw_taps, qformat)
         self.qformat = qformat
-        self.window = raw.shape[0]
+        self.window = self.raw.shape[0]
         self.name = name or f"fixed-mad-{self.window}"
 
     def __call__(self, frame):

@@ -382,14 +382,14 @@ def _num_may_wrap(k):
     return acc_max * k * OUT_QFORMAT.scale >= 1 << 63
 
 
-def _raise_first_overflow(sums, sad, prods, acc):
+def _raise_first_overflow(sums, sad, prod_over, acc):
     """Raise what :func:`mad_ncc_fixed_score` raises at the first window,
-    in raster order, that overflows a stage; ``prods`` holds the per-tap
-    products of every window."""
+    in raster order, that overflows a stage; ``prod_over`` flags the
+    windows with a product outside the 32-bit stage."""
     over = np.stack([
         sums >= 1 << 32,
         sad >= 1 << 32,
-        ((prods < -(1 << 31)) | (prods >= 1 << 31)).any(axis=(2, 3)),
+        prod_over,
         (acc < -(1 << 47)) | (acc >= 1 << 47),
     ]).reshape(len(_STAGE_OVERFLOWS), -1)
     bad = np.flatnonzero(over.any(axis=0))
@@ -400,8 +400,10 @@ def _raise_first_overflow(sums, sad, prods, acc):
 def mad_ncc_fixed_response(frame, filt, qformat=None):
     """Valid-mode response map of the fixed-point scorer over a frame.
 
-    Vectorized but bit-identical to calling :func:`mad_ncc_fixed_score` at
-    every window position, errors included.  Windows are checked for stage
+    Bit-identical to calling :func:`mad_ncc_fixed_score` at every window
+    position, errors included.  The window sums are integer box sums; the
+    sads and the accumulators ``sum((x - mean) * t)`` take one pass per
+    window offset over the int64 frame.  Windows are checked for stage
     overflow only when the taps make one possible, which the default
     Q(8, 7) taps never do, and the output numerator is computed in Python
     integers only when k alone makes an int64 wrap possible (k >= 162).
@@ -415,29 +417,31 @@ def mad_ncc_fixed_response(frame, filt, qformat=None):
     k = taps.shape[0]
     if fr.ndim != 2 or fr.shape[0] < k or fr.shape[1] < k:
         raise ValueError(f"frame {fr.shape} too small for {k}x{k} taps")
-    n = k * k
+    x = fr.astype(np.int64)
     t64 = taps.astype(np.int64)
-    check_stages = _may_overflow(t64)
-    wide = _num_may_wrap(k)
-    raw, degenerate = [], []
-    for win in pm._window_chunks(fr.astype(np.int64), k):
-        sums = win.sum(axis=(2, 3))
-        means = sums // n  # sums >= 0, floor == trunc
-        devs = win - means[..., None, None]
-        sad = np.abs(devs).sum(axis=(2, 3))
-        acc = np.einsum("ijkl,kl->ij", devs, t64, optimize=True)
-        if check_stages:
-            _raise_first_overflow(sums, sad, devs * t64, acc)
-        num = (acc.astype(object) if wide else acc) * (k * OUT_QFORMAT.scale)
-        den = sad * qformat.scale
-        safe_den = np.where(den > 0, den, 1)
-        scores = _trunc_div_array(num, safe_den)
-        scores = np.clip(scores, OUT_QFORMAT.raw_min, OUT_QFORMAT.raw_max)
-        flat = sad == 0
-        scores[flat] = 0
-        raw.append(scores.astype(np.int32))
-        degenerate.append(flat)
-    return np.concatenate(raw), np.concatenate(degenerate)
+    sums = pm._box_sums(x, k)
+    means = sums // (k * k)  # sums >= 0, floor == trunc
+    sad = pm._sad(x, means, k)
+    h, w = means.shape
+    # acc = sum((x - mean) * t) = sum(x * t) - mean * sum(t), exact in int64
+    acc = means * -int(t64.sum())
+    prod_over = np.zeros(means.shape, dtype=bool) if _may_overflow(t64) else None
+    for i in range(k):
+        for j in range(k):
+            win = x[i : i + h, j : j + w]
+            acc += win * t64[i, j]
+            if prod_over is not None:
+                dev_t = (win - means) * t64[i, j]
+                prod_over |= (dev_t < -(1 << 31)) | (dev_t >= 1 << 31)
+    if prod_over is not None:
+        _raise_first_overflow(sums, sad, prod_over, acc)
+    num = (acc.astype(object) if _num_may_wrap(k) else acc) * (k * OUT_QFORMAT.scale)
+    den = sad * qformat.scale
+    scores = _trunc_div_array(num, np.where(den > 0, den, 1))
+    scores = np.clip(scores, OUT_QFORMAT.raw_min, OUT_QFORMAT.raw_max)
+    flat = sad == 0
+    scores[flat] = 0
+    return scores.astype(np.int32), flat
 
 
 @dataclasses.dataclass
@@ -543,6 +547,14 @@ def save_quantized_filter(path, raw, qformat):
     gridio.write_text("\n".join(lines) + "\n", path)
 
 
+def _ints(tokens, message):
+    """``tokens`` as Python ints; ValueError(message) if one is not."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as exc:
+        raise ValueError(message) from exc
+
+
 def load_quantized_filter(path):
     """Read a quantized filter file; returns ``(raw int array, QFormat)``."""
     lines = [ln for ln in gridio.read_text(path).splitlines() if ln.strip()]
@@ -551,19 +563,22 @@ def load_quantized_filter(path):
     tok = lines[1].split()
     if len(tok) != 3 or tok[0] != "qformat":
         raise ValueError(f"bad qformat line: {lines[1]!r}")
-    qformat = QFormat(int(tok[1]), int(tok[2]))
+    qformat = QFormat(*_ints(tok[1:], f"bad qformat line: {lines[1]!r}"))
     dims = lines[2].split()
     if len(dims) != 2:
         raise ValueError(f"bad dimensions line: {lines[2]!r}")
-    rows, cols = int(dims[0]), int(dims[1])
+    rows, cols = _ints(dims, f"bad dimensions line: {lines[2]!r}")
+    if rows != cols:
+        raise ValueError(f"tap block must be square, got {rows}x{cols}")
     if len(lines) - 3 != rows:
         raise ValueError(f"expected {rows} tap rows, found {len(lines) - 3}")
-    taps = np.empty((rows, cols), dtype=np.int32)
+    taps = []
     for r in range(rows):
         toks = lines[3 + r].split()
         if len(toks) != cols:
             raise ValueError(f"row {r}: expected {cols} taps, found {len(toks)}")
-        taps[r] = [int(t) for t in toks]
+        taps.append(_ints(toks, f"row {r}: unparseable tap"))
+    taps = np.array(taps, dtype=object)
     if np.any(taps < qformat.raw_min) or np.any(taps > qformat.raw_max):
         raise ValueError("taps exceed the declared Q-format range")
-    return taps, qformat
+    return taps.astype(np.int32), qformat

@@ -217,17 +217,31 @@ def cross_correlate_valid(image, filt):
     return _correlate(img, f[None])[0]
 
 
-_CHUNK_ROWS = 48  # output rows per window chunk
+def _box_sums(a, k):
+    """Sum of every k x k window of ``a``: k-term sums along the rows,
+    then along the columns, so each window's sum takes 2(k - 1) additions
+    of its own pixels and its rounding is bounded by its own magnitudes."""
+    h, w = a.shape[0] - k + 1, a.shape[1] - k + 1
+    rows = a[:, :w].copy()
+    for j in range(1, k):
+        rows += a[:, j : j + w]
+    out = rows[:h].copy()
+    for i in range(1, k):
+        out += rows[i : i + h]
+    return out
 
 
-def _window_chunks(image, k):
-    """Every valid k x k window of ``image`` as a list of sliding-window
-    views, top to bottom, each covering at most ``_CHUNK_ROWS`` output rows
-    (shape ``(rows, W - k + 1, k, k)``).  Concatenating per-chunk results
-    along axis 0 gives the (H - k + 1, W - k + 1) response map; chunking
-    bounds the memory of the per-window temporaries."""
-    wins = np.lib.stride_tricks.sliding_window_view(image, (k, k))
-    return [wins[r0 : r0 + _CHUNK_ROWS] for r0 in range(0, len(wins), _CHUNK_ROWS)]
+def _sad(x, mu, k):
+    """Sum of |x - mu| over every k x k window of ``x``, window means
+    ``mu``: one pass per window offset, no per-window pixel copies."""
+    h, w = mu.shape
+    sad = np.zeros_like(mu)
+    dev = np.empty_like(mu)
+    for i in range(k):
+        for j in range(k):
+            np.subtract(x[i : i + h, j : j + w], mu, out=dev)
+            sad += np.abs(dev, out=dev)
+    return sad
 
 
 def ncc_score(patch, filt, mode=NORM_STD):

@@ -38,10 +38,11 @@ def textured_frame(h, w, seed):
 @st.composite
 def window_cases(draw):
     """Frame, window, mode and filter rows for the response-map core, plus
-    an exact-path batch size.  Frames sit at an offset up to 6e4 with a
-    spread from 20 down to 1e-12 (or none), optionally beside a bright
-    region and with a flat block.  Pixels are multiples of 2**-40 (2**-20
-    for ``none``, whose dyadic filters then make the oracle's dots exact)."""
+    an exact-path batch size in windows.  Frames sit at an offset up to
+    6e4 with a spread from 20 down to 1e-12 (or none), optionally beside a
+    bright region and with a flat block.  Pixels are multiples of 2**-40
+    (2**-20 for ``none``, whose dyadic filters then make the oracle's dots
+    exact)."""
     mode = draw(st.sampled_from(pm.NORM_MODES))
     k = draw(st.integers(3, 15))
     h, w = draw(st.integers(k, k + 10)), draw(st.integers(k, k + 10))
@@ -74,9 +75,9 @@ def test_window_scores_match_naive_loop(case):
     (twice the core's own error bound, leaving room for the loop's
     rounding), and exactly 0.0 on the loop's flat windows; a non-flat
     window scored 0.0 would miss by its whole score."""
-    frame, k, mode, mat, chunk_rows = case
+    frame, k, mode, mat, batch = case
     want, flat = oracles.naive_window_scores(frame, k, mode, mat)
-    with mock.patch.object(pm, "_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(bn, "_EXACT_BATCH", batch):
         got = bn._window_scores(frame, k, mode, mat)
     assert got.shape == want.shape
     assert np.all(got[flat] == 0.0)
@@ -179,6 +180,15 @@ class TestFixedMadScorer:
         scorer = bn.FixedMadScorer(raw)
         assert np.array_equal(scorer(frame), scorer(bn.frame_to_u16(frame)))
 
+    @pytest.mark.parametrize("raw, qformat, message", [
+        (np.zeros((3, 4), dtype=np.int32), fb.TAP_QFORMAT, "taps must be square"),
+        (np.zeros((5, 5)), fb.TAP_QFORMAT, "taps must be integers"),
+        (np.zeros((5, 5), dtype=np.int32), None, "qformat is required"),
+    ])
+    def test_taps_checked_at_construction(self, raw, qformat, message):
+        with pytest.raises(ValueError, match=message):
+            bn.FixedMadScorer(raw, qformat=qformat)
+
 
 class TestFrameToU16:
     def test_pinned_rounding_and_clamping(self):
@@ -207,7 +217,7 @@ class TestNetworkScorer:
         net = nn.init_network(num_filters=3, filter_size=5, norm_mode=mode, seed=8)
         net.weights = np.array([0.7, -0.4, 1.1])
         frame = textured_frame(17, 15, seed=9) / 100.0
-        frame[:7, :8] = 4.0  # flat windows in the first chunk
+        frame[:7, :8] = 4.0  # flat windows in the top-left corner
         resp = bn.NetworkScorer(net)(frame)
         assert resp.shape == (13, 11)
         flat = 0

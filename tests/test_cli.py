@@ -272,6 +272,14 @@ class TestDetect:
                    "--threshold", "0") == 1
         assert "filter must be square" in capsys.readouterr().err
 
+    def test_non_square_qfilter_fails_cleanly(self, small_corpus, tmp_path, capsys):
+        _, frames = small_corpus
+        path = tmp_path / "q.txt"
+        path.write_text("qfilter 1\nqformat 8 7\n3 4\n" + "1 -2 3 -2\n" * 3)
+        assert run("detect", "--frame", str(frames / "frame_0000.txt"),
+                   "--method", f"qfilter:{path}", "--threshold", "0") == 1
+        assert "tap block must be square, got 3x4" in capsys.readouterr().err
+
     def test_nan_threshold_fails_cleanly(self, small_corpus, capsys):
         _, frames = small_corpus
         assert run("detect", "--frame", str(frames / "frame_0000.txt"),

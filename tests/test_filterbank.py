@@ -1,5 +1,4 @@
 import io
-from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -249,24 +248,25 @@ class TestFixedScore:
 
 @st.composite
 def fixed_cases(draw):
-    """Tap Q-format, u16 frame, integer taps and window chunk size."""
+    """Tap Q-format, u16 frame and integer taps; each frame axis spans
+    up to 13 window offsets."""
     total = draw(st.integers(2, 32))
     qformat = fb.QFormat(total, draw(st.integers(0, total - 1)))
-    k = draw(st.integers(2, 6))
-    shape = (draw(st.integers(k, k + 8)), draw(st.integers(k, k + 8)))
+    k = draw(st.integers(2, 9))
+    shape = (draw(st.integers(k, k + 12)), draw(st.integers(k, k + 12)))
     lo = draw(st.integers(0, 0xFFFF))
     hi = draw(st.integers(lo, 0xFFFF))
     frame = draw(hnp.arrays(np.uint16, shape, elements=st.integers(lo, hi)))
     m = qformat.raw_max
     taps = draw(hnp.arrays(np.int64, (k, k), elements=st.integers(-m, m)))
-    return qformat, frame, taps, draw(st.integers(1, 6))
+    return qformat, frame, taps
 
 
 class TestFixedResponse:
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(case=fixed_cases())
     def test_matches_scalar_at_every_window(self, case):
-        qformat, frame, taps, chunk_rows = case
+        qformat, frame, taps = case
         k = taps.shape[0]
         try:
             want = [
@@ -276,19 +276,17 @@ class TestFixedResponse:
             ]
         except OverflowError as exc:  # the first window in raster order
             want = str(exc)
-        with mock.patch.object(pm, "_CHUNK_ROWS", chunk_rows):
-            if isinstance(want, str):
-                with pytest.raises(OverflowError) as info:
-                    fb.mad_ncc_fixed_response(frame, taps, qformat)
-                assert str(info.value) == want
-                return
-            raw, degenerate = fb.mad_ncc_fixed_response(frame, taps, qformat)
+        if isinstance(want, str):
+            with pytest.raises(OverflowError) as info:
+                fb.mad_ncc_fixed_response(frame, taps, qformat)
+            assert str(info.value) == want
+            return
+        raw, degenerate = fb.mad_ncc_fixed_response(frame, taps, qformat)
         np.testing.assert_array_equal(raw, [[s.raw for s in row] for row in want])
         np.testing.assert_array_equal(
             degenerate, [[s.degenerate for s in row] for row in want])
 
-    def test_bit_identical_to_scalar(self, monkeypatch):
-        monkeypatch.setattr(pm, "_CHUNK_ROWS", 7)
+    def test_bit_identical_to_scalar(self):
         rng = np.random.default_rng(95)
         frame = rng.integers(100, 5000, size=(30, 30)).astype(np.uint16)
         frame[5:14, 20:29] = 777  # one flat window somewhere in the field
@@ -314,9 +312,7 @@ class TestFixedResponse:
             ((12, 13), 100, 300, True, "product exceeds the 32-bit stage"),
         ],
     )
-    def test_stage_overflow_matches_scalar(self, shape, lo, hi, hot, error,
-                                           monkeypatch):
-        monkeypatch.setattr(pm, "_CHUNK_ROWS", 2)
+    def test_stage_overflow_matches_scalar(self, shape, lo, hi, hot, error):
         rng = np.random.default_rng(99)
         frame = rng.integers(lo, hi, size=shape).astype(np.uint16)
         if hot:
@@ -337,6 +333,30 @@ class TestFixedResponse:
             assert error is None
             raw, _ = fb.mad_ncc_fixed_response(frame, taps, q)
             np.testing.assert_array_equal(raw, want)
+
+    @pytest.mark.parametrize("tap, error", [
+        (1 << 16, "product exceeds the 32-bit stage"),
+        ((1 << 16) - 1, None),
+        (-(1 << 16), None),
+        (-(1 << 16) - 1, "product exceeds the 32-bit stage"),
+    ])
+    def test_product_stage_edges(self, tap, error):
+        # 43690 - 43690 // 4 == 2**15, so that pixel's product with a tap
+        # of +-2**16 sits exactly on an edge of [-2**31, 2**31)
+        frame = np.zeros((3, 3), dtype=np.uint16)
+        frame[2, 2] = 43690
+        taps = np.array([[0, 0], [0, tap]], dtype=np.int64)
+        q = fb.QFormat(32, 0)
+        if error:
+            with pytest.raises(OverflowError, match=error):
+                fb.mad_ncc_fixed_score(frame[1:, 1:], taps, q)
+            with pytest.raises(OverflowError, match=error):
+                fb.mad_ncc_fixed_response(frame, taps, q)
+            return
+        raw, degenerate = fb.mad_ncc_fixed_response(frame, taps, q)
+        want = fb.mad_ncc_fixed_score(frame[1:, 1:], taps, q)
+        assert raw[1, 1] == want.raw and not degenerate[1, 1]
+        assert degenerate.sum() == 3
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_wide_window_output_does_not_wrap(self, sign):
@@ -440,19 +460,32 @@ class TestQuantizedFilterIO:
         assert q == fb.QFormat(4, 2)
         np.testing.assert_array_equal(back, taps)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "qfilter 2\nqformat 8 7\n1 1\n5\n",
-            "qfilter 1\nqformat 8\n1 1\n5\n",
-            "qfilter 1\nqformat 8 7\n2 1\n5\n",
-            "qfilter 1\nqformat 8 7\n1 1\n500\n",
-            "qfilter 1\nqformat 8 7\n1 2\n5\n",
-        ],
-    )
-    def test_malformed_rejected(self, text):
-        with pytest.raises(ValueError):
+    MALFORMED = [
+        ("", "not a version-1 quantized filter file"),
+        ("qfilter 2\nqformat 8 7\n1 1\n5\n", "not a version-1"),
+        ("qfilter 1\nqformat 8\n1 1\n5\n", "bad qformat line"),
+        ("qfilter 1\nqformat 8 7\n2 1\n5\n", "must be square, got 2x1"),
+        ("qfilter 1\nqformat 8 7\n1 1\n500\n", "exceed the declared Q-format"),
+        ("qfilter 1\nqformat 8 7\n1 2\n5\n", "must be square, got 1x2"),
+        ("qfilter 1\nqformat 8 x\n1 1\n5\n", "bad qformat line"),
+        ("qfilter 1\nqformat 8.0 7\n1 1\n5\n", "bad qformat line"),
+        ("qfilter 1\nqformat 40 7\n1 1\n5\n", "total_bits must be in"),
+        ("qfilter 1\nqformat 8 7\n1 x\n5\n", "bad dimensions line"),
+        ("qfilter 1\nqformat 8 7\n1 1 1\n5\n", "bad dimensions line"),
+        ("qfilter 1\nqformat 8 7\n3 4\n1 2 3 4\n1 2 3 4\n1 2 3 4\n",
+         "must be square, got 3x4"),
+        ("qfilter 1\nqformat 8 7\n2 2\n5 5\n", "expected 2 tap rows, found 1"),
+        ("qfilter 1\nqformat 8 7\n2 2\n5 5\n5\n", "row 1: expected 2 taps"),
+        ("qfilter 1\nqformat 8 7\n1 1\nx\n", "row 0: unparseable tap"),
+        ("qfilter 1\nqformat 8 7\n1 1\n5.0\n", "row 0: unparseable tap"),
+        ("qfilter 1\nqformat 8 7\n1 1\n99999999999999999999\n",
+         "exceed the declared Q-format"),
+    ]
+
+    @pytest.mark.parametrize("text, message", MALFORMED,
+                             ids=[text for text, _ in MALFORMED])
+    def test_malformed_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
             fb.load_quantized_filter(io.StringIO(text))
 
     def test_save_validation(self):
