@@ -318,14 +318,10 @@ def _match_pairs(dets, truths, match_radius):
     Raises ValueError for a negative or non-finite ``match_radius``, with
     or without truths."""
     match_radius = _check_radius(match_radius, "match_radius")
-    pairs = []
-    if truths.shape[0]:
-        for di, d in enumerate(dets):
-            dist = np.hypot(truths[:, 0] - d.row, truths[:, 1] - d.col)
-            for ti in np.nonzero(dist <= match_radius)[0]:
-                pairs.append((float(dist[ti]), di, int(ti)))
-    pairs.sort()
-    return pairs
+    rc = np.array([(d.row, d.col) for d in dets], dtype=float).reshape(-1, 2)
+    dist = np.hypot(rc[:, :1] - truths[:, 0], rc[:, 1:] - truths[:, 1])
+    di, ti = np.nonzero(dist <= match_radius)
+    return sorted(zip(dist[di, ti].tolist(), di.tolist(), ti.tolist()))
 
 
 def _greedy_matches(pairs, live):
@@ -424,27 +420,24 @@ def roc_curve(scored_frames, thresholds, match_radius=DEFAULT_MATCH_RADIUS,
     if thr.size == 0:
         raise ValueError("no thresholds")
 
-    # Per frame: candidate scores (descending already) and the ascending
-    # (distance, det, truth) pair list; greedy matching of any threshold's
-    # surviving subset walks the same sorted pairs, skipping filtered
-    # detections, which matches match_detections on the subset because
-    # filtering by score preserves detection order.
-    prep = []
+    # Greedy matching of a threshold's surviving subset walks the frame's
+    # sorted pairs, skipping filtered detections; that equals
+    # match_detections on the subset, as filtering keeps detection order.
+    # Only paired detections change the matches, so the hit count is
+    # constant between consecutive distinct paired scores: match once per
+    # such score s, descending, for every threshold below s.
+    tp = np.zeros(thr.size, dtype=int)
+    dets = np.zeros(thr.size, dtype=int)
     for cands, t in frames:
         scores = np.array([d.score for d in cands])
-        prep.append((scores, _match_pairs(cands, t, match_radius)))
-
-    hits = np.empty(thr.size)
-    fas = np.empty(thr.size)
-    for k, t_k in enumerate(thr):
-        tp_total = 0
-        det_total = 0
-        for scores, pairs in prep:
-            live = scores > t_k
-            det_total += int(np.count_nonzero(live))
-            tp_total += len(_greedy_matches(pairs, live))
-        hits[k] = tp_total / total_truths
-        fas[k] = (det_total - tp_total) / len(frames)
+        pairs = _match_pairs(cands, t, match_radius)
+        dets += np.count_nonzero(scores > thr[:, None], axis=1)
+        frame_tp = np.zeros(thr.size, dtype=int)
+        for s in np.unique(scores[[di for _, di, _ in pairs]])[::-1]:
+            frame_tp[thr < s] = len(_greedy_matches(pairs, scores >= s))
+        tp += frame_tp
+    hits = tp / total_truths
+    fas = (dets - tp) / len(frames)
     return RocCurve(
         method=method,
         thresholds=thr,
@@ -605,11 +598,18 @@ def write_benchmark_report(report, out_dir):
     """Write roc.csv, auc.csv, truths.csv, meta.csv and per-method
     detection dumps under ``out_dir``.  Every float is written with repr,
     so reports are byte-stable for identical inputs (disable timing for a
-    fully deterministic auc.csv)."""
-    os.makedirs(out_dir, exist_ok=True)
+    fully deterministic auc.csv).  Two methods whose names give the same
+    dump file raise ValueError before anything is written."""
+    results = report.results
+    dumps = {}
+    for r in results:
+        dump = _safe_filename(r.name) + ".csv"
+        if dump in dumps:
+            raise ValueError(f"methods {dumps[dump].name!r} and {r.name!r} "
+                             f"would share detections/{dump}")
+        dumps[dump] = r
     det_dir = os.path.join(out_dir, "detections")
     os.makedirs(det_dir, exist_ok=True)
-    results = report.results
     cfg = report.config
 
     _write_csv(os.path.join(out_dir, "roc.csv"),
@@ -631,8 +631,8 @@ def write_benchmark_report(report, out_dir):
         ["match_radius", repr(float(cfg.match_radius))],
         ["threshold_count", cfg.threshold_count],
     ])
-    for r in results:
-        _write_csv(os.path.join(det_dir, _safe_filename(r.name) + ".csv"),
+    for dump, r in dumps.items():
+        _write_csv(os.path.join(det_dir, dump),
                    ["frame", "row", "col", "score"],
                    ([fi, d.row, d.col, repr(d.score)]
                     for fi, dets in enumerate(r.frame_candidates) for d in dets))

@@ -533,10 +533,11 @@ def tiled_std_scan(frame, filt):
 
 def save_quantized_filter(path, raw, qformat):
     """Quantized filter file: text header with the Q-format, then the
-    integer taps in the grid layout."""
-    taps = np.asarray(raw)
-    if not np.issubdtype(taps.dtype, np.integer) or taps.ndim != 2:
-        raise ValueError("expected a 2-D integer tap array")
+    integer taps in the grid layout.  Taps that :func:`load_quantized_filter`
+    would refuse raise ValueError before anything is written."""
+    taps = _fixed_taps(raw, qformat)
+    if np.any(taps < qformat.raw_min) or np.any(taps > qformat.raw_max):
+        raise ValueError("taps exceed the declared Q-format range")
     lines = [
         "qfilter 1",
         f"qformat {qformat.total_bits} {qformat.frac_bits}",
@@ -547,14 +548,6 @@ def save_quantized_filter(path, raw, qformat):
     gridio.write_text("\n".join(lines) + "\n", path)
 
 
-def _ints(tokens, message):
-    """``tokens`` as Python ints; ValueError(message) if one is not."""
-    try:
-        return [int(t) for t in tokens]
-    except ValueError as exc:
-        raise ValueError(message) from exc
-
-
 def load_quantized_filter(path):
     """Read a quantized filter file; returns ``(raw int array, QFormat)``."""
     lines = [ln for ln in gridio.read_text(path).splitlines() if ln.strip()]
@@ -563,11 +556,11 @@ def load_quantized_filter(path):
     tok = lines[1].split()
     if len(tok) != 3 or tok[0] != "qformat":
         raise ValueError(f"bad qformat line: {lines[1]!r}")
-    qformat = QFormat(*_ints(tok[1:], f"bad qformat line: {lines[1]!r}"))
+    qformat = QFormat(*gridio._numbers(tok[1:], f"bad qformat line: {lines[1]!r}"))
     dims = lines[2].split()
     if len(dims) != 2:
         raise ValueError(f"bad dimensions line: {lines[2]!r}")
-    rows, cols = _ints(dims, f"bad dimensions line: {lines[2]!r}")
+    rows, cols = gridio._numbers(dims, f"bad dimensions line: {lines[2]!r}")
     if rows != cols:
         raise ValueError(f"tap block must be square, got {rows}x{cols}")
     if len(lines) - 3 != rows:
@@ -577,7 +570,7 @@ def load_quantized_filter(path):
         toks = lines[3 + r].split()
         if len(toks) != cols:
             raise ValueError(f"row {r}: expected {cols} taps, found {len(toks)}")
-        taps.append(_ints(toks, f"row {r}: unparseable tap"))
+        taps.append(gridio._numbers(toks, f"row {r}: unparseable tap"))
     taps = np.array(taps, dtype=object)
     if np.any(taps < qformat.raw_min) or np.any(taps > qformat.raw_max):
         raise ValueError("taps exceed the declared Q-format range")

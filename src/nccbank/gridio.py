@@ -7,8 +7,9 @@ decimal reals separated by single spaces.  Values are written with
 be finite: NaN and infinities are rejected on write and on read.
 
 :func:`read_text` and :func:`write_text` are the path-or-handle text I/O
-shared by the grid, network and quantized-filter files; ``_read_csv`` is
-the one header-checked reader of the frame-folder and report CSVs.
+shared by the grid, network and quantized-filter files, ``_numbers`` the
+token converter their parsers share; ``_read_csv`` is the one
+header-checked reader of the frame-folder and report CSVs.
 """
 
 import csv
@@ -35,6 +36,14 @@ def format_grid(grid):
     return "\n".join(lines) + "\n"
 
 
+def _numbers(tokens, message, kind=int):
+    """``tokens`` converted by ``kind``; ValueError(message) if one fails."""
+    try:
+        return [kind(t) for t in tokens]
+    except ValueError as exc:
+        raise ValueError(message) from exc
+
+
 def parse_grid(text):
     """Parse the text grid format back into a float64 array."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -43,10 +52,7 @@ def parse_grid(text):
     header = lines[0].split()
     if len(header) != 2:
         raise ValueError(f"bad grid header: {lines[0]!r}")
-    try:
-        rows, cols = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise ValueError(f"bad grid header: {lines[0]!r}") from exc
+    rows, cols = _numbers(header, f"bad grid header: {lines[0]!r}")
     if rows < 1 or cols < 1:
         raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
     if len(lines) - 1 != rows:
@@ -56,10 +62,7 @@ def parse_grid(text):
         toks = lines[r + 1].split()
         if len(toks) != cols:
             raise ValueError(f"row {r}: expected {cols} values, found {len(toks)}")
-        try:
-            out[r] = [float(t) for t in toks]
-        except ValueError as exc:
-            raise ValueError(f"row {r}: unparseable value") from exc
+        out[r] = _numbers(toks, f"row {r}: unparseable value", float)
     _check_finite(out)
     return out
 

@@ -396,9 +396,10 @@ def load_network(path):
         raise ValueError(f"bad norm_mode line: {lines[1]!r}")
     mode = tok[1]
     tok = lines[2].split()
+    bad = f"bad filters line: {lines[2]!r}"
     if len(tok) != 2 or tok[0] != "filters":
-        raise ValueError(f"bad filters line: {lines[2]!r}")
-    count = int(tok[1])
+        raise ValueError(bad)
+    (count,) = gridio._numbers(tok[1:], bad)
     if count < 1:
         raise ValueError("filter count must be positive")
     pos = 3
@@ -407,9 +408,10 @@ def load_network(path):
         if pos >= len(lines):
             raise ValueError(f"missing grid for filter {i}")
         dims = lines[pos].split()
+        bad = f"bad grid header for filter {i}: {lines[pos]!r}"
         if len(dims) != 2:
-            raise ValueError(f"bad grid header for filter {i}: {lines[pos]!r}")
-        rows = int(dims[0])
+            raise ValueError(bad)
+        rows, _ = gridio._numbers(dims, bad)
         block = "\n".join(lines[pos : pos + 1 + rows])
         grids.append(gridio.parse_grid(block))
         pos += 1 + rows
@@ -418,7 +420,8 @@ def load_network(path):
     wtok = lines[pos].split()[1:]
     if len(wtok) != count:
         raise ValueError(f"expected {count} weights, found {len(wtok)}")
-    weights = np.array([float(t) for t in wtok])
+    weights = np.array(gridio._numbers(wtok, f"bad weights line: {lines[pos]!r}",
+                                       float))
     if not np.all(np.isfinite(weights)):
         raise ValueError("non-finite weight")
     return NccNetwork(filters=np.stack(grids), weights=weights, norm_mode=mode)

@@ -481,25 +481,53 @@ def random_scored_frames(rng, frames=4, cands=12, truths=3):
     return out
 
 
+@st.composite
+def roc_cases(draw):
+    """Scored frames, thresholds and a match radius for the ROC sweep.
+
+    Candidate lists come in any order, may be empty and tie on scores
+    drawn from five values.  Truths sit on a 7x7 grid, often with a second
+    truth 1-2 px from the first, so a nearer detection can take a truth
+    from a farther one.  The radius may be 0, and the thresholds may
+    include every candidate score itself."""
+    cell = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    frames = []
+    for _ in range(draw(st.integers(1, 4))):
+        cands = [D(r, c, draw(st.integers(0, 4)) / 4)
+                 for r, c in draw(st.lists(cell, max_size=10))]
+        truths = draw(st.lists(cell, max_size=3))
+        if truths and draw(st.booleans()):
+            dr, dc = draw(st.sampled_from([(0, 1), (1, 0), (1, 1), (0, 2), (2, 1)]))
+            truths.append((truths[0][0] + dr, truths[0][1] + dc))
+        frames.append((cands, truths))
+    if not any(truths for _, truths in frames):
+        frames[0][1].append((3, 3))
+    thresholds = set(draw(st.lists(st.floats(-0.5, 1.5) | st.sampled_from(
+        [-np.inf, np.inf]), min_size=1, max_size=6)))
+    if draw(st.booleans()):
+        thresholds |= {d.score for cands, _ in frames for d in cands}
+    radius = draw(st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0]))
+    return frames, sorted(thresholds), radius
+
+
 class TestRocCurve:
-    def test_matches_per_threshold_matching_oracle(self):
-        rng = np.random.default_rng(10)
-        for trial in range(10):
-            scored = random_scored_frames(rng)
-            thresholds = np.linspace(1.0, 0.0, 21)
-            curve = bn.roc_curve(scored, thresholds, match_radius=3.0)
-            total_truths = sum(len(t) for _, t in scored)
-            for k, t in enumerate(curve.thresholds):
-                tp = fa = 0
-                for cands, truths in scored:
-                    m = bn.match_detections(
-                        [d for d in cands if d.score > t], truths,
-                        match_radius=3.0,
-                    )
-                    tp += m.true_positives
-                    fa += m.false_alarms
-                assert curve.hit_rates[k] == pytest.approx(tp / total_truths)
-                assert curve.fa_per_frame[k] == pytest.approx(fa / len(scored))
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(case=roc_cases())
+    def test_matches_per_threshold_matching_oracle(self, case):
+        scored, thresholds, radius = case
+        curve = bn.roc_curve(scored, thresholds, match_radius=radius)
+        assert curve.thresholds.tolist() == sorted(thresholds, reverse=True)
+        total_truths = sum(len(t) for _, t in scored)
+        for k, t in enumerate(curve.thresholds):
+            tp = fa = 0
+            for cands, truths in scored:
+                m = bn.match_detections(
+                    [d for d in cands if d.score > t], truths, match_radius=radius,
+                )
+                tp += m.true_positives
+                fa += m.false_alarms
+            assert curve.hit_rates[k] == tp / total_truths
+            assert curve.fa_per_frame[k] == fa / len(scored)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(11)

@@ -411,6 +411,22 @@ class TestBenchAndRoc:
             lines = len(path.read_text().splitlines())
             assert f"{path}: line {lines}: " in err
 
+    @pytest.mark.parametrize("names", [("mad-ratio", "mad-ratio"),
+                                       ("filter:a/f.txt", "filter:a_f.txt")],
+                             ids=["same-method", "same-dump-file"])
+    def test_methods_sharing_a_dump_fail_before_writing(self, small_corpus, tmp_path,
+                                                        capsys, monkeypatch, names):
+        _, frames = small_corpus
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("a")
+        for path in ("a/f.txt", "a_f.txt"):
+            gridio.write_grid(fb.gaussian_grid(7, 1.2), path)
+        assert run("bench", "--data", str(frames), "--methods", ",".join(names),
+                   "--out-dir", "r", "--thresholds", "8") == 1
+        err = capsys.readouterr().err
+        assert f"methods {names[0]!r} and {names[1]!r} would share detections/" in err
+        assert not os.path.exists("r")
+
     def test_empty_method_list(self, small_corpus, tmp_path):
         _, frames = small_corpus
         assert run("bench", "--data", str(frames), "--methods", ",",

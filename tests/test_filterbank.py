@@ -491,3 +491,26 @@ class TestQuantizedFilterIO:
     def test_save_validation(self):
         with pytest.raises(ValueError):
             fb.save_quantized_filter(io.StringIO(), np.zeros((2, 2)), fb.TAP_QFORMAT)
+
+    @pytest.mark.parametrize("taps, message", [
+        (np.ones((3, 4), dtype=np.int32), "taps must be square"),
+        (np.array([[500]]), "exceed the declared Q-format"),
+        (np.array([[-129, 0], [0, 0]]), "exceed the declared Q-format"),
+    ], ids=["3x4", "tap-500", "tap-minus-129"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, taps, message):
+        # each array raises before anything is written, to a path or a stream
+        path, buf = tmp_path / "q.qf", io.StringIO()
+        for dest in (path, buf):
+            with pytest.raises(ValueError, match=message):
+                fb.save_quantized_filter(dest, taps, fb.TAP_QFORMAT)
+        assert not path.exists() and buf.getvalue() == ""
+        # prepared taps with both ends of the range are written and read back
+        for q in (fb.TAP_QFORMAT, fb.QFormat(12, 10)):
+            taps = fb.prepare_fixed_taps(fb.ricker_hat_grid(7), q)
+            taps[0, :2] = q.raw_min, q.raw_max
+            buf = io.StringIO()
+            fb.save_quantized_filter(buf, taps, q)
+            buf.seek(0)
+            back, back_q = fb.load_quantized_filter(buf)
+            assert back_q == q
+            np.testing.assert_array_equal(back, taps)

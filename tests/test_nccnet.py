@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -377,19 +378,30 @@ class TestNetworkIO:
         back = nn.load_network(path)
         assert np.array_equal(back.filters, net.filters)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "nccnet 2\nnorm_mode std\nfilters 1\n2 2\n1 2\n3 4\nweights 1.0\n",
-            "nccnet 1\nnorm_mode l2\nfilters 1\n2 2\n1 2\n3 4\nweights 1.0\n",
-            "nccnet 1\nnorm_mode std\nfilters 2\n2 2\n1 2\n3 4\nweights 1.0\n",
-            "nccnet 1\nnorm_mode std\nfilters 1\n2 2\n1 2\n3 4\nweights 1.0 2.0\n",
-            "nccnet 1\nnorm_mode std\nfilters 1\n2 2\n1 2\n3 4\n",
-            "nccnet 1\nnorm_mode std\nfilters 1\n2 2\n1 nan\n3 4\nweights 1.0\n",
-            "nccnet 1\nnorm_mode std\nfilters 1\n2 2\n1 2\n3 4\nweights inf\n",
-        ],
-    )
-    def test_malformed_rejected(self, text):
-        with pytest.raises(ValueError):
+    HEAD = "nccnet 1\nnorm_mode std\n"
+    MALFORMED = [
+        ("", "not a version-1 nccnet file"),
+        ("nccnet 2\nnorm_mode std\nfilters 1\n2 2\n1 2\n3 4\nweights 1.0\n",
+         "not a version-1 nccnet file"),
+        ("nccnet 1\nnorm_mode l2\nfilters 1\n2 2\n1 2\n3 4\nweights 1.0\n",
+         "bad norm_mode line: 'norm_mode l2'"),
+        (HEAD + "filters 2\n2 2\n1 2\n3 4\nweights 1.0\n",
+         "bad grid header for filter 1: 'weights 1.0'"),
+        (HEAD + "filters 1\n2 2\n1 2\n3 4\nweights 1.0 2.0\n",
+         "expected 1 weights, found 2"),
+        (HEAD + "filters 1\n2 2\n1 2\n3 4\n", "missing weights line"),
+        (HEAD + "filters 1\n2 2\n1 nan\n3 4\nweights 1.0\n", "non-finite values"),
+        (HEAD + "filters 1\n2 2\n1 2\n3 4\nweights inf\n", "non-finite weight"),
+        (HEAD + "filters x\n2 2\n1 2\n3 4\nweights 1.0\n",
+         "bad filters line: 'filters x'"),
+        (HEAD + "filters 1\nfive 5\n1 2\n3 4\nweights 1.0\n",
+         "bad grid header for filter 0: 'five 5'"),
+        (HEAD + "filters 1\n2 2\n1 2\n3 4\nweights abc\n",
+         "bad weights line: 'weights abc'"),
+    ]
+
+    @pytest.mark.parametrize("text, message", MALFORMED,
+                             ids=[text for text, _ in MALFORMED])
+    def test_malformed_rejected(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             nn.load_network(io.StringIO(text))
