@@ -550,7 +550,9 @@ def run_benchmark(frames, truths, methods, config=None):
     """Score every frame with every method and sweep a ROC per method.
 
     ``methods`` entries are either name strings (see
-    :func:`resolve_method`) or ready-made scorer objects.
+    :func:`resolve_method`) or ready-made scorer objects.  Every method is
+    resolved, and checked for a dump file of its own, before the first
+    frame is scored.
     """
     cfg = config or BenchConfig()
     frames = [np.asarray(f, dtype=float) for f in frames]
@@ -561,9 +563,10 @@ def run_benchmark(frames, truths, methods, config=None):
         )
     if not frames:
         raise ValueError("no frames")
+    scorers = [resolve_method(m) if isinstance(m, str) else m for m in methods]
+    _dump_files([scorer.name for scorer in scorers])
     results = []
-    for method in methods:
-        scorer = resolve_method(method) if isinstance(method, str) else method
+    for scorer in scorers:
         start = time.perf_counter()
         per_frame = [
             detect_candidates(f, scorer, cfg.nms_radius) for f in frames
@@ -587,6 +590,19 @@ def _safe_filename(name):
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name)
 
 
+def _dump_files(names):
+    """Each method's detection dump file name, in order; ValueError naming
+    both methods if two names give the same file."""
+    owners = {}
+    for name in names:
+        dump = _safe_filename(name) + ".csv"
+        if dump in owners:
+            raise ValueError(f"methods {owners[dump]!r} and {name!r} "
+                             f"would share detections/{dump}")
+        owners[dump] = name
+    return list(owners)
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -601,13 +617,7 @@ def write_benchmark_report(report, out_dir):
     fully deterministic auc.csv).  Two methods whose names give the same
     dump file raise ValueError before anything is written."""
     results = report.results
-    dumps = {}
-    for r in results:
-        dump = _safe_filename(r.name) + ".csv"
-        if dump in dumps:
-            raise ValueError(f"methods {dumps[dump].name!r} and {r.name!r} "
-                             f"would share detections/{dump}")
-        dumps[dump] = r
+    dumps = _dump_files([r.name for r in results])
     det_dir = os.path.join(out_dir, "detections")
     os.makedirs(det_dir, exist_ok=True)
     cfg = report.config
@@ -631,7 +641,7 @@ def write_benchmark_report(report, out_dir):
         ["match_radius", repr(float(cfg.match_radius))],
         ["threshold_count", cfg.threshold_count],
     ])
-    for dump, r in dumps.items():
+    for dump, r in zip(dumps, results):
         _write_csv(os.path.join(det_dir, dump),
                    ["frame", "row", "col", "score"],
                    ([fi, d.row, d.col, repr(d.score)]

@@ -443,6 +443,9 @@ def augment_negative(sample):
     return [_core_only_sample(-1, core) for core in augmented_arrays([sample])[0]]
 
 
+_FOLD = 128  # picks buffered between two GEMM folds in subsample_negatives
+
+
 def subsample_negatives(negatives, budget, seed=0):
     """Greedy farthest-point subset under d(a, b) = 1 - ncc_score(a, b).
 
@@ -450,9 +453,10 @@ def subsample_negatives(negatives, budget, seed=0):
     they collapse into a single bucket: one representative (zero feature
     vector, distance 1 to everything normalizable) joins the pool and the
     rest are dropped, only returning as deterministic padding if the pool
-    alone cannot fill the budget.  The first pick is seeded; ties in the
-    farthest-point rule break toward the lower index.  Returns exactly
-    ``budget`` samples.
+    alone cannot fill the budget.  The first pick is seeded; a tie in the
+    computed distances breaks toward the lower index (NCC-identical cores
+    can still compute distances a rounding step apart, which decides their
+    order).  Returns exactly ``budget`` samples.
     """
     negatives = list(negatives)
     if not negatives:
@@ -479,17 +483,38 @@ def subsample_negatives(negatives, budget, seed=0):
         chosen = pool + dropped[: budget - len(pool)]
         return [negatives[i] for i in chosen]
 
-    fmat = feats[pool]
+    # Lazy farthest-point search.  ``ub`` is each live row's distance to the
+    # picks folded in so far; distances only shrink, so it bounds the true
+    # one from above.  The ``nbuf`` picks since the last fold wait in
+    # ``buf``, and a row is checked against them only when it tops ``ub``.
+    # A row that tops ``ub`` with every pick checked is a farthest one, and
+    # no lower row is as far, so ties still go to the lower index.
+    live = feats[pool]
     rng = np.random.default_rng(seed)
     start = int(rng.integers(len(pool)))
     order = [start]
-    min_d = 1.0 - fmat @ fmat[start]
-    min_d[start] = -np.inf
-    for _ in range(budget - 1):
-        nxt = int(np.argmax(min_d))
-        order.append(nxt)
-        min_d = np.minimum(min_d, 1.0 - fmat @ fmat[nxt])
-        min_d[nxt] = -np.inf
+    ids = np.arange(len(pool))  # pool positions of the live rows, ascending
+    ub = 1.0 - live @ live[start]
+    ub[start] = -np.inf
+    buf = np.empty((_FOLD, live.shape[1]))
+    nbuf = 0
+    checked = np.zeros(len(ids), dtype=np.intp)  # buffered picks seen per row
+    while len(order) < budget:
+        k = int(ub.argmax())
+        if checked[k] < nbuf:
+            ub[k] = min(ub[k], 1.0 - (buf[checked[k] : nbuf] @ live[k]).max())
+            checked[k] = nbuf
+            continue
+        order.append(int(ids[k]))
+        buf[nbuf] = live[k]
+        nbuf += 1
+        ub[k] = -np.inf
+        if nbuf == _FOLD:  # drop the picked rows, then fold buf in one GEMM
+            keep = ub > -np.inf
+            live, ids = live[keep], ids[keep]
+            ub = np.minimum(ub[keep], 1.0 - (live @ buf.T).max(axis=1))
+            checked = np.zeros(len(ids), dtype=np.intp)
+            nbuf = 0
     return [negatives[pool[i]] for i in order]
 
 

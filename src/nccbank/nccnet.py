@@ -412,6 +412,8 @@ def load_network(path):
         if len(dims) != 2:
             raise ValueError(bad)
         rows, _ = gridio._numbers(dims, bad)
+        if rows < 1:
+            raise ValueError(bad)
         block = "\n".join(lines[pos : pos + 1 + rows])
         grids.append(gridio.parse_grid(block))
         pos += 1 + rows

@@ -161,6 +161,26 @@ def naive_augment(contexts, labels):
     return np.array(patches), np.array(out_labels)
 
 
+def farthest_point_order(features, start, budget):
+    """Greedy farthest-point order under d(i, j) = 1 - features[i] . features[j].
+
+    One full-pool matrix-vector product per pick: every row keeps its
+    distance to the nearest pick so far, a picked row drops out, and the
+    next pick is the farthest row, the lowest index on ties.  Returns
+    ``budget`` row indices, ``start`` first.
+    """
+    f = np.asarray(features, dtype=float)
+    order = [int(start)]
+    min_d = 1.0 - f @ f[start]
+    min_d[start] = -np.inf
+    while len(order) < budget:
+        nxt = int(np.argmax(min_d))
+        order.append(nxt)
+        min_d = np.minimum(min_d, 1.0 - f @ f[nxt])
+        min_d[nxt] = -np.inf
+    return order
+
+
 def fd_jacobian(func, x, step=1e-6):
     """Central finite-difference Jacobian of ``func`` at flattened ``x``.
 

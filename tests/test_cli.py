@@ -5,6 +5,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from nccbank import bench as bn
 from nccbank import filterbank as fb
 from nccbank import gridio
 from nccbank import irdatagen as dg
@@ -426,6 +427,23 @@ class TestBenchAndRoc:
         err = capsys.readouterr().err
         assert f"methods {names[0]!r} and {names[1]!r} would share detections/" in err
         assert not os.path.exists("r")
+
+    @pytest.mark.parametrize("methods, message", [
+        ("hat15-ideal,hat15-ideal",
+         "methods 'hat15-ideal' and 'hat15-ideal' would share detections/"),
+        ("hat15-ideal,nosuch", "unknown method 'nosuch'"),
+    ], ids=["same-method", "unknown-method"])
+    def test_bad_method_list_fails_before_scoring(self, small_corpus, tmp_path,
+                                                  capsys, monkeypatch, methods,
+                                                  message):
+        _, frames = small_corpus
+        scored = []
+        monkeypatch.setattr(bn, "detect_candidates",
+                            lambda *args, **kw: scored.append(args))
+        assert run("bench", "--data", str(frames), "--methods", methods,
+                   "--out-dir", str(tmp_path / "r")) == 1
+        assert message in capsys.readouterr().err
+        assert scored == []
 
     def test_empty_method_list(self, small_corpus, tmp_path):
         _, frames = small_corpus

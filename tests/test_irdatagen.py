@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from nccbank import irdatagen as dg
+from nccbank import patchmath as pm
 
 
 def quiet_config(**kw):
@@ -261,6 +262,63 @@ def cluster_sample(kind, rng):
     return dg.LabeledSample(label=-1, context=ctx)
 
 
+def distinct_pool(size, flat_count, seed):
+    """``size`` negatives in shuffled order: ``flat_count`` flat cores, the
+    rest cluster_sample patches with noise of a random scale added, so no
+    two of them are NCC-identical."""
+    rng = np.random.default_rng(seed)
+    negs = []
+    for _ in range(size - flat_count):
+        s = cluster_sample(int(rng.integers(3)), rng)
+        noise = rng.normal(scale=rng.uniform(0.01, 5.0), size=(19, 19))
+        negs.append(dg.LabeledSample(label=-1, context=s.context + noise))
+    negs += [
+        dg.LabeledSample(label=-1, context=np.full((19, 19), v, dtype=np.float32))
+        for v in rng.uniform(0.0, 100.0, size=flat_count)
+    ]
+    return [negs[i] for i in rng.permutation(size)]
+
+
+def quadrupole_pool(size, seed):
+    """``size`` negatives whose cores are flat but for +4 at two of the 25
+    central pixels and -4 at two others, repeats included.  Their features
+    are exactly +-0.5 or 0, so every NCC distance is a multiple of 0.25
+    computed without rounding: ties are exact, as are duplicates."""
+    rng = np.random.default_rng(seed)
+    negs = []
+    for _ in range(size):
+        ctx = np.full((19, 19), 1000.0, dtype=np.float32)
+        pix = rng.choice(25, size=4, replace=False)
+        rows, cols = 7 + pix // 5, 7 + pix % 5
+        ctx[rows[:2], cols[:2]] += 4.0
+        ctx[rows[2:], cols[2:]] -= 4.0
+        negs.append(dg.LabeledSample(label=-1, context=ctx))
+    return negs
+
+
+def oracle_picks(negs, budget, seed):
+    """Indices into ``negs`` of the farthest-point oracle's picks, over the
+    pool subsample_negatives builds: the normalizable cores plus the first
+    flat one as a zero feature row, in input order."""
+    cores = np.array([s.core for s in negs], dtype=float).reshape(len(negs), -1)
+    feats, valid = pm.normalize_rows(cores, pm.NORM_STD)
+    pool = sorted(np.flatnonzero(valid).tolist() + np.flatnonzero(~valid)[:1].tolist())
+    start = int(np.random.default_rng(seed).integers(len(pool)))
+    return [pool[i] for i in oracles.farthest_point_order(feats[pool], start, budget)]
+
+
+def assert_matches_oracle(negs, pool_size, seed_offset=0):
+    """subsample_negatives picks what the oracle picks, sample for sample, at
+    budgets of 1, around one fold, several folds and pool_size - 1."""
+    index = {id(s): i for i, s in enumerate(negs)}
+    fold = dg._FOLD
+    wanted = {1, fold - 1, fold, fold + 1, 3 * fold + 2, pool_size - 1}
+    for budget in sorted(b for b in wanted if 1 <= b < pool_size):
+        seed = budget + seed_offset
+        picked = dg.subsample_negatives(negs, budget, seed=seed)
+        assert [index[id(p)] for p in picked] == oracle_picks(negs, budget, seed)
+
+
 class TestSubsample:
     def test_budget_equals_count_is_identity(self):
         rng = np.random.default_rng(40)
@@ -310,6 +368,26 @@ class TestSubsample:
         assert len(picked) == 5
         n_flat = sum(1 for p in picked if np.ptp(p.core) < 1e-6)
         assert n_flat == 3  # the representative plus two padded drops
+
+    @pytest.mark.parametrize("fold", [1, 2, 7, None])
+    @pytest.mark.parametrize("size, flat_count", [(3, 0), (40, 3), (150, 0), (600, 6)])
+    def test_matches_farthest_point_oracle(self, monkeypatch, fold, size, flat_count):
+        if fold is not None:
+            monkeypatch.setattr(dg, "_FOLD", fold)
+        negs = distinct_pool(size, flat_count, seed=size + flat_count)
+        assert_matches_oracle(negs, size - max(flat_count - 1, 0), seed_offset=size)
+
+    @pytest.mark.parametrize("fold", [1, 2, 7, None])
+    def test_exact_ties_break_toward_lower_index(self, monkeypatch, fold):
+        if fold is not None:
+            monkeypatch.setattr(dg, "_FOLD", fold)
+        negs = quadrupole_pool(300, seed=46)
+        assert_matches_oracle(negs, len(negs))
+
+    def test_matches_oracle_on_scene_negatives(self):
+        scenes = [dg.synth_scene(c) for c in dg.training_scene_configs(scene_count=8)]
+        _, negs = dg.collect_samples(scenes)
+        assert_matches_oracle(negs, len(negs))
 
     def test_validation(self):
         rng = np.random.default_rng(45)

@@ -398,6 +398,10 @@ class TestNetworkIO:
          "bad grid header for filter 0: 'five 5'"),
         (HEAD + "filters 1\n2 2\n1 2\n3 4\nweights abc\n",
          "bad weights line: 'weights abc'"),
+        (HEAD + "filters 1\n-1 2\n1 2\n3 4\nweights 1.0\n",
+         "bad grid header for filter 0: '-1 2'"),
+        (HEAD + "filters 1\n0 2\n1 2\n3 4\nweights 1.0\n",
+         "bad grid header for filter 0: '0 2'"),
     ]
 
     @pytest.mark.parametrize("text, message", MALFORMED,
