@@ -22,15 +22,15 @@ def main():
     banner("patch statistics")
     p = np.array([[1.0, 2.0], [3.0, 4.0]])
     print("patch:", p.tolist())
-    print(f"mean = {pm.patch_mean(p)}")
-    print(f"std  = {pm.patch_std(p):.6f}   (sample convention, n-1)")
-    print(f"mad  = {pm.patch_mad(p)}")
+    print(f"mean = {p.mean()}")
+    print(f"std  = {p.std(ddof=1):.6f}   (sample convention, n-1)")
+    print(f"mad  = {np.abs(p - p.mean()).mean()}   (mean absolute deviation)")
 
     banner("normalization: same patch, two dispersion measures")
     print("std-normalized:")
-    print(pm.normalize_std(p))
+    print(pm.normalize(p, pm.NORM_STD))
     print("mad-normalized:")
-    print(pm.normalize_mad(p))
+    print(pm.normalize(p, pm.NORM_MAD))
     print("both are zero-mean; the std one is also unit-norm, which is")
     print("what bounds STD scores to [-1, 1].")
 
@@ -59,25 +59,26 @@ def main():
 
     banner("the backward pass is analytic, not autodiff")
     patch = rng.normal(size=(5, 5))
-    jac = pm.jacobian_normalize_std(patch)
-    print(f"J_std is {jac.shape[0]}x{jac.shape[1]}; max |row sum| = "
-          f"{np.abs(jac.sum(axis=1)).max():.2e}")
-    print("row sums vanish because adding a constant to the patch cannot")
-    print("change its normalized form.")
-
-    # crude finite-difference spot check on one column
-    step = 1e-6
-    hi, lo = patch.copy(), patch.copy()
-    hi[2, 2] += step
-    lo[2, 2] -= step
-    fd_col = (pm.normalize_std(hi) - pm.normalize_std(lo)).ravel() / (2 * step)
-    err = np.abs(jac[:, 12] - fd_col).max()
-    print(f"column 12 vs central differences: max |delta| = {err:.2e}")
+    upstream = rng.normal(size=(5, 5))
+    for mode in (pm.NORM_STD, pm.NORM_MAD):
+        grad = pm.backprop_normalization(upstream, patch, mode)
+        # the same derivative by one central difference at pixel (2, 2)
+        step = 1e-6
+        hi, lo = patch.copy(), patch.copy()
+        hi[2, 2] += step
+        lo[2, 2] -= step
+        diff = pm.normalize(hi, mode) - pm.normalize(lo, mode)
+        fd = np.sum(upstream * diff) / (2 * step)
+        print(f"{mode}: dL/dp[2, 2] analytic {grad[2, 2]:+.9f}, central "
+              f"difference {fd:+.9f}; gradient sum {grad.sum():+.1e}")
+    print("the gradient sums to zero because adding a constant to the patch")
+    print("cannot change its normalized form.")
 
     banner("sliding correlation")
     frame = rng.normal(loc=30.0, scale=1.0, size=(32, 32))
     frame[10:19, 14:23] += 8.0 * blob
-    resp = pm.cross_correlate_valid(frame - frame.mean(), pm.normalize_std(blob))
+    resp = pm.cross_correlate_valid(frame - frame.mean(),
+                                    pm.normalize(blob, pm.NORM_STD))
     r, c = np.unravel_index(np.argmax(resp), resp.shape)
     print(f"planted blob top-left at (10, 14); response argmax at ({r}, {c})")
 

@@ -2,8 +2,8 @@
 
 The package is organized as a plain numpy library:
 
-* ``patchmath``  -- patch statistics, STD/MAD normalization, valid-mode
-  correlation, NCC scores, and the analytic normalization Jacobians.
+* ``patchmath``  -- STD/MAD patch normalization, valid-mode correlation,
+  NCC scores, and the analytic backward pass of the normalization.
 * ``nccnet``     -- the small two-layer NCC network (filters + ReLU +
   decision weights), hand-derived gradients, and SGD-with-momentum training.
 * ``filterbank`` -- engineered detectors: Gaussian and center-surround
@@ -18,34 +18,18 @@ The package is organized as a plain numpy library:
 
 from nccbank.patchmath import (
     DegeneratePatchError,
-    KinkProximityError,
     backprop_normalization,
     cross_correlate_valid,
-    jacobian_normalize_mad,
-    jacobian_normalize_std,
     ncc_score,
-    normalize_mad,
     normalize_rows,
-    normalize_std,
-    patch_mad,
-    patch_mean,
-    patch_std,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DegeneratePatchError",
-    "KinkProximityError",
     "backprop_normalization",
     "cross_correlate_valid",
-    "jacobian_normalize_mad",
-    "jacobian_normalize_std",
     "ncc_score",
-    "normalize_mad",
     "normalize_rows",
-    "normalize_std",
-    "patch_mad",
-    "patch_mean",
-    "patch_std",
 ]

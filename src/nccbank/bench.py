@@ -38,15 +38,11 @@ def frame_to_u16(frame):
 
 
 def _check_frame(frame, window):
-    f = np.asarray(frame, dtype=float)
-    if f.ndim != 2:
-        raise ValueError(f"frame must be 2-D, got shape {f.shape}")
+    f = pm.as_patch(frame, "frame")
     if f.shape[0] < window or f.shape[1] < window:
         raise ValueError(
             f"frame {f.shape} smaller than the {window}x{window} window"
         )
-    if not np.all(np.isfinite(f)):
-        raise ValueError("frame contains non-finite pixels")
     return f
 
 
@@ -528,12 +524,6 @@ class BenchReport:
     frame_count: int
     config: BenchConfig
 
-    def auc(self, method):
-        for r in self.results:
-            if r.name == method:
-                return r.curve.auc
-        raise KeyError(method)
-
 
 def _sweep(name, per_frame, truths, cfg, ms_per_frame=None):
     """ROC sweep of one method's per-frame candidates, as its result."""
@@ -551,10 +541,14 @@ def run_benchmark(frames, truths, methods, config=None):
 
     ``methods`` entries are either name strings (see
     :func:`resolve_method`) or ready-made scorer objects.  Every method is
-    resolved, and checked for a dump file of its own, before the first
-    frame is scored.
+    resolved, and checked for a dump file of its own, and the config's
+    radii and threshold count are checked, before the first frame is
+    scored.
     """
     cfg = config or BenchConfig()
+    _check_radius(cfg.nms_radius, "nms_radius")
+    _check_radius(cfg.match_radius, "match_radius")
+    _check_count(str(cfg.threshold_count), "threshold_count")
     frames = [np.asarray(f, dtype=float) for f in frames]
     truth_arrays = [_as_truths(t) for t in truths]
     if len(frames) != len(truth_arrays):

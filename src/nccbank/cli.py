@@ -122,6 +122,10 @@ def _build_parser():
 def _cmd_datagen(args):
     if not args.out and not args.frames_dir:
         raise ValueError("nothing to do: pass --out and/or --frames-dir")
+    for flag, count in (("--scenes", args.scenes),
+                        ("--frames-per-scene", args.frames_per_scene)):
+        if count < 1:
+            raise ValueError(f"{flag} must be >= 1, got {count}")
     if args.standard:
         configs = dg.standard_training_configs(seed=args.seed)
     else:

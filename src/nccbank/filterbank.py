@@ -164,7 +164,7 @@ def fit_hat(target):
     if tgt.shape[0] != tgt.shape[1] or size % 2 == 0:
         raise ValueError(f"target must be square with odd side, got {tgt.shape}")
     try:
-        tgt_n = pm.normalize_std(tgt)
+        tgt_n = pm.normalize(tgt, pm.NORM_STD)
     except pm.DegeneratePatchError:
         raise pm.DegeneratePatchError("cannot fit a hat to a flat target")
 
@@ -181,7 +181,7 @@ def fit_hat(target):
             ),
         )
         try:
-            return float(np.sum(pm.normalize_std(grid) * tgt_n))
+            return float(np.sum(pm.normalize(grid, pm.NORM_STD) * tgt_n))
         except pm.DegeneratePatchError:
             return -2.0
 
@@ -351,13 +351,6 @@ def mad_ncc_fixed_score(patch, filt, qformat=None):
     return FixedScore(raw=raw, saturated=saturated)
 
 
-def mad_ncc_float_score(patch, taps):
-    """Float reference for the fixed pipeline: MAD-normalize the patch,
-    dot with the given (already prepared) float taps."""
-    p = pm.normalize_mad(np.asarray(patch, dtype=float))
-    return float(np.sum(p * np.asarray(taps, dtype=float)))
-
-
 def _trunc_div_array(num, den):
     # den > 0 elementwise; numpy // floors, so route negatives through
     # the negated floor to truncate toward zero like the scalar path.
@@ -498,7 +491,7 @@ def tiled_std_scan(frame, filt):
     makes it an approximation (that is the cost tradeoff being modeled).
     """
     img = pm.as_patch(frame, "frame")
-    fnorm = pm.normalize_std(filt)  # offline filter prep, not counted
+    fnorm = pm.normalize(filt, pm.NORM_STD)  # offline filter prep, not counted
     f = fnorm.shape[0]
     hh, ww = img.shape
     if hh < f or ww < f:

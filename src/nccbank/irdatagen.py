@@ -10,9 +10,9 @@ From scenes it builds labeled samples: each sample stores a 19x19 context
 grid whose central 15x15 core is the actual patch; the 2-pixel margin
 exists so +/-1, +/-2 pixel shift augmentation never reads outside recorded
 data.  Positives are augmented 64x (4 rotations x 16 shifts), negatives 4x
-(4 rotations); augmented outputs keep only the core (margin zeroed and
-flagged invalid).  Negatives can be thinned with greedy farthest-point
-subsampling under the NCC distance 1 - ncc_score(a, b).
+(4 rotations), straight into arrays of 15x15 cores.  Negatives can be
+thinned with greedy farthest-point subsampling under the NCC distance
+1 - ncc_score(a, b).
 
 Datasets are stored in a little-endian binary format (magic "NCCD"); see
 ``write_dataset``.  Contexts are stored and kept in memory as float32 so a
@@ -120,8 +120,8 @@ class Scene:
 class LabeledSample:
     """A +/-1 labeled patch: 19x19 context whose central 15x15 is the core.
 
-    ``margin_valid`` is False for augmented samples, whose margin is
-    zero-filled rather than real scene data.
+    ``margin_valid`` is False when the margin is not real scene data;
+    positive augmentation refuses such a sample.
     """
 
     label: int
@@ -381,12 +381,6 @@ def shifted_core(context, dr, dc):
     return ctx[..., r0 : r0 + CORE_SIZE, c0 : c0 + CORE_SIZE]
 
 
-def _core_only_sample(label, core):
-    ctx = np.zeros((CONTEXT_SIZE, CONTEXT_SIZE), dtype=np.float32)
-    ctx[MARGIN : MARGIN + CORE_SIZE, MARGIN : MARGIN + CORE_SIZE] = core
-    return LabeledSample(label=label, context=ctx, margin_valid=False)
-
-
 SHIFTS = tuple(
     (dr, dc)
     for dr in (-2, -1, 1, 2)
@@ -427,20 +421,6 @@ def augmented_arrays(samples):
         rneg = np.rot90(neg_ctx, rot, axes=(1, 2))
         patches[neg_start + rot] = shifted_core(rneg, 0, 0)
     return patches, labels
-
-
-def augment_positive(sample):
-    """4 rotations x 16 shifts = 64 core-only samples (no (0,0) shift)."""
-    if sample.label != 1:
-        raise ValueError("augment_positive needs a positive sample")
-    return [_core_only_sample(1, core) for core in augmented_arrays([sample])[0]]
-
-
-def augment_negative(sample):
-    """Original + 3 rotations = 4 core-only samples."""
-    if sample.label != -1:
-        raise ValueError("augment_negative needs a negative sample")
-    return [_core_only_sample(-1, core) for core in augmented_arrays([sample])[0]]
 
 
 _FOLD = 128  # picks buffered between two GEMM folds in subsample_negatives
@@ -591,7 +571,14 @@ def read_dataset(path):
 
 
 def write_frames(dirpath, scenes):
-    """Frame folder: frame_NNNN.txt grids plus truths.csv (frame,row,col)."""
+    """Frame folder: frame_NNNN.txt grids plus truths.csv (frame,row,col).
+
+    Raises ValueError, before anything is written, for an empty scene list:
+    :func:`read_frames` would refuse the folder.
+    """
+    scenes = list(scenes)
+    if not scenes:
+        raise ValueError("no scenes to write")
     d = pathlib.Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     with open(d / "truths.csv", "w", encoding="ascii", newline="") as fh:
@@ -608,21 +595,27 @@ def read_frames(dirpath):
     """Read a frame folder; returns (frames, truths) in filename order.
 
     ``truths[i]`` lists the (row, col) centers for ``frames[i]``; frames
-    absent from truths.csv have an empty list.
+    absent from truths.csv have an empty list.  A truth naming an unknown
+    frame, or a point outside its frame, raises ValueError.
     """
     d = pathlib.Path(dirpath)
     names = sorted(p.name for p in d.glob("frame_*.txt"))
     if not names:
         raise FileNotFoundError(f"no frame_*.txt files in {d}")
     frames = [gridio.read_grid(d / name) for name in names]
+    shapes = {name: f.shape for name, f in zip(names, frames)}
     truth_map = {name: [] for name in names}
     csv_path = d / "truths.csv"
     if csv_path.exists():
         for name, row, col in gridio._read_csv(
             csv_path, ["frame", "row", "col"], (str, int, int)
         ):
-            if name not in truth_map:
+            if name not in shapes:
                 raise ValueError(f"truths.csv references unknown frame {name!r}")
+            h, w = shapes[name]
+            if not (0 <= row < h and 0 <= col < w):
+                raise ValueError(f"{csv_path}: truth ({row}, {col}) lies "
+                                 f"outside {name} ({h}x{w})")
             truth_map[name].append((row, col))
     return frames, [truth_map[name] for name in names]
 

@@ -1,11 +1,11 @@
-"""Numerical core: patch statistics, normalization, correlation, Jacobians.
+"""Numerical core: patch normalization, correlation, and its backward pass.
 
 Conventions used throughout the package:
 
 * Patches and filters are 2-D float64 arrays indexed ``[row, col]`` with the
   origin at the top-left.
 * Whenever a patch is treated as a vector it is flattened row-major
-  (numpy C order), and Jacobians are laid out against that same flattening.
+  (numpy C order), and gradients are laid out against that same flattening.
 * Two normalizations are supported.  With ``n`` the pixel count and ``mu``
   the patch mean:
 
@@ -23,16 +23,13 @@ Degenerate (flat) patches have no direction information; normalizing one
 raises :class:`DegeneratePatchError` rather than silently dividing by an
 epsilon, and :func:`normalize_rows` zeroes and flags them.  The MAD
 Jacobian is undefined where any centered pixel sits on the |x| kink;
-:func:`jacobian_normalize_mad` refuses those inputs with
-:class:`KinkProximityError`, while the training-time backprop helper uses
-the subgradient ``sign(0) = 0`` and never raises for kinks.
+:func:`backprop_normalization` uses the subgradient ``sign(0) = 0`` there.
 """
 
 import numpy as np
 
 SIGMA_MIN = 1e-12
 MAD_MIN = 1e-12
-KINK_TOL = 1e-8
 
 NORM_STD = "std"
 NORM_MAD = "mad"
@@ -42,11 +39,6 @@ NORM_MODES = (NORM_STD, NORM_MAD, NORM_NONE)
 
 class DegeneratePatchError(ValueError):
     """Raised when a statistically flat patch cannot be normalized."""
-
-
-class KinkProximityError(ValueError):
-    """Raised when a centered pixel is too close to the |x| kink for the
-    strict MAD Jacobian to be well defined."""
 
 
 def as_patch(values, name="patch"):
@@ -63,25 +55,6 @@ def as_patch(values, name="patch"):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
     return arr
-
-
-def patch_mean(patch):
-    """Arithmetic mean of all pixels."""
-    return float(np.mean(as_patch(patch)))
-
-
-def patch_std(patch):
-    """Sample standard deviation (n - 1 divisor)."""
-    p = as_patch(patch)
-    if p.size < 2:
-        raise ValueError("std needs at least 2 pixels")
-    return float(np.std(p, ddof=1))
-
-
-def patch_mad(patch):
-    """Mean absolute deviation about the mean."""
-    p = as_patch(patch)
-    return float(np.mean(np.abs(p - np.mean(p))))
 
 
 def _centered(rows):
@@ -165,24 +138,6 @@ def normalize(patch, mode):
     return _patch_stats(p, mode)[0].reshape(p.shape)
 
 
-def normalize_std(patch):
-    """Center and scale to unit L2 norm (STD normalization).
-
-    The result has mean ~0 and unit Euclidean norm when flattened, so the
-    dot of two STD-normalized patches is the correlation coefficient.
-    Raises DegeneratePatchError on a flat patch, as :func:`normalize`.
-    """
-    return normalize(patch, NORM_STD)
-
-
-def normalize_mad(patch):
-    """Center and scale by ``sqrt(n) * mad`` (MAD normalization).
-
-    Raises DegeneratePatchError on a flat patch, as :func:`normalize`.
-    """
-    return normalize(patch, NORM_MAD)
-
-
 def _correlate(image, filters):
     """Valid-mode cross-correlation of ``image`` (H, W) with each of the
     (N, h, w) ``filters``: an (N, H - h + 1, W - w + 1) array.
@@ -260,55 +215,6 @@ def ncc_score(patch, filt, mode=NORM_STD):
     return float(np.sum(a * b))
 
 
-def _centering_matrix(n):
-    return np.eye(n) - np.full((n, n), 1.0 / n)
-
-
-def jacobian_normalize_std(patch):
-    """Dense Jacobian of STD normalization wrt the flattened patch.
-
-    With ``pbar`` the normalized patch and ``ss = sqrt(n - 1) * std``, the
-    Jacobian is ``(I - pbar pbar^T) (I - 11^T / n) / ss``: centering is
-    applied first (innermost), then the projection removing the component
-    along the patch direction, then the scale.  The matrix is symmetric,
-    its rows sum to zero, and ``J @ pbar = 0``.
-    """
-    _, (q, ss, _) = _patch_stats(patch, NORM_STD)  # q is one (1, n) row
-    n = q.size
-    pbar = q / ss
-    proj = np.eye(n) - np.outer(pbar, pbar)
-    return proj @ _centering_matrix(n) / ss
-
-
-def jacobian_normalize_mad(patch, kink_tol=KINK_TOL):
-    """Dense Jacobian of MAD normalization wrt the flattened patch.
-
-    With ``q`` the centered patch, ``s = sign(q)``, and ``d = sqrt(n) * mad``
-    the denominator, the Jacobian is
-    ``(I - q s^T / (n * mad)) (I - 11^T / n) / d``.
-    The centering factor sits innermost (it differentiates the centering
-    that happens first in the forward pass); swapping the factor order is
-    wrong and breaks the row-sum-zero property.  Rows sum to zero but the
-    matrix is not symmetric in general.
-
-    Raises
-    ------
-    KinkProximityError
-        If any ``|q_i| <= kink_tol``; |x| is not differentiable there.
-    DegeneratePatchError
-        If the patch is flat.
-    """
-    _, (q, denom, mad) = _patch_stats(patch, NORM_MAD)  # q is one (1, n) row
-    n = q.size
-    if np.min(np.abs(q)) <= kink_tol:
-        raise KinkProximityError(
-            f"centered pixel within {kink_tol:.1e} of the |x| kink"
-        )
-    s = np.sign(q)
-    scale_dir = np.eye(n) - np.outer(q, s) / (n * mad)
-    return scale_dir @ _centering_matrix(n) / denom
-
-
 def _backprop_rows(u, stats, mode):
     """Pull upstream gradients ``u`` (B, n) back through the normalization
     of B rows, given their ``stats`` from :func:`_normalize_full`; rows
@@ -338,8 +244,7 @@ def backprop_normalization(upstream, patch, mode):
 
     For MAD the subgradient convention ``sign(0) = 0`` is used, so pixels
     sitting exactly on the kink contribute nothing to the mad-derivative
-    term; unlike :func:`jacobian_normalize_mad` this never raises for
-    kink proximity.  ``mode='none'`` returns ``upstream`` unchanged.
+    term.  ``mode='none'`` returns ``upstream`` unchanged.
     """
     u = as_patch(upstream, "upstream")
     p = as_patch(patch)

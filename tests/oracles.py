@@ -203,6 +203,14 @@ def fd_jacobian(func, x, step=1e-6):
     return jac
 
 
+def vjp_jacobian(vjp, shape):
+    """Dense (n, n) Jacobian from a vector-Jacobian product: row i is
+    ``vjp(e_i)``, where ``vjp(u)`` returns ``u^T J`` for a grid ``u`` of
+    ``shape``, both flattened row-major."""
+    n = int(np.prod(shape))
+    return np.array([np.ravel(vjp(e.reshape(shape))) for e in np.eye(n)])
+
+
 def fd_gradient(func, x, step=1e-6):
     """Central finite-difference gradient of a scalar function of a grid."""
     x = np.asarray(x, dtype=float)

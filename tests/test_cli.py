@@ -68,6 +68,9 @@ class TestDatagen:
         ("--amplitude", "-5", "target_amplitude must be > 0"),
         ("--noise", "nan", "noise_sigma must be finite"),
         ("--psf-sigma", "nan", "psf_sigma must be finite"),
+        ("--scenes", "0", "--scenes must be >= 1, got 0"),
+        ("--frames-per-scene", "0", "--frames-per-scene must be >= 1, got 0"),
+        ("--frames-per-scene", "-4", "--frames-per-scene must be >= 1, got -4"),
     ])
     def test_bad_scene_parameter_fails_cleanly(self, tmp_path, capsys, flag,
                                                value, message):
@@ -442,6 +445,23 @@ class TestBenchAndRoc:
                             lambda *args, **kw: scored.append(args))
         assert run("bench", "--data", str(frames), "--methods", methods,
                    "--out-dir", str(tmp_path / "r")) == 1
+        assert message in capsys.readouterr().err
+        assert scored == []
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--thresholds", "0", "threshold_count must be an integer >= 1, got '0'"),
+        ("--match-radius", "nan", "match_radius must be finite and >= 0"),
+        ("--match-radius", "-1", "match_radius must be finite and >= 0"),
+        ("--nms-radius", "inf", "nms_radius must be finite and >= 0"),
+    ])
+    def test_bad_config_fails_before_scoring(self, small_corpus, tmp_path, capsys,
+                                             monkeypatch, flag, value, message):
+        _, frames = small_corpus
+        scored = []
+        monkeypatch.setattr(bn, "detect_candidates",
+                            lambda *args, **kw: scored.append(args))
+        assert run("bench", "--data", str(frames), "--methods", "hat15-ideal",
+                   flag, value, "--out-dir", str(tmp_path / "r")) == 1
         assert message in capsys.readouterr().err
         assert scored == []
 

@@ -189,9 +189,9 @@ class TestAugment:
         return [s for s in dg.extract_samples(scene) if s.label == 1][0]
 
     def test_positive_yields_exactly_64(self):
-        out = dg.augment_positive(self.make_positive())
-        assert len(out) == 64
-        assert all(s.label == 1 and not s.margin_valid for s in out)
+        patches, labels = dg.augmented_arrays([self.make_positive()])
+        assert patches.shape == (64, 15, 15)
+        assert np.all(labels == 1.0)
 
     def test_shift_set_has_16_without_identity(self):
         assert len(dg.SHIFTS) == 16
@@ -205,16 +205,14 @@ class TestAugment:
         assert np.array_equal(left, right)
 
     def test_noise_free_peaks_stay_near_center(self):
-        for s in dg.augment_positive(self.make_positive()):
-            core = s.core
+        for core in dg.augmented_arrays([self.make_positive()])[0]:
             r, c = np.unravel_index(np.argmax(core), core.shape)
             assert abs(r - 7) <= 2 and abs(c - 7) <= 2
 
     def test_energy_centroid_within_2_5_px(self):
         # per-axis bound: a diagonal +/-2 shift alone moves an ideal point
         # target 2 px on each axis, so the Euclidean distance can reach 2.83
-        for s in dg.augment_positive(self.make_positive()):
-            core = s.core.astype(float)
+        for core in dg.augmented_arrays([self.make_positive()])[0]:
             w = core - core.min()
             total = w.sum()
             rows, cols = np.mgrid[0:15, 0:15]
@@ -225,27 +223,28 @@ class TestAugment:
     def test_negative_yields_exactly_4(self):
         scene = dg.synth_scene(quiet_config(noise_sigma=2.0, rng_seed=8))
         neg = dg.extract_samples(scene)[0]
-        out = dg.augment_negative(neg)
-        assert len(out) == 4
-        assert all(s.label == -1 and not s.margin_valid for s in out)
+        out, labels = dg.augmented_arrays([neg])
+        assert out.shape == (4, 15, 15)
+        assert np.all(labels == -1.0)
         # identity rotation keeps the core; every rotation keeps the multiset
-        assert np.array_equal(out[0].core, neg.core)
+        assert np.array_equal(out[0], neg.core)
         base = np.sort(neg.core.ravel())
-        for s in out:
-            assert np.array_equal(np.sort(s.core.ravel()), base)
+        for core in out:
+            assert np.array_equal(np.sort(core.ravel()), base)
 
     def test_label_guards(self):
         scene = dg.synth_scene(quiet_config(target_count=1, noise_sigma=1.0))
         samples = dg.extract_samples(scene)
         pos = [s for s in samples if s.label == 1][0]
         neg = [s for s in samples if s.label == -1][0]
-        with pytest.raises(ValueError):
-            dg.augment_positive(neg)
-        with pytest.raises(ValueError):
-            dg.augment_negative(pos)
-        clipped = dg.augment_positive(pos)[0]
-        with pytest.raises(ValueError):
-            dg.augment_positive(clipped)  # margin already gone
+        with pytest.raises(ValueError, match="label"):
+            dg.LabeledSample(label=0, context=pos.context)
+        # a positive's shifts read its margin; a negative's rotations do not
+        clipped = dg.LabeledSample(label=1, context=pos.context, margin_valid=False)
+        with pytest.raises(ValueError, match="margin"):
+            dg.augmented_arrays([neg, clipped])
+        unshifted = dg.LabeledSample(label=-1, context=neg.context, margin_valid=False)
+        assert dg.augmented_arrays([unshifted])[0].shape == (4, 15, 15)
 
 
 def cluster_sample(kind, rng):
@@ -521,12 +520,21 @@ class TestFramesIO:
         with pytest.raises(FileNotFoundError):
             dg.read_frames(tmp_path / "nope")
 
+    def test_empty_scene_list_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no scenes"):
+            dg.write_frames(tmp_path / "frames", [])
+        assert not (tmp_path / "frames").exists()
+
     @pytest.mark.parametrize("text, message", [
         ("frame,r,c\nframe_0000.txt,5,6\n", "truths.csv: bad header"),
         ("frame,row,col\nframe_0000.txt,5\n",
          "truths.csv: line 2: expected 3 fields, found 2"),
         ("frame,row,col\nframe_0000.txt,5,6\nframe_0000.txt,5,x\n",
          "truths.csv: line 3: invalid literal"),
+        ("frame,row,col\nframe_0000.txt,-40,9999\n",
+         r"truths.csv: truth \(-40, 9999\) lies outside frame_0000.txt \(64x64\)"),
+        ("frame,row,col\nframe_0000.txt,5,6\nframe_0000.txt,63,64\n",
+         r"truths.csv: truth \(63, 64\) lies outside frame_0000.txt \(64x64\)"),
     ])
     def test_malformed_truths_rejected(self, tmp_path, text, message):
         scenes = [dg.synth_scene(quiet_config(target_count=1, noise_sigma=1.0))]

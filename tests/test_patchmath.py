@@ -30,75 +30,86 @@ def kink_free(p, tol=1e-4):
 
 
 class TestStats:
+    """The statistics behind the normalization denominators and their
+    flat-patch checks: the n - 1 std and the mean absolute deviation."""
+
+    @staticmethod
+    def stats(p, mode):
+        return pm._row_stats(pm._centered(np.reshape(p, (1, -1))), mode)[1][0]
+
     def test_mean_std_mad_pinned(self):
-        assert pm.patch_mean(P22) == pytest.approx(2.5, abs=0)
-        assert pm.patch_std(P22) == pytest.approx(P22_STD, rel=1e-15)
-        assert pm.patch_mad(P22) == pytest.approx(1.0, rel=1e-15)
+        np.testing.assert_array_equal(
+            pm._centered(P22.reshape(1, -1)), [[-1.5, -0.5, 0.5, 1.5]])
+        assert self.stats(P22, pm.NORM_STD) == pytest.approx(P22_STD, rel=1e-15)
+        assert self.stats(P22, pm.NORM_MAD) == pytest.approx(1.0, rel=1e-15)
 
     def test_stats_match_naive(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             p = random_patch(rng, shape=(4, 7), scale=3.0, offset=50.0)
-            assert pm.patch_mean(p) == pytest.approx(oracles.naive_mean(p), rel=1e-12)
-            assert pm.patch_std(p) == pytest.approx(oracles.naive_std(p), rel=1e-12)
-            assert pm.patch_mad(p) == pytest.approx(oracles.naive_mad(p), rel=1e-12)
+            want = oracles.naive_std(p)
+            assert self.stats(p, pm.NORM_STD) == pytest.approx(want, rel=1e-12)
+            want = oracles.naive_mad(p)
+            assert self.stats(p, pm.NORM_MAD) == pytest.approx(want, rel=1e-12)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            pm.patch_mean(np.zeros(3))
+            pm.as_patch(np.zeros(3))
         with pytest.raises(ValueError):
-            pm.patch_mean(np.zeros((0, 2)))
+            pm.as_patch(np.zeros((0, 2)))
         with pytest.raises(ValueError):
-            pm.patch_mean(np.array([[1.0, np.nan]]))
+            pm.as_patch(np.array([[1.0, np.nan]]))
         with pytest.raises(ValueError):
-            pm.patch_std(np.array([[4.0]]))
+            pm.normalize(np.array([[4.0]]), pm.NORM_STD)
 
 
 class TestNormalize:
     def test_std_pinned(self):
-        np.testing.assert_allclose(pm.normalize_std(P22), P22_NORM_STD, atol=1e-15)
+        got = pm.normalize(P22, pm.NORM_STD)
+        np.testing.assert_allclose(got, P22_NORM_STD, atol=1e-15)
 
     def test_mad_pinned(self):
-        np.testing.assert_allclose(pm.normalize_mad(P22), P22_NORM_MAD, atol=1e-15)
+        got = pm.normalize(P22, pm.NORM_MAD)
+        np.testing.assert_allclose(got, P22_NORM_MAD, atol=1e-15)
 
     def test_matches_naive(self):
         rng = np.random.default_rng(12)
         for _ in range(25):
             p = random_patch(rng, shape=(6, 6), scale=2.0, offset=-10.0)
             np.testing.assert_allclose(
-                pm.normalize_std(p), oracles.naive_normalize_std(p), atol=1e-12
+                pm.normalize(p, pm.NORM_STD), oracles.naive_normalize_std(p), atol=1e-12
             )
             np.testing.assert_allclose(
-                pm.normalize_mad(p), oracles.naive_normalize_mad(p), atol=1e-12
+                pm.normalize(p, pm.NORM_MAD), oracles.naive_normalize_mad(p), atol=1e-12
             )
 
     def test_mean_zero_even_with_huge_offset(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             p = random_patch(rng, shape=(15, 15), scale=1.0, offset=1e6)
-            assert abs(np.mean(pm.normalize_std(p))) < 1e-12
-            assert abs(np.mean(pm.normalize_mad(p))) < 1e-12
+            assert abs(np.mean(pm.normalize(p, pm.NORM_STD))) < 1e-12
+            assert abs(np.mean(pm.normalize(p, pm.NORM_MAD))) < 1e-12
 
     def test_std_gives_unit_l2(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
             p = random_patch(rng, shape=(15, 15))
-            nrm = np.linalg.norm(pm.normalize_std(p).ravel())
+            nrm = np.linalg.norm(pm.normalize(p, pm.NORM_STD).ravel())
             assert nrm == pytest.approx(1.0, abs=1e-12)
 
     def test_flat_patch_raises(self):
         flat = np.full((5, 5), 3.25)
         with pytest.raises(pm.DegeneratePatchError):
-            pm.normalize_std(flat)
+            pm.normalize(flat, pm.NORM_STD)
         with pytest.raises(pm.DegeneratePatchError):
-            pm.normalize_mad(flat)
+            pm.normalize(flat, pm.NORM_MAD)
 
     def test_near_flat_patch_raises(self):
         p = 7.0 + 1e-15 * np.arange(9.0).reshape(3, 3)
         with pytest.raises(pm.DegeneratePatchError):
-            pm.normalize_std(p)
+            pm.normalize(p, pm.NORM_STD)
         with pytest.raises(pm.DegeneratePatchError):
-            pm.normalize_mad(p)
+            pm.normalize(p, pm.NORM_MAD)
 
     def test_none_mode_is_identity(self):
         p = P22.copy()
@@ -123,14 +134,11 @@ class TestNormalizeRows:
         rows = self.corpus(np.random.default_rng(16))
         out, valid = pm.normalize_rows(rows, mode)
         assert valid.sum() == (40 if mode == pm.NORM_NONE else 32)
-        single = {pm.NORM_STD: pm.normalize_std, pm.NORM_MAD: pm.normalize_mad}
         for row, got, ok in zip(rows, out, valid):
             patch = row.reshape(5, 5)
             if ok:
                 want = pm.normalize(patch, mode).ravel()
                 assert got.tobytes() == want.tobytes()
-                if mode in single:
-                    assert single[mode](patch).ravel().tobytes() == want.tobytes()
             else:
                 assert not got.any()
                 with pytest.raises(pm.DegeneratePatchError):
@@ -217,13 +225,19 @@ class TestNccScore:
             pm.ncc_score(np.zeros((3, 3)) + P22.sum(), np.zeros((2, 2)), "std")
 
 
+def backprop_jacobian(p, mode):
+    """The normalization's Jacobian, one backward pass per row."""
+    return oracles.vjp_jacobian(
+        lambda u: pm.backprop_normalization(u, p, mode), p.shape)
+
+
 class TestJacobians:
     def test_std_matches_finite_differences(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
             p = random_patch(rng, shape=(4, 4), scale=2.0, offset=5.0)
-            jac = pm.jacobian_normalize_std(p)
-            fd = oracles.fd_jacobian(pm.normalize_std, p)
+            jac = backprop_jacobian(p, pm.NORM_STD)
+            fd = oracles.fd_jacobian(lambda x: pm.normalize(x, pm.NORM_STD), p)
             assert oracles.rel_error(jac, fd) < 1e-6
 
     def test_mad_matches_finite_differences(self):
@@ -233,8 +247,8 @@ class TestJacobians:
             p = random_patch(rng, shape=(4, 4), scale=2.0)
             if not kink_free(p):
                 continue
-            jac = pm.jacobian_normalize_mad(p)
-            fd = oracles.fd_jacobian(pm.normalize_mad, p)
+            jac = backprop_jacobian(p, pm.NORM_MAD)
+            fd = oracles.fd_jacobian(lambda x: pm.normalize(x, pm.NORM_MAD), p)
             assert oracles.rel_error(jac, fd) < 1e-6
             kept += 1
 
@@ -242,11 +256,11 @@ class TestJacobians:
         rng = np.random.default_rng(33)
         for _ in range(5):
             p = random_patch(rng, shape=(5, 5))
-            jac = pm.jacobian_normalize_std(p)
+            jac = backprop_jacobian(p, pm.NORM_STD)
             # symmetric, rows sum to zero, annihilates the patch direction
             np.testing.assert_allclose(jac, jac.T, atol=1e-12)
             np.testing.assert_allclose(jac.sum(axis=1), 0.0, atol=1e-12)
-            pbar = pm.normalize_std(p).ravel()
+            pbar = pm.normalize(p, pm.NORM_STD).ravel()
             np.testing.assert_allclose(jac @ pbar, 0.0, atol=1e-12)
 
     def test_mad_rows_sum_to_zero(self):
@@ -258,21 +272,16 @@ class TestJacobians:
             p = random_patch(rng, shape=(5, 5), offset=3.0)
             if not kink_free(p):
                 continue
-            jac = pm.jacobian_normalize_mad(p)
+            jac = backprop_jacobian(p, pm.NORM_MAD)
             np.testing.assert_allclose(jac.sum(axis=1), 0.0, atol=1e-12)
             kept += 1
-
-    def test_mad_kink_raises(self):
-        p = np.array([[1.0, 2.0], [3.0, 2.0]])  # one pixel equals the mean
-        with pytest.raises(pm.KinkProximityError):
-            pm.jacobian_normalize_mad(p)
 
     def test_flat_patch_raises(self):
         flat = np.zeros((3, 3))
         with pytest.raises(pm.DegeneratePatchError):
-            pm.jacobian_normalize_std(flat)
+            backprop_jacobian(flat, pm.NORM_STD)
         with pytest.raises(pm.DegeneratePatchError):
-            pm.jacobian_normalize_mad(flat)
+            backprop_jacobian(flat, pm.NORM_MAD)
 
 
 class TestBackprop:
@@ -281,7 +290,7 @@ class TestBackprop:
         for _ in range(10):
             p = random_patch(rng, shape=(4, 5), scale=3.0, offset=-2.0)
             u = random_patch(rng, shape=(4, 5))
-            fd = oracles.fd_jacobian(pm.normalize_std, p)
+            fd = oracles.fd_jacobian(lambda x: pm.normalize(x, pm.NORM_STD), p)
             want = (u.ravel() @ fd).reshape(p.shape)
             got = pm.backprop_normalization(u, p, "std")
             assert oracles.rel_error(got, want) < 1e-6
@@ -294,7 +303,7 @@ class TestBackprop:
             if not kink_free(p):
                 continue
             u = random_patch(rng, shape=(4, 5))
-            fd = oracles.fd_jacobian(pm.normalize_mad, p)
+            fd = oracles.fd_jacobian(lambda x: pm.normalize(x, pm.NORM_MAD), p)
             want = (u.ravel() @ fd).reshape(p.shape)
             got = pm.backprop_normalization(u, p, "mad")
             assert oracles.rel_error(got, want) < 1e-6
@@ -304,15 +313,13 @@ class TestBackprop:
         rng = np.random.default_rng(43)
         p = random_patch(rng, shape=(5, 5), offset=1.0)
         ones = np.ones_like(p)
-        for mode, jac_fn in [
-            ("std", pm.jacobian_normalize_std),
-            ("mad", pm.jacobian_normalize_mad),
-        ]:
-            if mode == "mad" and not kink_free(p):
+        for mode in (pm.NORM_STD, pm.NORM_MAD):
+            if mode == pm.NORM_MAD and not kink_free(p):
                 continue
-            want = jac_fn(p).sum(axis=0).reshape(p.shape)
+            fd = oracles.fd_jacobian(lambda x: pm.normalize(x, mode), p)
+            want = fd.sum(axis=0).reshape(p.shape)
             got = pm.backprop_normalization(ones, p, mode)
-            np.testing.assert_allclose(got, want, atol=1e-12)
+            assert oracles.rel_error(got, want) < 1e-6
 
     def test_kink_uses_subgradient_instead_of_raising(self):
         p = np.array([[1.0, 2.0], [3.0, 2.0]])  # pixel on the kink
