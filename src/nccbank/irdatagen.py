@@ -26,7 +26,6 @@ import pathlib
 import struct
 
 import numpy as np
-from scipy import ndimage
 
 from nccbank import gridio
 from nccbank import patchmath as pm
@@ -245,19 +244,16 @@ def _sea_glint_clutter(shape, strength, rng, target_amplitude, psf):
 
 
 def _place_targets(config, rng, clutter):
-    # Keep centers >= 10 px from borders (the 19x19 context then always
-    # fits) and >= 16 px apart in Chebyshev distance (cores never overlap).
-    # Targets are only annotated over locally quiet background: the 19x19
-    # neighborhood of a truth (widest scoring window plus slack) must be
-    # free of sharp clutter structure so the label is unambiguous (a glint
-    # sitting next to the truth would be one).
+    # Keep centers >= 10 px from borders (the 19x19 context, and so every
+    # window read below, then always fits) and >= 16 px apart in Chebyshev
+    # distance (cores never overlap).  Targets are only annotated over
+    # locally quiet background: over the 19x19 neighborhood of a truth
+    # (widest scoring window plus slack) the clutter must stay near its 9x9
+    # local mean, free of sharp structure, so the label is unambiguous (a
+    # glint sitting next to the truth would be one).
     h, w = config.height, config.width
-    resid = clutter - ndimage.uniform_filter(clutter, size=9, mode="nearest")
-    rough = ndimage.maximum_filter(np.abs(resid), size=CONTEXT_SIZE, mode="nearest")
-    # strong smooth flanks (cloud shoulders, terrace ramps) also disqualify:
-    # they inflate the window's dispersion and wash out the target contrast
-    swing = (ndimage.maximum_filter(clutter, size=CORE_SIZE, mode="nearest")
-             - ndimage.minimum_filter(clutter, size=CORE_SIZE, mode="nearest"))
+    dev = np.abs(clutter - pm._box_sums(np.pad(clutter, 4, mode="edge"), 9) / 81)
+    ctx, core = CONTEXT_SIZE // 2, CORE_SIZE // 2
     limit = 0.15 * config.target_amplitude
     placed = []
     attempts = 0
@@ -270,7 +266,12 @@ def _place_targets(config, rng, clutter):
             )
         r = int(rng.integers(_TARGET_BORDER, h - _TARGET_BORDER))
         c = int(rng.integers(_TARGET_BORDER, w - _TARGET_BORDER))
-        if rough[r, c] >= limit or swing[r, c] >= 0.3 * config.target_amplitude:
+        if dev[r - ctx : r + ctx + 1, c - ctx : c + ctx + 1].max() >= limit:
+            continue
+        # strong smooth flanks (cloud shoulders, terrace ramps) also disqualify:
+        # they inflate the window's dispersion and wash out the target contrast
+        window = clutter[r - core : r + core + 1, c - core : c + core + 1]
+        if window.max() - window.min() >= 0.3 * config.target_amplitude:
             continue
         if all(max(abs(r - tr), abs(c - tc)) >= 16 for tr, tc in placed):
             placed.append((r, c))

@@ -101,10 +101,6 @@ class TrainHistory:
     def final_accuracy(self):
         return self.epochs[-1].holdout_accuracy
 
-    @property
-    def final_rel_change(self):
-        return self.epochs[-1].filter_rel_change
-
 
 def init_network(num_filters, filter_size=15, norm_mode=pm.NORM_STD, seed=0):
     """Fresh network: taps i.i.d. uniform on [-0.05, 0.05], weights 1/N."""

@@ -1,6 +1,7 @@
 import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -482,3 +483,21 @@ def test_console_entry_point():
     proc = subprocess.run(["nccbank", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "datagen" in proc.stdout
+
+
+def test_package_imports_without_scipy():
+    # numpy is the only runtime dependency: no module of the package may
+    # pull SciPy in, directly or through another import
+    code = (
+        "import importlib, pkgutil, sys, nccbank\n"
+        "for m in pkgutil.iter_modules(nccbank.__path__):\n"
+        "    importlib.import_module('nccbank.' + m.name)\n"
+        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dg.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

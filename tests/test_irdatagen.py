@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,65 @@ class TestSynth:
             assert len(scene.truths) == 6
             edge_gaps += [min(r, c, 95 - r, 95 - c) for r, c in scene.truths]
         assert min(edge_gaps) == 10  # a stamp of the full 10-px reach
+
+    def test_targets_land_on_quiet_background(self):
+        cfg = quiet_config(width=96, height=96, target_count=5)
+        amp = cfg.target_amplitude
+        # the right half is rough with sparse glints: they stand out of their
+        # 9x9 mean but keep every 15x15 swing below 0.3 amplitude
+        clutter = np.zeros((96, 96))
+        clutter[::4, 48::4] = 0.25 * amp
+        padded = np.pad(clutter, 4, mode="edge")  # a 9x9 mean at every pixel
+        truths = dg._place_targets(cfg, np.random.default_rng(0), clutter)
+        assert len(truths) == 5
+        for r, c in truths:
+            resid = max(abs(clutter[i, j] - padded[i : i + 9, j : j + 9].mean())
+                        for i in range(r - 9, r + 10) for j in range(c - 9, c + 10))
+            core = clutter[r - 7 : r + 8, c - 7 : c + 8]
+            assert resid < 0.15 * amp
+            assert core.max() - core.min() < 0.3 * amp
+            assert c + 9 < 48  # the 19x19 window holds no glint
+        rough = np.zeros((96, 96))
+        rough[::4, ::4] = 0.25 * amp
+        # a smooth ramp leaves no residual off the frame edges: only its
+        # 15x15 swing (14 px times the slope) rules the centers out
+        steep = np.broadcast_to(2.0 * np.arange(96.0), (96, 96))
+        for field in (rough, steep):
+            with pytest.raises(RuntimeError, match="cannot place 5 separated"):
+                dg._place_targets(cfg, np.random.default_rng(0), field)
+        gentle = steep / 2
+        assert len(dg._place_targets(cfg, np.random.default_rng(0), gentle)) == 5
+
+    # truths and bad pixels of one scene per clutter kind, so that a change
+    # of the placement rules or of their RNG draws shows; image bytes are not
+    # pinned because np.exp may differ by one ulp across CPUs
+    PINNED_BENCHMARK = [
+        ([(109, 62), (22, 92), (140, 118)],
+         [(65, 90), (97, 157), (115, 14), (124, 91), (32, 132), (118, 112)]),
+        ([(140, 148), (118, 49), (88, 21)],
+         [(15, 91), (74, 117), (101, 17), (13, 12), (154, 9), (7, 7)]),
+        ([(27, 66), (49, 148), (87, 84)],
+         [(149, 117), (51, 36), (90, 112), (23, 136), (58, 50), (99, 76)]),
+        ([(55, 146), (62, 91), (116, 50)],
+         [(65, 131), (61, 37), (93, 25), (47, 75), (76, 67), (20, 128)]),
+    ]
+    # sha256 of the 34 truths then the 20 bad pixels as little-endian int64
+    PINNED_TRAINING = ["2dc5ba571be8fd79", "95ebb662187f9aef",
+                       "7e847238f943786d", "25ea6ed1c1ff7b52"]
+
+    def test_pinned_truths_and_bad_pixels(self):
+        configs = dg.benchmark_scene_configs(8, 2000)[:4]
+        assert [c.clutter_kind for c in configs] == list(dg.CLUTTER_KINDS)
+        for cfg, (truths, bad) in zip(configs, self.PINNED_BENCHMARK):
+            scene = dg.synth_scene(cfg)
+            assert (scene.truths, scene.bad_pixels) == (truths, bad)
+        configs = dg.standard_training_configs(1000)[:4]
+        assert [c.clutter_kind for c in configs] == list(dg.CLUTTER_KINDS)
+        for cfg, digest in zip(configs, self.PINNED_TRAINING):
+            scene = dg.synth_scene(cfg)
+            assert (len(scene.truths), len(scene.bad_pixels)) == (34, 20)
+            ints = np.array(scene.truths + scene.bad_pixels, dtype="<i8")
+            assert hashlib.sha256(ints.tobytes()).hexdigest()[:16] == digest
 
 
 class TestExtract:

@@ -186,7 +186,7 @@ class TestTrain:
         assert len(hist.epochs) == 5
         assert hist.epochs[-1].mean_loss < hist.epochs[0].mean_loss
         assert hist.final_accuracy > 0.9
-        assert hist.final_rel_change < hist.epochs[0].filter_rel_change
+        assert hist.epochs[-1].filter_rel_change < hist.epochs[0].filter_rel_change
 
     def test_mad_mode_trains(self):
         rng = np.random.default_rng(81)
