@@ -450,9 +450,7 @@ def subsample_negatives(negatives, budget, seed=0):
         return negatives
 
     cores = shifted_core(_stack_contexts(negatives), 0, 0)
-    feats, valid = pm.normalize_rows(
-        pm.as_patch(cores.reshape(len(negatives), -1), "negative cores"), pm.NORM_STD
-    )
+    feats, valid = pm.normalize_rows(cores.reshape(len(negatives), -1), pm.NORM_STD)
     pool = np.flatnonzero(valid).tolist()
     flats = np.flatnonzero(~valid).tolist()
     if flats:

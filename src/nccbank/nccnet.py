@@ -145,19 +145,24 @@ def _forward_rows(net, pn):
     return np.maximum(pn @ normalized_filters(net).T, 0.0) @ net.weights
 
 
+def _patch_rows(net, patches):
+    """``patches`` checked to be (B, k, k) for the bank's filter size k and
+    returned as a (B, k*k) float matrix; B may be 0."""
+    arr = np.asarray(patches, dtype=float)
+    k = net.filter_size
+    if arr.ndim != 3 or arr.shape[1:] != (k, k):
+        raise ValueError(f"patches must be (B, {k}, {k}), got {arr.shape}")
+    return arr.reshape(arr.shape[0], k * k)
+
+
 def forward_batch(net, patches):
     """Score a stack of patches (B, k, k).
 
     Returns ``(outputs, valid)``; degenerate patches get output 0.0 and
-    ``valid=False`` rather than raising.
+    ``valid=False`` rather than raising.  Non-finite patches raise
+    ValueError (see :func:`nccbank.patchmath.normalize_rows`).
     """
-    arr = np.asarray(patches, dtype=float)
-    if arr.ndim != 3 or arr.shape[1:] != (net.filter_size, net.filter_size):
-        raise ValueError(
-            f"patches must be (B, {net.filter_size}, {net.filter_size}), "
-            f"got {arr.shape}"
-        )
-    pn, valid = pm.normalize_rows(arr.reshape(arr.shape[0], -1), net.norm_mode)
+    pn, valid = pm.normalize_rows(_patch_rows(net, patches), net.norm_mode)
     out = _forward_rows(net, pn)
     out[~valid] = 0.0
     return out, valid
@@ -166,17 +171,17 @@ def forward_batch(net, patches):
 def loss_and_gradients(net, patches, labels):
     """Mean L1 loss and its gradients over one batch.
 
-    ``patches`` is (B, k, k), ``labels`` (B,) of +/-1.  Gradients are
-    averaged over the batch.  Degenerate patches are rejected here; the
-    training loop filters them out beforehand.
+    ``patches`` is (B, k, k) with B >= 1, ``labels`` (B,) of +/-1.
+    Gradients are averaged over the batch.  Degenerate patches are
+    rejected here; the training loop filters them out beforehand.
     """
-    arr = np.asarray(patches, dtype=float)
+    rows = _patch_rows(net, patches)
     y = np.asarray(labels, dtype=float)
-    if arr.ndim != 3 or arr.shape[0] != y.shape[0]:
-        raise ValueError("patches (B, k, k) and labels (B,) must align")
+    if y.shape != (rows.shape[0],) or y.size == 0:
+        raise ValueError("patches (B, k, k) and labels (B,) must align, B >= 1")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be +1 or -1")
-    pn, valid = pm.normalize_rows(arr.reshape(arr.shape[0], -1), net.norm_mode)
+    pn, valid = pm.normalize_rows(rows, net.norm_mode)
     if not np.all(valid):
         raise pm.DegeneratePatchError("batch contains flat patches")
     return _loss_and_gradients_rows(net, pn, y)
@@ -266,11 +271,13 @@ def train(net, patches, labels, config=None):
     """Train the network in place; returns a TrainHistory.
 
     ``patches`` is (S, k, k) float, ``labels`` (S,) of +/-1.  The data is
-    normalized once (patches are inputs; every batch step slices the
-    normalized matrix) and split once into train/holdout using
-    ``config.seed`` (holdout_fraction of it held out); flat patches are
-    dropped up front (counted in the history), and each epoch shuffles the
-    training split into batches of ``batch_size``.  After each epoch every
+    normalized once, block by block into one (S, k*k) matrix that every
+    batch step slices (patches are inputs; see
+    :func:`nccbank.patchmath.normalize_rows`), and split once into
+    train/holdout using ``config.seed`` (holdout_fraction of it held out).
+    Flat patches are dropped up front (counted in the history); a NaN or
+    infinite pixel raises ValueError.  Each epoch shuffles the training
+    split into batches of ``batch_size``.  After each epoch every
     row is scored once; holdout accuracy (training accuracy when nothing is
     held out) uses a threshold calibrated on the training split's scores.
     Fully deterministic for a given seed.
@@ -278,19 +285,14 @@ def train(net, patches, labels, config=None):
     if config is None:
         config = TrainConfig()
     _check_config(config)
-    arr = np.asarray(patches, dtype=float)
+    rows = _patch_rows(net, patches)
     y = np.asarray(labels, dtype=float)
-    if arr.ndim != 3 or arr.shape[0] != y.shape[0] or arr.shape[0] < 2:
+    if y.shape != (rows.shape[0],) or y.size < 2:
         raise ValueError("need (S, k, k) patches and (S,) labels, S >= 2")
-    if arr.shape[1:] != (net.filter_size, net.filter_size):
-        raise ValueError(
-            f"patch size {arr.shape[1:]} does not match filter size "
-            f"{net.filter_size}"
-        )
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be +1 or -1")
 
-    pn, valid = pm.normalize_rows(arr.reshape(arr.shape[0], -1), net.norm_mode)
+    pn, valid = pm.normalize_rows(rows, net.norm_mode)
     skipped = int(np.sum(~valid))
     keep = np.flatnonzero(valid)
     if keep.size < 2:

@@ -36,6 +36,11 @@ NORM_MAD = "mad"
 NORM_NONE = "none"
 NORM_MODES = (NORM_STD, NORM_MAD, NORM_NONE)
 
+# Rows per block of normalize_rows.  512 rows of 15x15 patches make about
+# 0.9 MB per float temporary, so a block's few temporaries stay near L2
+# size; blocks of 2,048 rows measured slower on the 162,560-row corpus.
+_BLOCK_ROWS = 512
+
 
 class DegeneratePatchError(ValueError):
     """Raised when a statistically flat patch cannot be normalized."""
@@ -118,11 +123,28 @@ def normalize_rows(rows, mode):
     flagged False instead of raising; callers decide how to treat them.
     Rows are independent: normalizing a matrix and then slicing it gives
     the same bits as normalizing the slice.  ``none`` returns a copy.
+
+    The rows are normalized in blocks of ``_BLOCK_ROWS``, each written into
+    the one preallocated output, so the memory taken is that output plus
+    O(block) temporaries, never a corpus-sized centred copy.
+
+    Raises ValueError if the matrix has no columns or holds a NaN or an
+    infinity (in every mode, ``none`` included).
     """
     x = np.asarray(rows, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected (B, n) matrix, got shape {x.shape}")
-    out, valid, _ = _normalize_full(x, mode)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError(f"expected (B, n) matrix with n >= 1, got shape {x.shape}")
+    out = np.empty(x.shape)
+    valid = np.empty(x.shape[0], dtype=bool)
+    # an empty matrix still goes through one (empty) block, so its mode
+    # and width are checked as for any other
+    for lo in range(0, max(len(x), 1), _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        block = x[lo:hi]
+        if not np.isfinite(block).all():
+            bad = lo + int(np.argmin(np.isfinite(block).all(axis=1)))
+            raise ValueError(f"row {bad} contains non-finite values")
+        out[lo:hi], valid[lo:hi], _ = _normalize_full(block, mode)
     return out, valid
 
 

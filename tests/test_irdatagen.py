@@ -461,6 +461,11 @@ class TestSubsample:
         pos = dg.LabeledSample(label=1, context=np.ones((19, 19)))
         with pytest.raises(ValueError):
             dg.subsample_negatives([pos], 1)
+        bad = np.array(cluster_sample(1, rng).context)
+        bad[9, 9] = np.nan
+        with pytest.raises(ValueError, match="row 1 contains non-finite values"):
+            dg.subsample_negatives(
+                negs + [dg.LabeledSample(label=-1, context=bad), negs[0]], 2)
 
 
 class TestDatasetIO:

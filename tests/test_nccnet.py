@@ -81,6 +81,21 @@ class TestForward:
         assert not valid[0] and valid[1]
         assert outs[0] == 0.0
 
+    def test_batch_rejects_non_finite_patches(self):
+        net = nn.init_network(2, filter_size=4, seed=2)
+        patches = np.random.default_rng(51).normal(size=(5, 4, 4))
+        patches[3, 1, 2] = np.inf
+        with pytest.raises(ValueError, match="row 3 contains non-finite values"):
+            nn.forward_batch(net, patches)
+
+    def test_batch_shape_checked(self):
+        net = nn.init_network(2, filter_size=5, seed=2)
+        with pytest.raises(ValueError, match=re.escape(
+                "patches must be (B, 5, 5), got (2, 3, 3)")):
+            nn.forward_batch(net, np.ones((2, 3, 3)))
+        outs, valid = nn.forward_batch(net, np.ones((0, 5, 5)))
+        assert outs.shape == (0,) and valid.shape == (0,)
+
     def test_forward_raises_on_flat(self):
         net = nn.init_network(1, filter_size=4, seed=3)
         with pytest.raises(pm.DegeneratePatchError):
@@ -142,6 +157,16 @@ class TestGradients:
         net = nn.init_network(1, filter_size=3, seed=0)
         with pytest.raises(ValueError):
             nn.loss_and_gradients(net, np.ones((1, 3, 3)), np.array([0.5]))
+
+    def test_shape_validation(self):
+        net = nn.init_network(1, filter_size=5, seed=0)
+        with pytest.raises(ValueError, match=re.escape(
+                "patches must be (B, 5, 5), got (2, 3, 3)")):
+            nn.loss_and_gradients(net, np.ones((2, 3, 3)), np.ones(2))
+        with pytest.raises(ValueError, match="B >= 1"):
+            nn.loss_and_gradients(net, np.ones((0, 5, 5)), np.ones(0))
+        with pytest.raises(ValueError, match="must align"):
+            nn.loss_and_gradients(net, np.ones((2, 5, 5)), np.ones(3))
 
     def test_degenerate_patch_rejected(self):
         net = nn.init_network(1, filter_size=3, seed=0)
@@ -283,6 +308,17 @@ class TestTrain:
             nn.train(net, np.zeros((4, 3, 3)), np.array([1.0, -1.0, 1.0, -1.0]))
         with pytest.raises(ValueError):
             nn.train(net, np.zeros((2, 5, 5)), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_patches_rejected(self, bad):
+        rng = np.random.default_rng(87)
+        patches, labels = toy_dataset(rng, count=20)
+        patches[11, 2, 2] = bad
+        net = nn.init_network(1, filter_size=5, seed=0)
+        before = net.filters.copy()
+        with pytest.raises(ValueError, match="row 11 contains non-finite values"):
+            nn.train(net, patches, labels, nn.TrainConfig(max_epochs=1))
+        assert np.array_equal(net.filters, before)
 
 
 class TestThresholdCalibration:

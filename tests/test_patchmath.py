@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,47 @@ class TestNormalizeRows:
             assert part.tobytes() == out[idx].tobytes()
             np.testing.assert_array_equal(part_valid, valid[idx])
 
+    @pytest.mark.parametrize("mode", pm.NORM_MODES)
+    def test_blocks_match_single_rows_across_edges(self, mode):
+        # over three blocks plus a ragged tail; flat, near-flat and
+        # 1e4-offset rows on both sides of every block edge
+        block = pm._BLOCK_ROWS
+        rng = np.random.default_rng(18)
+        rows = rng.normal(size=(3 * block + 37, 25)) * rng.uniform(
+            0.01, 100.0, size=(3 * block + 37, 1))
+        edges = [block, 2 * block, 3 * block, len(rows)]
+        for e in edges:
+            rows[e - 3] += 1e4
+            rows[e - 2] = 7.0 + 1e-15 * np.arange(25.0)
+            rows[e - 1] = 3.25
+            if e < len(rows):
+                rows[e] = -2.5
+                rows[e + 1] = -7.0 + 1e-15 * np.arange(25.0)
+                rows[e + 2] -= 1e4
+        out, valid = pm.normalize_rows(rows, mode)
+        flat = 4 * 2 + 3 * 2
+        assert valid.sum() == len(rows) - (0 if mode == pm.NORM_NONE else flat)
+        for row, got, ok in zip(rows, out, valid):
+            one, one_valid = pm.normalize_rows(row[None], mode)
+            assert got.tobytes() == one[0].tobytes()
+            assert ok == one_valid[0]
+        if mode == pm.NORM_NONE:
+            assert not np.shares_memory(out, rows)
+            assert out.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("mode", [pm.NORM_STD, pm.NORM_MAD])
+    def test_memory_is_one_output_plus_a_block(self, mode):
+        # at the unblocked normalizer the corpus-sized centred copy and
+        # its square (or |q|) took the traced peak to 2x the output
+        rows = np.random.default_rng(19).normal(size=(20000, 225))
+        tracemalloc.start()
+        try:
+            out, _ = pm.normalize_rows(rows, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes
+
     def test_validation(self):
         with pytest.raises(ValueError, match="expected"):
             pm.normalize_rows(np.zeros(4), pm.NORM_STD)
@@ -160,6 +203,21 @@ class TestNormalizeRows:
             pm.normalize_rows(np.zeros((3, 1)), pm.NORM_STD)
         with pytest.raises(ValueError, match="unknown"):
             pm.normalize_rows(np.ones((2, 4)), "l2")
+        for mode in pm.NORM_MODES:
+            for shape in ((3, 0), (0, 0)):
+                with pytest.raises(ValueError, match="n >= 1"):
+                    pm.normalize_rows(np.zeros(shape), mode)
+            out, valid = pm.normalize_rows(np.zeros((0, 4)), mode)
+            assert out.shape == (0, 4) and valid.shape == (0,)
+
+    @pytest.mark.parametrize("mode", pm.NORM_MODES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, mode, bad):
+        rows = np.random.default_rng(20).normal(size=(pm._BLOCK_ROWS + 9, 4))
+        rows[pm._BLOCK_ROWS + 5, 2] = bad
+        with pytest.raises(ValueError, match=f"row {pm._BLOCK_ROWS + 5} contains "
+                                             "non-finite values"):
+            pm.normalize_rows(rows, mode)
 
 
 class TestCorrelation:
