@@ -25,7 +25,7 @@ def build_data(scene_count=60, seed=4):
     positives, negatives = dg.collect_samples(scenes)
     negatives = dg.subsample_negatives(
         negatives, min(2500, len(negatives)), seed=seed)
-    patches, labels = dg.augmented_arrays(positives + negatives)
+    patches, labels = dg.augmented_arrays(np.concatenate([positives, negatives]))
     print(f"{scene_count} scenes -> {len(positives)} positives, "
           f"{len(negatives)} negatives kept")
     print(f"after 64x/4x augmentation: {patches.shape[0]} samples "

@@ -123,7 +123,8 @@ def _cmd_datagen(args):
     if not args.out and not args.frames_dir:
         raise ValueError("nothing to do: pass --out and/or --frames-dir")
     for flag, count in (("--scenes", args.scenes),
-                        ("--frames-per-scene", args.frames_per_scene)):
+                        ("--frames-per-scene", args.frames_per_scene),
+                        ("--negatives", args.negatives)):
         if count < 1:
             raise ValueError(f"{flag} must be >= 1, got {count}")
     if args.standard:
@@ -163,15 +164,10 @@ def _cmd_datagen(args):
         dg.write_frames(args.frames_dir, scenes)
         print(f"wrote frames to {args.frames_dir}")
     if args.out:
-        positives, negatives = dg.collect_samples(scenes)
-        if not positives or not negatives:
-            raise ValueError("scenes produced an empty class; adjust --targets")
-        if args.negatives < len(negatives):
-            negatives = dg.subsample_negatives(negatives, args.negatives,
-                                               seed=args.seed)
-        samples = positives + negatives
+        samples = dg._training_set(scenes, args.negatives, args.seed)
         dg.write_dataset(samples, args.out)
-        print(f"wrote {len(positives)} positives + {len(negatives)} negatives "
+        n_pos = int(np.count_nonzero(samples["label"] == 1))
+        print(f"wrote {n_pos} positives + {len(samples) - n_pos} negatives "
               f"to {args.out}")
     return 0
 

@@ -6,13 +6,16 @@ gradients with cloud blobs, terraced terrain edges, sea-glint speckles,
 clean collimator frames, PSF-blurred point targets, detector noise, and
 isolated bad pixels that look deceptively like targets.
 
-From scenes it builds labeled samples: each sample stores a 19x19 context
+From scenes it builds labeled samples: each sample stores a +/-1 label,
+a flags byte (bit 0: the margin is real scene data) and a 19x19 context
 grid whose central 15x15 core is the actual patch; the 2-pixel margin
 exists so +/-1, +/-2 pixel shift augmentation never reads outside recorded
-data.  Positives are augmented 64x (4 rotations x 16 shifts), negatives 4x
-(4 rotations), straight into arrays of 15x15 cores.  Negatives can be
-thinned with greedy farthest-point subsampling under the NCC distance
-1 - ncc_score(a, b).
+data.  A sample set is a 1-D array of ``SAMPLE_DTYPE`` records, from
+extraction through subsampling to the dataset file, whose payload is the
+array's own bytes.  Positives are augmented 64x (4 rotations x 16 shifts),
+negatives 4x (4 rotations), straight into arrays of 15x15 cores.
+Negatives can be thinned with greedy farthest-point subsampling under the
+NCC distance 1 - ncc_score(a, b).
 
 Datasets are stored in a little-endian binary format (magic "NCCD"); see
 ``write_dataset``.  Contexts are stored and kept in memory as float32 so a
@@ -21,11 +24,11 @@ write/read round-trip is bit-identical.
 
 import csv
 import dataclasses
-import os
 import pathlib
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from nccbank import gridio
 from nccbank import patchmath as pm
@@ -43,10 +46,13 @@ CLUTTER_KINDS = (SKY, TERRAIN, SEA_GLINT, COLLIMATOR)
 
 DATASET_MAGIC = b"NCCD"
 DATASET_VERSION = 1
-_RECORD_DTYPE = np.dtype(
+# One labeled sample, in memory and as a dataset record: label +1/-1,
+# flags (bit 0 = margin valid, every other bit clear), float32 context.
+SAMPLE_DTYPE = np.dtype(
     [("label", "<i1"), ("flags", "<u1"),
      ("context", "<f4", (CONTEXT_SIZE, CONTEXT_SIZE))]
 )
+_MARGIN_VALID = 1
 
 _TARGET_BORDER = 10  # truth centers keep this many px from the frame edge
 
@@ -113,33 +119,6 @@ class Scene:
     image: np.ndarray
     truths: list
     bad_pixels: list
-
-
-@dataclasses.dataclass(eq=False)
-class LabeledSample:
-    """A +/-1 labeled patch: 19x19 context whose central 15x15 is the core.
-
-    ``margin_valid`` is False when the margin is not real scene data;
-    positive augmentation refuses such a sample.
-    """
-
-    label: int
-    context: np.ndarray
-    margin_valid: bool = True
-
-    def __post_init__(self):
-        if self.label not in (-1, 1):
-            raise ValueError(f"label must be +1 or -1, got {self.label}")
-        self.context = np.asarray(self.context, dtype=np.float32)
-        if self.context.shape != (CONTEXT_SIZE, CONTEXT_SIZE):
-            raise ValueError(
-                f"context must be {CONTEXT_SIZE}x{CONTEXT_SIZE}, "
-                f"got {self.context.shape}"
-            )
-
-    @property
-    def core(self):
-        return self.context[MARGIN : MARGIN + CORE_SIZE, MARGIN : MARGIN + CORE_SIZE]
 
 
 def _add_blob(field, cy, cx, sig, amp):
@@ -335,7 +314,7 @@ def synth_scene(config):
 
 def extract_samples(scene):
     """Labeled samples from a scene: one positive per truth, negatives
-    tiling the rest of the frame.
+    tiling the rest of the frame in row-major order.
 
     Negative cores tile on a 15-pixel stride starting 2 px in (so every
     context fits) and any tile whose core center lands within 14 px of a
@@ -344,28 +323,22 @@ def extract_samples(scene):
     """
     image = scene.image
     h, w = image.shape
-    half_ctx = CONTEXT_SIZE // 2
-    samples = []
+    half_ctx, half_core = CONTEXT_SIZE // 2, CORE_SIZE // 2
+    truths = np.array(scene.truths, dtype=np.intp).reshape(-1, 2)
     for r, c in scene.truths:
         if not (half_ctx <= r < h - half_ctx and half_ctx <= c < w - half_ctx):
             raise ValueError(f"truth {(r, c)} too close to the border")
-        ctx = image[r - half_ctx : r + half_ctx + 1, c - half_ctx : c + half_ctx + 1]
-        samples.append(LabeledSample(label=1, context=ctx))
-    half_core = CORE_SIZE // 2
-    for r0 in range(MARGIN, h - MARGIN - CORE_SIZE + 1, CORE_SIZE):
-        for c0 in range(MARGIN, w - MARGIN - CORE_SIZE + 1, CORE_SIZE):
-            center_r = r0 + half_core
-            center_c = c0 + half_core
-            if any(
-                abs(center_r - tr) <= 2 * half_core and abs(center_c - tc) <= 2 * half_core
-                for tr, tc in scene.truths
-            ):
-                continue
-            ctx = image[
-                center_r - half_ctx : center_r + half_ctx + 1,
-                center_c - half_ctx : center_c + half_ctx + 1,
-            ]
-            samples.append(LabeledSample(label=-1, context=ctx))
+    rows = np.arange(MARGIN, h - MARGIN - CORE_SIZE + 1, CORE_SIZE) + half_core
+    cols = np.arange(MARGIN, w - MARGIN - CORE_SIZE + 1, CORE_SIZE) + half_core
+    tiles = np.stack(np.meshgrid(rows, cols, indexing="ij"), axis=-1).reshape(-1, 2)
+    near = (np.abs(tiles[:, None] - truths) <= 2 * half_core).all(axis=2).any(axis=1)
+    tiles = tiles[~near]
+    centers = np.concatenate([truths, tiles])
+    samples = np.empty(len(centers), dtype=SAMPLE_DTYPE)
+    samples["label"] = np.where(np.arange(len(centers)) < len(truths), 1, -1)
+    samples["flags"] = _MARGIN_VALID
+    windows = sliding_window_view(image, (CONTEXT_SIZE, CONTEXT_SIZE))
+    samples["context"] = windows[centers[:, 0] - half_ctx, centers[:, 1] - half_ctx]
     return samples
 
 
@@ -389,10 +362,23 @@ SHIFTS = tuple(
 )
 
 
-def _stack_contexts(samples):
-    """(n, 19, 19) float32 stack of the samples' contexts; n may be 0."""
-    ctx = np.array([s.context for s in samples], dtype=np.float32)
-    return ctx.reshape(-1, CONTEXT_SIZE, CONTEXT_SIZE)
+def _check_samples(samples):
+    """Raise unless ``samples`` is a 1-D ``SAMPLE_DTYPE`` array of finite
+    contexts, +/-1 labels and no flag bits but the margin bit."""
+    if not (isinstance(samples, np.ndarray) and samples.dtype == SAMPLE_DTYPE
+            and samples.ndim == 1):
+        raise TypeError("samples must be a 1-D SAMPLE_DTYPE array")
+    bad = np.flatnonzero(~np.isfinite(samples["context"]).all(axis=(1, 2)))
+    if bad.size:
+        raise DatasetFormatError(f"record {bad[0]}: non-finite context")
+    labels, flags = samples["label"], samples["flags"]
+    bad = np.flatnonzero((labels != 1) & (labels != -1))
+    if bad.size:
+        raise DatasetFormatError(f"record {bad[0]}: bad label {labels[bad[0]]}")
+    bad = np.flatnonzero(flags & ~np.uint8(_MARGIN_VALID))
+    if bad.size:
+        raise DatasetFormatError(
+            f"record {bad[0]}: unknown flag bits in {flags[bad[0]]:#04x}")
 
 
 def augmented_arrays(samples):
@@ -402,18 +388,18 @@ def augmented_arrays(samples):
     a negative its 4 rotated unshifted cores; rows follow input order,
     rotation-major within each sample.
     """
-    samples = list(samples)
-    if not samples:
+    _check_samples(samples)
+    if not len(samples):
         raise ValueError("no samples")
-    pos = np.array([s.label == 1 for s in samples])
-    if any(s.label == 1 and not s.margin_valid for s in samples):
+    pos = samples["label"] == 1
+    if np.any(pos & (samples["flags"] & _MARGIN_VALID == 0)):
         raise ValueError("positive augmentation needs a full context margin")
     counts = np.where(pos, 4 * len(SHIFTS), 4)
     starts = np.cumsum(counts) - counts
     patches = np.empty((int(counts.sum()), CORE_SIZE, CORE_SIZE))
     labels = np.repeat(np.where(pos, 1.0, -1.0), counts)
-    pos_ctx = _stack_contexts(s for s in samples if s.label == 1)
-    neg_ctx = _stack_contexts(s for s in samples if s.label != 1)
+    pos_ctx = samples["context"][pos]
+    neg_ctx = samples["context"][~pos]
     pos_start, neg_start = starts[pos], starts[~pos]
     for rot in range(4):
         rpos = np.rot90(pos_ctx, rot, axes=(1, 2))
@@ -439,17 +425,17 @@ def subsample_negatives(negatives, budget, seed=0):
     can still compute distances a rounding step apart, which decides their
     order).  Returns exactly ``budget`` samples.
     """
-    negatives = list(negatives)
-    if not negatives:
+    _check_samples(negatives)
+    if not len(negatives):
         raise ValueError("no negatives to subsample")
-    if any(s.label != -1 for s in negatives):
+    if np.any(negatives["label"] != -1):
         raise ValueError("subsample_negatives expects negative samples only")
     if not (1 <= budget <= len(negatives)):
         raise ValueError(f"budget must be in [1, {len(negatives)}], got {budget}")
     if budget == len(negatives):
         return negatives
 
-    cores = shifted_core(_stack_contexts(negatives), 0, 0)
+    cores = shifted_core(negatives["context"], 0, 0)
     feats, valid = pm.normalize_rows(cores.reshape(len(negatives), -1), pm.NORM_STD)
     pool = np.flatnonzero(valid).tolist()
     flats = np.flatnonzero(~valid).tolist()
@@ -459,8 +445,7 @@ def subsample_negatives(negatives, budget, seed=0):
     dropped = flats[1:]
 
     if budget >= len(pool):
-        chosen = pool + dropped[: budget - len(pool)]
-        return [negatives[i] for i in chosen]
+        return negatives[pool + dropped[: budget - len(pool)]]
 
     # Lazy farthest-point search.  ``ub`` is each live row's distance to the
     # picks folded in so far; distances only shrink, so it bounds the true
@@ -494,44 +479,35 @@ def subsample_negatives(negatives, budget, seed=0):
             ub = np.minimum(ub[keep], 1.0 - (live @ buf.T).max(axis=1))
             checked = np.zeros(len(ids), dtype=np.intp)
             nbuf = 0
-    return [negatives[pool[i]] for i in order]
-
-
-def _check_contexts(rec):
-    bad = np.flatnonzero(~np.isfinite(rec["context"]).all(axis=(1, 2)))
-    if bad.size:
-        raise DatasetFormatError(f"record {bad[0]}: non-finite context")
+    return negatives[np.array(pool)[order]]
 
 
 def write_dataset(samples, path):
     """Binary dataset file, little-endian.
 
     Layout: magic "NCCD", version u16, core_size u16, context_size u16,
-    sample_count u64; then per record: label i8 (+1/-1), flags u8
-    (bit 0 = margin valid), context as float32 row-major.  Non-finite
-    contexts raise DatasetFormatError before anything is written.
+    sample_count u64; then the ``SAMPLE_DTYPE`` records: label i8 (+1/-1),
+    flags u8 (bit 0 = margin valid, other bits clear), context as float32
+    row-major.  Samples that fail the record checks raise
+    DatasetFormatError before anything is written.
     """
-    samples = list(samples)
-    if not samples:
+    _check_samples(samples)
+    if not len(samples):
         raise ValueError("refusing to write an empty dataset")
-    rec = np.empty(len(samples), dtype=_RECORD_DTYPE)
-    for i, s in enumerate(samples):
-        rec[i] = (s.label, 1 if s.margin_valid else 0, s.context)
-    _check_contexts(rec)
     header = DATASET_MAGIC + struct.pack(
         "<HHHQ", DATASET_VERSION, CORE_SIZE, CONTEXT_SIZE, len(samples)
     )
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(rec.tobytes())
+        fh.write(header + samples.tobytes())
 
 
 def read_dataset(path):
-    """Read a dataset file written by :func:`write_dataset`.
+    """Read a dataset file written by :func:`write_dataset` into a
+    ``SAMPLE_DTYPE`` array.
 
     Raises CorruptHeaderError / VersionMismatchError / TruncatedFileError,
-    or DatasetFormatError for a bad label or a non-finite context; never
-    returns a partial result.
+    or DatasetFormatError for a bad label, unknown flag bits or a
+    non-finite context; never returns a partial result.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -544,41 +520,33 @@ def read_dataset(path):
         raise VersionMismatchError(f"unsupported dataset version {version}")
     if core != CORE_SIZE or ctx != CONTEXT_SIZE or core > ctx:
         raise CorruptHeaderError(f"unsupported patch geometry {core}/{ctx}")
-    want = count * _RECORD_DTYPE.itemsize
-    payload = blob[18:]
-    if len(payload) < want:
-        raise TruncatedFileError(
-            f"expected {want} record bytes, found {len(payload)}"
-        )
-    if len(payload) > want:
+    want = count * SAMPLE_DTYPE.itemsize
+    payload = len(blob) - 18
+    if payload < want:
+        raise TruncatedFileError(f"expected {want} record bytes, found {payload}")
+    if payload > want:
         raise CorruptHeaderError("payload larger than the declared count")
-    rec = np.frombuffer(payload, dtype=_RECORD_DTYPE)
-    _check_contexts(rec)
-    samples = []
-    for i in range(count):
-        label = int(rec["label"][i])
-        if label not in (-1, 1):
-            raise DatasetFormatError(f"record {i}: bad label {label}")
-        samples.append(
-            LabeledSample(
-                label=label,
-                context=rec["context"][i].copy(),
-                margin_valid=bool(rec["flags"][i] & 1),
-            )
-        )
+    samples = np.frombuffer(blob, dtype=SAMPLE_DTYPE, offset=18).copy()
+    _check_samples(samples)
     return samples
 
 
 def write_frames(dirpath, scenes):
     """Frame folder: frame_NNNN.txt grids plus truths.csv (frame,row,col).
 
-    Raises ValueError, before anything is written, for an empty scene list:
-    :func:`read_frames` would refuse the folder.
+    Raises ValueError, before anything is written, for an empty scene list
+    (:func:`read_frames` would refuse the folder) and for a folder that
+    already holds frames or a truths.csv (:func:`read_frames` would mix
+    the stale frames in).
     """
     scenes = list(scenes)
     if not scenes:
         raise ValueError("no scenes to write")
     d = pathlib.Path(dirpath)
+    stale = sorted(d.glob("frame_*.txt")) + sorted(d.glob("truths.csv"))
+    if stale:
+        raise ValueError(f"{d} already holds {stale[0].name}; "
+                         f"refusing to mix frame sets")
     d.mkdir(parents=True, exist_ok=True)
     with open(d / "truths.csv", "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -667,12 +635,20 @@ def benchmark_scene_configs(count=48, seed=2000):
 
 def collect_samples(scenes):
     """Extract and split samples from many scenes: (positives, negatives)."""
-    positives = []
-    negatives = []
-    for scene in scenes:
-        for s in extract_samples(scene):
-            (positives if s.label == 1 else negatives).append(s)
-    return positives, negatives
+    samples = np.concatenate([np.empty(0, SAMPLE_DTYPE)]
+                             + [extract_samples(scene) for scene in scenes])
+    return samples[samples["label"] == 1], samples[samples["label"] == -1]
+
+
+def _training_set(scenes, negative_budget, subsample_seed):
+    """Positives, then the negatives thinned to ``negative_budget`` (None
+    keeps them all): the sample set both datagen paths build."""
+    positives, negatives = collect_samples(scenes)
+    if not len(positives) or not len(negatives):
+        raise ValueError("scenes produced an empty class")
+    if negative_budget is not None and negative_budget < len(negatives):
+        negatives = subsample_negatives(negatives, negative_budget, subsample_seed)
+    return np.concatenate([positives, negatives])
 
 
 def build_training_set(configs, negative_budget=None, subsample_seed=0):
@@ -682,10 +658,5 @@ def build_training_set(configs, negative_budget=None, subsample_seed=0):
     happens in memory at training time (augmented_arrays), keeping dataset
     files 64x smaller.
     """
-    scenes = [synth_scene(cfg) for cfg in configs]
-    positives, negatives = collect_samples(scenes)
-    if not positives or not negatives:
-        raise ValueError("training scenes produced an empty class")
-    if negative_budget is not None and negative_budget < len(negatives):
-        negatives = subsample_negatives(negatives, negative_budget, subsample_seed)
-    return positives + negatives
+    return _training_set([synth_scene(cfg) for cfg in configs],
+                         negative_budget, subsample_seed)

@@ -141,6 +141,28 @@ def naive_nms(response, candidates, radius):
     return kept
 
 
+def naive_extract(image, truths):
+    """Per-tile sample extraction loop: (labels, float32 19x19 contexts).
+
+    One positive per truth, centered on it; then negatives tiling the
+    frame row-major on a 15-pixel stride from 2 px in, skipping any tile
+    whose core center lies within 14 px of a truth on both axes.
+    """
+    h, w = image.shape
+    labels, contexts = [], []
+    for r, c in truths:
+        labels.append(1)
+        contexts.append(image[r - 9 : r + 10, c - 9 : c + 10])
+    for r0 in range(2, h - 2 - 15 + 1, 15):
+        for c0 in range(2, w - 2 - 15 + 1, 15):
+            cr, cc = r0 + 7, c0 + 7
+            if any(abs(cr - tr) <= 14 and abs(cc - tc) <= 14 for tr, tc in truths):
+                continue
+            labels.append(-1)
+            contexts.append(image[cr - 9 : cr + 10, cc - 9 : cc + 10])
+    return labels, [np.asarray(ctx, dtype=np.float32) for ctx in contexts]
+
+
 def naive_augment(contexts, labels):
     """Per-sample augmentation loop over 19x19 contexts.
 

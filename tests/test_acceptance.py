@@ -41,7 +41,7 @@ def _reference_corpus():
         scenes = [dg.synth_scene(c) for c in dg.standard_training_configs(seed=1000)]
         positives, negatives = dg.collect_samples(scenes)
         negatives = dg.subsample_negatives(negatives, 8000, seed=1000)
-        patches, labels = dg.augmented_arrays(positives + negatives)
+        patches, labels = dg.augmented_arrays(np.concatenate([positives, negatives]))
         _CACHE["corpus"] = (len(positives), len(negatives), patches, labels)
     return _CACHE["corpus"]
 
@@ -273,10 +273,10 @@ def test_augmentation_cardinalities():
     assert len(positives) == 3
     assert len(negatives) >= 10
 
-    assert dg.augmented_arrays([positives[0]])[0].shape[0] == 64
-    assert dg.augmented_arrays([negatives[0]])[0].shape[0] == 4
+    assert dg.augmented_arrays(positives[:1])[0].shape[0] == 64
+    assert dg.augmented_arrays(negatives[:1])[0].shape[0] == 4
 
-    patches, labels = dg.augmented_arrays(positives + negatives)
+    patches, labels = dg.augmented_arrays(np.concatenate([positives, negatives]))
     assert patches.shape[0] == 64 * len(positives) + 4 * len(negatives)
     assert int(np.sum(labels > 0)) == 64 * len(positives)
     assert int(np.sum(labels < 0)) == 4 * len(negatives)

@@ -72,6 +72,8 @@ class TestDatagen:
         ("--scenes", "0", "--scenes must be >= 1, got 0"),
         ("--frames-per-scene", "0", "--frames-per-scene must be >= 1, got 0"),
         ("--frames-per-scene", "-4", "--frames-per-scene must be >= 1, got -4"),
+        ("--negatives", "0", "--negatives must be >= 1, got 0"),
+        ("--negatives", "-3", "--negatives must be >= 1, got -3"),
     ])
     def test_bad_scene_parameter_fails_cleanly(self, tmp_path, capsys, flag,
                                                value, message):
@@ -79,6 +81,26 @@ class TestDatagen:
         assert run("datagen", "--scenes", "2", flag, value, "--out", str(out)) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bad_negative_budget_fails_before_synthesis(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        assert run("datagen", "--scenes", "2", "--negatives", "0",
+                   "--out", str(tmp_path / "x.nccd"), "--frames-dir", str(frames)) == 1
+        captured = capsys.readouterr()
+        assert "--negatives must be >= 1, got 0" in captured.err
+        assert captured.out == ""
+        assert not frames.exists()
+
+    def test_stale_frame_folder_fails_cleanly(self, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        assert run("datagen", "--scenes", "4", "--frames-dir", str(frames)) == 0
+        before = dir_bytes(frames)
+        data = tmp_path / "x.nccd"
+        assert run("datagen", "--scenes", "2", "--seed", "5", "--frames-dir", str(frames),
+                   "--out", str(data)) == 1
+        assert "already holds frame_0000.txt" in capsys.readouterr().err
+        assert dir_bytes(frames) == before
+        assert not data.exists()
 
     def test_writes_dataset_and_frames(self, tmp_path, capsys):
         data = tmp_path / "train.nccd"
@@ -89,7 +111,7 @@ class TestDatagen:
         )
         assert code == 0
         samples = dg.read_dataset(data)
-        n_pos = sum(1 for s in samples if s.label == 1)
+        n_pos = np.count_nonzero(samples["label"] == 1)
         assert n_pos == 4 * 9
         assert len(samples) - n_pos == 60
         loaded, truths = dg.read_frames(frames)

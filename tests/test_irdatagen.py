@@ -200,19 +200,21 @@ class TestExtract:
     def test_pinned_empty_64_scene_gives_16_negatives(self):
         scene = dg.synth_scene(quiet_config(noise_sigma=1.0, rng_seed=5))
         samples = dg.extract_samples(scene)
-        assert len(samples) == 16
-        assert all(s.label == -1 for s in samples)
-        assert all(s.margin_valid for s in samples)
+        assert samples.dtype == dg.SAMPLE_DTYPE and samples.shape == (16,)
+        assert np.all(samples["label"] == -1)
+        assert np.all(samples["flags"] == 1)
 
     def test_one_positive_per_truth_centered(self):
         scene = dg.synth_scene(
             quiet_config(width=96, height=96, target_count=3, noise_sigma=1.0)
         )
-        pos = [s for s in dg.extract_samples(scene) if s.label == 1]
+        samples = dg.extract_samples(scene)
+        pos = samples[samples["label"] == 1]
         assert len(pos) == 3
-        for s, (r, c) in zip(pos, scene.truths):
-            assert s.context[9, 9] == np.float32(scene.image[r, c])
-            assert s.context.shape == (19, 19)
+        assert np.all(samples["label"][:3] == 1)  # positives come first
+        for ctx, (r, c) in zip(pos["context"], scene.truths):
+            assert ctx[9, 9] == np.float32(scene.image[r, c])
+            assert ctx.shape == (19, 19)
 
     def test_cores_never_overlap(self):
         scene = dg.synth_scene(
@@ -222,8 +224,8 @@ class TestExtract:
         samples = dg.extract_samples(scene)
         boxes = []
         k = 0
-        for s in samples:
-            if s.label == 1:
+        for label in samples["label"]:
+            if label == 1:
                 r, c = scene.truths[k]
                 k += 1
                 boxes.append((r - 7, c - 7))
@@ -237,20 +239,34 @@ class TestExtract:
                        for tr, tc in scene.truths):
                     continue
                 neg_boxes.append((r0, c0))
-        assert len(neg_boxes) == sum(1 for s in samples if s.label == -1)
+        assert len(neg_boxes) == np.count_nonzero(samples["label"] == -1)
         all_boxes = boxes + neg_boxes
         for i, (r1, c1) in enumerate(all_boxes):
             for r2, c2 in all_boxes[i + 1 :]:
                 assert abs(r1 - r2) >= 15 or abs(c1 - c2) >= 15
 
+    @pytest.mark.parametrize("kind", dg.CLUTTER_KINDS)
+    def test_matches_naive_extract(self, kind):
+        scene = dg.synth_scene(dg.SceneConfig(
+            width=112, height=97, clutter_kind=kind, target_count=4,
+            bad_pixel_rate=1e-3, rng_seed=60))
+        samples = dg.extract_samples(scene)
+        labels, contexts = oracles.naive_extract(scene.image, scene.truths)
+        assert samples.dtype == dg.SAMPLE_DTYPE
+        assert samples["label"].tolist() == labels
+        assert np.all(samples["flags"] == 1)
+        assert samples["context"].tobytes() == np.array(contexts).tobytes()
+
 
 class TestAugment:
     def make_positive(self):
+        """A one-sample set: the positive of a lone noise-free target."""
         scene = dg.synth_scene(quiet_config(target_count=1, noise_sigma=0.0))
-        return [s for s in dg.extract_samples(scene) if s.label == 1][0]
+        samples = dg.extract_samples(scene)
+        return samples[samples["label"] == 1][:1]
 
     def test_positive_yields_exactly_64(self):
-        patches, labels = dg.augmented_arrays([self.make_positive()])
+        patches, labels = dg.augmented_arrays(self.make_positive())
         assert patches.shape == (64, 15, 15)
         assert np.all(labels == 1.0)
 
@@ -266,14 +282,14 @@ class TestAugment:
         assert np.array_equal(left, right)
 
     def test_noise_free_peaks_stay_near_center(self):
-        for core in dg.augmented_arrays([self.make_positive()])[0]:
+        for core in dg.augmented_arrays(self.make_positive())[0]:
             r, c = np.unravel_index(np.argmax(core), core.shape)
             assert abs(r - 7) <= 2 and abs(c - 7) <= 2
 
     def test_energy_centroid_within_2_5_px(self):
         # per-axis bound: a diagonal +/-2 shift alone moves an ideal point
         # target 2 px on each axis, so the Euclidean distance can reach 2.83
-        for core in dg.augmented_arrays([self.make_positive()])[0]:
+        for core in dg.augmented_arrays(self.make_positive())[0]:
             w = core - core.min()
             total = w.sum()
             rows, cols = np.mgrid[0:15, 0:15]
@@ -283,29 +299,37 @@ class TestAugment:
 
     def test_negative_yields_exactly_4(self):
         scene = dg.synth_scene(quiet_config(noise_sigma=2.0, rng_seed=8))
-        neg = dg.extract_samples(scene)[0]
-        out, labels = dg.augmented_arrays([neg])
+        neg = dg.extract_samples(scene)[:1]
+        out, labels = dg.augmented_arrays(neg)
         assert out.shape == (4, 15, 15)
         assert np.all(labels == -1.0)
         # identity rotation keeps the core; every rotation keeps the multiset
-        assert np.array_equal(out[0], neg.core)
-        base = np.sort(neg.core.ravel())
+        core = dg.shifted_core(neg["context"][0], 0, 0)
+        assert np.array_equal(out[0], core)
+        base = np.sort(core.ravel())
         for core in out:
             assert np.array_equal(np.sort(core.ravel()), base)
 
     def test_label_guards(self):
         scene = dg.synth_scene(quiet_config(target_count=1, noise_sigma=1.0))
         samples = dg.extract_samples(scene)
-        pos = [s for s in samples if s.label == 1][0]
-        neg = [s for s in samples if s.label == -1][0]
-        with pytest.raises(ValueError, match="label"):
-            dg.LabeledSample(label=0, context=pos.context)
+        pos = samples[samples["label"] == 1][:1]
+        neg = samples[samples["label"] == -1][:1]
+        unlabeled = pos.copy()
+        unlabeled["label"] = 0
+        with pytest.raises(ValueError, match="record 0: bad label"):
+            dg.augmented_arrays(unlabeled)
         # a positive's shifts read its margin; a negative's rotations do not
-        clipped = dg.LabeledSample(label=1, context=pos.context, margin_valid=False)
+        clipped = pos.copy()
+        clipped["flags"] = 0
         with pytest.raises(ValueError, match="margin"):
-            dg.augmented_arrays([neg, clipped])
-        unshifted = dg.LabeledSample(label=-1, context=neg.context, margin_valid=False)
-        assert dg.augmented_arrays([unshifted])[0].shape == (4, 15, 15)
+            dg.augmented_arrays(np.concatenate([neg, clipped]))
+        neg["flags"] = 0
+        assert dg.augmented_arrays(neg)[0].shape == (4, 15, 15)
+        with pytest.raises(TypeError, match="1-D SAMPLE_DTYPE array"):
+            dg.augmented_arrays(list(neg))
+        with pytest.raises(TypeError, match="1-D SAMPLE_DTYPE array"):
+            dg.augmented_arrays(neg.reshape(1, 1))
 
 
 def cluster_sample(kind, rng):
@@ -319,7 +343,34 @@ def cluster_sample(kind, rng):
     core = core + rng.normal(scale=1e-3, size=(15, 15))
     ctx = np.zeros((19, 19), dtype=np.float32)
     ctx[2:17, 2:17] = core
-    return dg.LabeledSample(label=-1, context=ctx)
+    return ctx
+
+
+def negatives_of(contexts):
+    """A negative sample set with full margins from 19x19 contexts."""
+    samples = np.empty(len(contexts), dtype=dg.SAMPLE_DTYPE)
+    samples["label"] = -1
+    samples["flags"] = 1
+    samples["context"] = np.reshape(contexts, (-1, 19, 19))
+    return samples
+
+
+def tagged(samples):
+    """A copy whose records carry their index in the context's corner
+    pixel.  The corner lies in the margin, which subsampling never reads,
+    so the picks are the same and say which records they are."""
+    samples = samples.copy()
+    samples["context"][:, 0, 0] = np.arange(len(samples))
+    return samples
+
+
+def tags(samples):
+    return samples["context"][:, 0, 0].astype(int).tolist()
+
+
+def flat_cores(samples):
+    return int(np.count_nonzero(
+        np.ptp(samples["context"][:, 2:17, 2:17], axis=(1, 2)) < 1e-6))
 
 
 def distinct_pool(size, flat_count, seed):
@@ -327,16 +378,13 @@ def distinct_pool(size, flat_count, seed):
     rest cluster_sample patches with noise of a random scale added, so no
     two of them are NCC-identical."""
     rng = np.random.default_rng(seed)
-    negs = []
+    ctxs = []
     for _ in range(size - flat_count):
-        s = cluster_sample(int(rng.integers(3)), rng)
+        ctx = cluster_sample(int(rng.integers(3)), rng)
         noise = rng.normal(scale=rng.uniform(0.01, 5.0), size=(19, 19))
-        negs.append(dg.LabeledSample(label=-1, context=s.context + noise))
-    negs += [
-        dg.LabeledSample(label=-1, context=np.full((19, 19), v, dtype=np.float32))
-        for v in rng.uniform(0.0, 100.0, size=flat_count)
-    ]
-    return [negs[i] for i in rng.permutation(size)]
+        ctxs.append(ctx + noise)
+    ctxs += [np.full((19, 19), v) for v in rng.uniform(0.0, 100.0, size=flat_count)]
+    return negatives_of(ctxs)[rng.permutation(size)]
 
 
 def quadrupole_pool(size, seed):
@@ -345,22 +393,22 @@ def quadrupole_pool(size, seed):
     are exactly +-0.5 or 0, so every NCC distance is a multiple of 0.25
     computed without rounding: ties are exact, as are duplicates."""
     rng = np.random.default_rng(seed)
-    negs = []
+    ctxs = []
     for _ in range(size):
         ctx = np.full((19, 19), 1000.0, dtype=np.float32)
         pix = rng.choice(25, size=4, replace=False)
         rows, cols = 7 + pix // 5, 7 + pix % 5
         ctx[rows[:2], cols[:2]] += 4.0
         ctx[rows[2:], cols[2:]] -= 4.0
-        negs.append(dg.LabeledSample(label=-1, context=ctx))
-    return negs
+        ctxs.append(ctx)
+    return negatives_of(ctxs)
 
 
 def oracle_picks(negs, budget, seed):
     """Indices into ``negs`` of the farthest-point oracle's picks, over the
     pool subsample_negatives builds: the normalizable cores plus the first
     flat one as a zero feature row, in input order."""
-    cores = np.array([s.core for s in negs], dtype=float).reshape(len(negs), -1)
+    cores = np.array(negs["context"][:, 2:17, 2:17], dtype=float).reshape(len(negs), -1)
     feats, valid = pm.normalize_rows(cores, pm.NORM_STD)
     pool = sorted(np.flatnonzero(valid).tolist() + np.flatnonzero(~valid)[:1].tolist())
     start = int(np.random.default_rng(seed).integers(len(pool)))
@@ -370,64 +418,51 @@ def oracle_picks(negs, budget, seed):
 def assert_matches_oracle(negs, pool_size, seed_offset=0):
     """subsample_negatives picks what the oracle picks, sample for sample, at
     budgets of 1, around one fold, several folds and pool_size - 1."""
-    index = {id(s): i for i, s in enumerate(negs)}
+    negs = tagged(negs)
     fold = dg._FOLD
     wanted = {1, fold - 1, fold, fold + 1, 3 * fold + 2, pool_size - 1}
     for budget in sorted(b for b in wanted if 1 <= b < pool_size):
         seed = budget + seed_offset
         picked = dg.subsample_negatives(negs, budget, seed=seed)
-        assert [index[id(p)] for p in picked] == oracle_picks(negs, budget, seed)
+        assert tags(picked) == oracle_picks(negs, budget, seed)
 
 
 class TestSubsample:
     def test_budget_equals_count_is_identity(self):
         rng = np.random.default_rng(40)
-        negs = [cluster_sample(i % 3, rng) for i in range(6)]
-        assert dg.subsample_negatives(negs, 6, seed=1) == negs
+        negs = negatives_of([cluster_sample(i % 3, rng) for i in range(6)])
+        assert dg.subsample_negatives(negs, 6, seed=1).tobytes() == negs.tobytes()
 
     def test_duplicates_collapse(self):
         rng = np.random.default_rng(41)
         a = cluster_sample(0, rng)
-        b = dg.LabeledSample(label=-1, context=a.context.copy())
-        picked = dg.subsample_negatives([a, b], 1, seed=2)
+        picked = dg.subsample_negatives(negatives_of([a, a.copy()]), 1, seed=2)
         assert len(picked) == 1
 
     def test_three_clusters_budget_three_covers_all(self):
         rng = np.random.default_rng(42)
-        negs = []
-        kinds = []
-        for i in range(15):
-            kind = i % 3
-            negs.append(cluster_sample(kind, rng))
-            kinds.append(kind)
+        kinds = [i % 3 for i in range(15)]
+        negs = tagged(negatives_of([cluster_sample(kind, rng) for kind in kinds]))
         for seed in range(5):
             picked = dg.subsample_negatives(negs, 3, seed=seed)
-            picked_kinds = {kinds[negs.index(p)] for p in picked}
+            picked_kinds = {kinds[i] for i in tags(picked)}
             assert picked_kinds == {0, 1, 2}
 
     def test_flat_bucket_single_representative(self):
         rng = np.random.default_rng(43)
-        flats = [
-            dg.LabeledSample(label=-1, context=np.full((19, 19), v, dtype=np.float32))
-            for v in (5.0, 5.0, 6.0, 7.0, 8.0)
-        ]
+        flats = [np.full((19, 19), v) for v in (5.0, 5.0, 6.0, 7.0, 8.0)]
         textured = [cluster_sample(i, rng) for i in range(3)]
-        picked = dg.subsample_negatives(flats + textured, 4, seed=3)
-        n_flat = sum(1 for p in picked if np.ptp(p.core) < 1e-6)
-        assert n_flat == 1
+        picked = dg.subsample_negatives(negatives_of(flats + textured), 4, seed=3)
+        assert flat_cores(picked) == 1
         assert len(picked) == 4
 
     def test_flat_padding_when_pool_short(self):
         rng = np.random.default_rng(44)
-        flats = [
-            dg.LabeledSample(label=-1, context=np.full((19, 19), v, dtype=np.float32))
-            for v in (1.0, 2.0, 3.0, 4.0)
-        ]
+        flats = [np.full((19, 19), v) for v in (1.0, 2.0, 3.0, 4.0)]
         textured = [cluster_sample(i, rng) for i in range(2)]
-        picked = dg.subsample_negatives(flats + textured, 5, seed=4)
+        picked = dg.subsample_negatives(negatives_of(flats + textured), 5, seed=4)
         assert len(picked) == 5
-        n_flat = sum(1 for p in picked if np.ptp(p.core) < 1e-6)
-        assert n_flat == 3  # the representative plus two padded drops
+        assert flat_cores(picked) == 3  # the representative plus two padded drops
 
     @pytest.mark.parametrize("fold", [1, 2, 7, None])
     @pytest.mark.parametrize("size, flat_count", [(3, 0), (40, 3), (150, 0), (600, 6)])
@@ -451,35 +486,32 @@ class TestSubsample:
 
     def test_validation(self):
         rng = np.random.default_rng(45)
-        negs = [cluster_sample(0, rng)]
+        negs = negatives_of([cluster_sample(0, rng)])
         with pytest.raises(ValueError):
-            dg.subsample_negatives([], 1)
+            dg.subsample_negatives(np.empty(0, dg.SAMPLE_DTYPE), 1)
         with pytest.raises(ValueError):
             dg.subsample_negatives(negs, 0)
         with pytest.raises(ValueError):
             dg.subsample_negatives(negs, 2)
-        pos = dg.LabeledSample(label=1, context=np.ones((19, 19)))
+        pos = negatives_of([np.ones((19, 19))])
+        pos["label"] = 1
         with pytest.raises(ValueError):
-            dg.subsample_negatives([pos], 1)
-        bad = np.array(cluster_sample(1, rng).context)
+            dg.subsample_negatives(pos, 1)
+        with pytest.raises(TypeError):
+            dg.subsample_negatives(list(negs), 1)
+        bad = cluster_sample(1, rng)
         bad[9, 9] = np.nan
-        with pytest.raises(ValueError, match="row 1 contains non-finite values"):
-            dg.subsample_negatives(
-                negs + [dg.LabeledSample(label=-1, context=bad), negs[0]], 2)
+        with pytest.raises(dg.DatasetFormatError, match="record 1: non-finite context"):
+            dg.subsample_negatives(np.concatenate([negs, negatives_of([bad]), negs]), 2)
 
 
 class TestDatasetIO:
     def random_samples(self, rng, count=40):
-        out = []
-        for i in range(count):
-            out.append(
-                dg.LabeledSample(
-                    label=1 if i % 3 == 0 else -1,
-                    context=rng.normal(size=(19, 19)).astype(np.float32),
-                    margin_valid=bool(i % 2),
-                )
-            )
-        return out
+        samples = np.empty(count, dtype=dg.SAMPLE_DTYPE)
+        samples["label"] = np.where(np.arange(count) % 3 == 0, 1, -1)
+        samples["flags"] = np.arange(count) % 2
+        samples["context"] = rng.normal(size=(count, 19, 19))
+        return samples
 
     def test_roundtrip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(50)
@@ -487,11 +519,10 @@ class TestDatasetIO:
         path = tmp_path / "set.nccd"
         dg.write_dataset(samples, path)
         back = dg.read_dataset(path)
-        assert len(back) == len(samples)
-        for a, b in zip(samples, back):
-            assert a.label == b.label
-            assert a.margin_valid == b.margin_valid
-            assert a.context.tobytes() == b.context.tobytes()
+        assert back.dtype == dg.SAMPLE_DTYPE and back.shape == samples.shape
+        assert back.tobytes() == samples.tobytes()
+        assert back.flags.writeable
+        assert path.read_bytes()[18:] == samples.tobytes()
 
     def test_header_bytes_pinned(self, tmp_path):
         rng = np.random.default_rng(51)
@@ -540,8 +571,24 @@ class TestDatasetIO:
         blob = bytearray(path.read_bytes())
         blob[18] = 3  # first record's label byte
         path.write_bytes(bytes(blob))
-        with pytest.raises(dg.DatasetFormatError):
+        with pytest.raises(dg.DatasetFormatError, match="record 0: bad label 3"):
             dg.read_dataset(path)
+
+    @pytest.mark.parametrize("flags", [0x02, 0x03, 0xFE, 0x80])
+    def test_unknown_flag_bits_rejected(self, tmp_path, flags):
+        rng = np.random.default_rng(55)
+        samples = self.random_samples(rng, count=2)
+        path = tmp_path / "set.nccd"
+        dg.write_dataset(samples, path)
+        blob = bytearray(path.read_bytes())
+        blob[19] = flags  # first record's flags byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(dg.DatasetFormatError, match="record 0: unknown flag bits"):
+            dg.read_dataset(path)
+        samples["flags"][1] = flags
+        with pytest.raises(dg.DatasetFormatError, match="record 1: unknown flag bits"):
+            dg.write_dataset(samples, tmp_path / "bad.nccd")
+        assert not (tmp_path / "bad.nccd").exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_context_rejected(self, tmp_path, bad):
@@ -550,13 +597,13 @@ class TestDatasetIO:
         path = tmp_path / "set.nccd"
         dg.write_dataset(samples, path)
         good = path.read_bytes()
-        samples[1].context[4, 7] = bad
+        samples["context"][1, 4, 7] = bad
         with pytest.raises(dg.DatasetFormatError, match="record 1: non-finite"):
             dg.write_dataset(samples, tmp_path / "bad.nccd")
         assert not (tmp_path / "bad.nccd").exists()
         # the same record corrupted on disk
         blob = bytearray(good)
-        offset = 18 + dg._RECORD_DTYPE.itemsize + 2 + 4 * (4 * 19 + 7)
+        offset = 18 + dg.SAMPLE_DTYPE.itemsize + 2 + 4 * (4 * 19 + 7)
         blob[offset : offset + 4] = np.float32(bad).tobytes()
         path.write_bytes(bytes(blob))
         with pytest.raises(dg.DatasetFormatError, match="record 1: non-finite"):
@@ -564,7 +611,10 @@ class TestDatasetIO:
 
     def test_empty_write_rejected(self, tmp_path):
         with pytest.raises(ValueError):
+            dg.write_dataset(np.empty(0, dg.SAMPLE_DTYPE), tmp_path / "empty.nccd")
+        with pytest.raises(TypeError):
             dg.write_dataset([], tmp_path / "empty.nccd")
+        assert not (tmp_path / "empty.nccd").exists()
 
 
 class TestFramesIO:
@@ -590,6 +640,21 @@ class TestFramesIO:
         with pytest.raises(ValueError, match="no scenes"):
             dg.write_frames(tmp_path / "frames", [])
         assert not (tmp_path / "frames").exists()
+
+    @pytest.mark.parametrize("stale", ["frame_0003.txt", "truths.csv"])
+    def test_stale_folder_rejected(self, tmp_path, stale):
+        # fewer new frames than old ones would leave stale frames behind,
+        # scored against the new truths.csv
+        d = tmp_path / "frames"
+        d.mkdir()
+        (d / stale).write_text("stale")
+        scenes = [dg.synth_scene(quiet_config(noise_sigma=1.0))]
+        with pytest.raises(ValueError, match=f"already holds {stale}"):
+            dg.write_frames(d, scenes)
+        assert [p.name for p in d.iterdir()] == [stale]
+        dg.write_frames(tmp_path / "other", scenes)
+        with pytest.raises(ValueError, match="already holds frame_0000.txt"):
+            dg.write_frames(tmp_path / "other", scenes)
 
     @pytest.mark.parametrize("text, message", [
         ("frame,r,c\nframe_0000.txt,5,6\n", "truths.csv: bad header"),
@@ -621,7 +686,7 @@ class TestTrainingSetRecipe:
                                clutter_strength=1.0)
         samples = dg.build_training_set([pos_cfg, neg_cfg], negative_budget=123,
                                         subsample_seed=1)
-        n_pos = sum(1 for s in samples if s.label == 1)
+        n_pos = np.count_nonzero(samples["label"] == 1)
         n_neg = len(samples) - n_pos
         assert (n_pos, n_neg) == (5, 123)
         ratio = (64.0 * n_pos) / (4.0 * n_neg)
@@ -632,36 +697,48 @@ class TestTrainingSetRecipe:
         assert len(configs) == 4
         assert {c.clutter_kind for c in configs} == set(dg.CLUTTER_KINDS)
         samples = dg.build_training_set(configs, negative_budget=40)
-        n_pos = sum(1 for s in samples if s.label == 1)
-        assert n_pos == 4 * 9
-        assert sum(1 for s in samples if s.label == -1) == 40
+        assert samples.dtype == dg.SAMPLE_DTYPE
+        assert np.count_nonzero(samples["label"] == 1) == 4 * 9
+        assert np.count_nonzero(samples["label"] == -1) == 40
+
+    def test_pinned_small_recipe_bytes(self, tmp_path):
+        # the dataset file and the augmented corpus of a small recipe, as
+        # recorded before sample sets became SAMPLE_DTYPE arrays
+        configs = dg.training_scene_configs(scene_count=4, seed=5)
+        samples = dg.build_training_set(configs, negative_budget=40)
+        path = tmp_path / "small.nccd"
+        dg.write_dataset(samples, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "6bcd709cf5aa6d7ac54ea32cc75552e6c89904888da6f1a3725fe6ffd1abc1e5")
+        patches, labels = dg.augmented_arrays(dg.read_dataset(path))
+        digest = hashlib.sha256(patches.tobytes())
+        digest.update(labels.tobytes())
+        assert digest.hexdigest() == (
+            "89ded7559c7d178571c23f2c4be3302fd86c3d69d3a7a1ae23b59070c82e8fc4")
 
     def test_deterministic(self):
         configs = dg.training_scene_configs(scene_count=2, seed=6)
         a = dg.build_training_set(configs, negative_budget=20)
         b = dg.build_training_set(configs, negative_budget=20)
         assert len(a) == len(b)
-        for x, y in zip(a, b):
-            assert x.label == y.label
-            assert np.array_equal(x.context, y.context)
+        assert a.tobytes() == b.tobytes()
 
     def test_augmented_arrays_matches_oracle(self):
         configs = dg.training_scene_configs(scene_count=2, seed=7)
         samples = dg.build_training_set(configs, negative_budget=10)
         # the training set lists all positives first; interleave the labels
-        order = np.random.default_rng(8).permutation(len(samples))
-        samples = [samples[i] for i in order]
-        assert {s.label for s in samples[:4]} == {1, -1}
+        samples = samples[np.random.default_rng(8).permutation(len(samples))]
+        assert set(samples["label"][:4].tolist()) == {1, -1}
         patches, labels = dg.augmented_arrays(samples)
-        want_p, want_l = oracles.naive_augment([s.context for s in samples],
-                                               [s.label for s in samples])
+        want_p, want_l = oracles.naive_augment(samples["context"],
+                                               samples["label"].tolist())
         assert patches.dtype == np.float64
         assert np.array_equal(patches, want_p)
         assert np.array_equal(labels, want_l)
 
     def test_augmented_arrays_rejects_empty(self):
         with pytest.raises(ValueError):
-            dg.augmented_arrays([])
+            dg.augmented_arrays(np.empty(0, dg.SAMPLE_DTYPE))
 
     def test_benchmark_configs_mix(self):
         configs = dg.benchmark_scene_configs(count=12, seed=3)
