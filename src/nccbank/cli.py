@@ -127,6 +127,8 @@ def _cmd_datagen(args):
                         ("--negatives", args.negatives)):
         if count < 1:
             raise ValueError(f"{flag} must be >= 1, got {count}")
+    if args.frames_dir:
+        dg._check_unused_frames_dir(args.frames_dir)
     if args.standard:
         configs = dg.standard_training_configs(seed=args.seed)
     else:

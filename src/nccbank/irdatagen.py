@@ -13,7 +13,8 @@ exists so +/-1, +/-2 pixel shift augmentation never reads outside recorded
 data.  A sample set is a 1-D array of ``SAMPLE_DTYPE`` records, from
 extraction through subsampling to the dataset file, whose payload is the
 array's own bytes.  Positives are augmented 64x (4 rotations x 16 shifts),
-negatives 4x (4 rotations), straight into arrays of 15x15 cores.
+negatives 4x (4 rotations), straight into float32 arrays of 15x15
+cores that keep the contexts' values.
 Negatives can be thinned with greedy farthest-point subsampling under the
 NCC distance 1 - ncc_score(a, b).
 
@@ -382,11 +383,14 @@ def _check_samples(samples):
 
 
 def augmented_arrays(samples):
-    """Augment straight into arrays: (patches (S, 15, 15) float64, labels (S,)).
+    """Augment straight into arrays: (patches (S, 15, 15) float32, labels
+    (S,) float64).
 
     A positive gives 4 rotations x 16 shifts = 64 cores (no (0, 0) shift),
     a negative its 4 rotated unshifted cores; rows follow input order,
-    rotation-major within each sample.
+    rotation-major within each sample.  The patches keep the contexts'
+    float32 values: rotating and shifting only moves them, and
+    :func:`nccbank.nccnet.train` widens them exactly, block by block.
     """
     _check_samples(samples)
     if not len(samples):
@@ -396,7 +400,7 @@ def augmented_arrays(samples):
         raise ValueError("positive augmentation needs a full context margin")
     counts = np.where(pos, 4 * len(SHIFTS), 4)
     starts = np.cumsum(counts) - counts
-    patches = np.empty((int(counts.sum()), CORE_SIZE, CORE_SIZE))
+    patches = np.empty((int(counts.sum()), CORE_SIZE, CORE_SIZE), np.float32)
     labels = np.repeat(np.where(pos, 1.0, -1.0), counts)
     pos_ctx = samples["context"][pos]
     neg_ctx = samples["context"][~pos]
@@ -520,6 +524,8 @@ def read_dataset(path):
         raise VersionMismatchError(f"unsupported dataset version {version}")
     if core != CORE_SIZE or ctx != CONTEXT_SIZE or core > ctx:
         raise CorruptHeaderError(f"unsupported patch geometry {core}/{ctx}")
+    if count == 0:
+        raise CorruptHeaderError("sample_count 0; a dataset holds at least one sample")
     want = count * SAMPLE_DTYPE.itemsize
     payload = len(blob) - 18
     if payload < want:
@@ -529,6 +535,16 @@ def read_dataset(path):
     samples = np.frombuffer(blob, dtype=SAMPLE_DTYPE, offset=18).copy()
     _check_samples(samples)
     return samples
+
+
+def _check_unused_frames_dir(dirpath):
+    """Raise ValueError if the folder ``dirpath`` already holds frames or a
+    truths.csv, which :func:`write_frames` would mix with the new set."""
+    d = pathlib.Path(dirpath)
+    stale = sorted(d.glob("frame_*.txt")) + sorted(d.glob("truths.csv"))
+    if stale:
+        raise ValueError(f"{d} already holds {stale[0].name}; "
+                         f"refusing to mix frame sets")
 
 
 def write_frames(dirpath, scenes):
@@ -542,11 +558,8 @@ def write_frames(dirpath, scenes):
     scenes = list(scenes)
     if not scenes:
         raise ValueError("no scenes to write")
+    _check_unused_frames_dir(dirpath)
     d = pathlib.Path(dirpath)
-    stale = sorted(d.glob("frame_*.txt")) + sorted(d.glob("truths.csv"))
-    if stale:
-        raise ValueError(f"{d} already holds {stale[0].name}; "
-                         f"refusing to mix frame sets")
     d.mkdir(parents=True, exist_ok=True)
     with open(d / "truths.csv", "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -147,8 +147,9 @@ def _forward_rows(net, pn):
 
 def _patch_rows(net, patches):
     """``patches`` checked to be (B, k, k) for the bank's filter size k and
-    returned as a (B, k*k) float matrix; B may be 0."""
-    arr = np.asarray(patches, dtype=float)
+    returned as a (B, k*k) float matrix, float32 kept as it is (see
+    :func:`nccbank.patchmath.normalize_rows`); B may be 0."""
+    arr = pm._float_rows(patches)
     k = net.filter_size
     if arr.ndim != 3 or arr.shape[1:] != (k, k):
         raise ValueError(f"patches must be (B, {k}, {k}), got {arr.shape}")

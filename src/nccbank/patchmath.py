@@ -92,16 +92,21 @@ def _row_stats(q, mode):
     raise ValueError(f"unknown normalization mode {mode!r}")
 
 
-def _normalize_full(x, mode):
-    """:func:`normalize_rows` over a (B, n) float matrix, also returning
-    ``stats = (q, den, stat)``: the centered rows and their
-    :func:`_row_stats` (None for ``none``), as :func:`_backprop_rows`
-    takes them.  Returns ``(normalized, valid, stats)``."""
+def _normalize_full(x, mode, out=None):
+    """:func:`normalize_rows` over a (B, n) float64 matrix, written into
+    ``out`` (a new array if None), also returning ``stats = (q, den,
+    stat)``: the centered rows and their :func:`_row_stats` (None for
+    ``none``), as :func:`_backprop_rows` takes them.  Returns
+    ``(normalized, valid, stats)``."""
+    if out is None:
+        out = np.empty(x.shape)
     if mode == NORM_NONE:
-        return x.copy(), np.ones(x.shape[0], dtype=bool), None
+        np.copyto(out, x)
+        return out, np.ones(x.shape[0], dtype=bool), None
     q = _centered(x)
     den, stat, valid = _row_stats(q, mode)
-    out = np.divide(q, den[:, None], out=np.zeros_like(q), where=valid[:, None])
+    np.divide(q, den[:, None], out=out, where=valid[:, None])
+    out[~valid] = 0.0
     return out, valid, (q, den, stat)
 
 
@@ -116,35 +121,51 @@ def _patch_stats(patch, mode):
     return out, stats
 
 
+def _float_rows(values):
+    """``values`` as an array: a float32 one as it is (:func:`normalize_rows`
+    widens it block by block), anything else converted to float64."""
+    arr = np.asarray(values)
+    return arr if arr.dtype == np.float32 else np.asarray(arr, dtype=float)
+
+
 def normalize_rows(rows, mode):
     """Normalize each row of a (B, n) matrix; the one normalizer.
 
-    Returns ``(normalized, valid)``.  Degenerate (flat) rows are zeroed and
-    flagged False instead of raising; callers decide how to treat them.
-    Rows are independent: normalizing a matrix and then slicing it gives
-    the same bits as normalizing the slice.  ``none`` returns a copy.
+    Returns ``(normalized, valid)``, ``normalized`` in float64.  Degenerate
+    (flat) rows are zeroed and flagged False instead of raising; callers
+    decide how to treat them.  Rows are independent: normalizing a matrix
+    and then slicing it gives the same bits as normalizing the slice.
+    ``none`` returns a copy.
 
     The rows are normalized in blocks of ``_BLOCK_ROWS``, each written into
     the one preallocated output, so the memory taken is that output plus
-    O(block) temporaries, never a corpus-sized centred copy.
+    O(block) temporaries, never a corpus-sized centred copy.  A float32
+    matrix is kept as it is and widened one block at a time into a single
+    float64 buffer; widening is exact, so its output is bitwise that of
+    its float64 copy.  Any other input is converted to float64.
 
     Raises ValueError if the matrix has no columns or holds a NaN or an
     infinity (in every mode, ``none`` included).
     """
-    x = np.asarray(rows, dtype=float)
+    x = _float_rows(rows)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError(f"expected (B, n) matrix with n >= 1, got shape {x.shape}")
     out = np.empty(x.shape)
     valid = np.empty(x.shape[0], dtype=bool)
+    wide = (np.empty((min(len(x), _BLOCK_ROWS), x.shape[1]))
+            if x.dtype == np.float32 else None)
     # an empty matrix still goes through one (empty) block, so its mode
     # and width are checked as for any other
     for lo in range(0, max(len(x), 1), _BLOCK_ROWS):
         hi = lo + _BLOCK_ROWS
         block = x[lo:hi]
+        if wide is not None:
+            block = wide[: len(block)]
+            block[...] = x[lo:hi]
         if not np.isfinite(block).all():
             bad = lo + int(np.argmin(np.isfinite(block).all(axis=1)))
             raise ValueError(f"row {bad} contains non-finite values")
-        out[lo:hi], valid[lo:hi], _ = _normalize_full(block, mode)
+        _, valid[lo:hi], _ = _normalize_full(block, mode, out[lo:hi])
     return out, valid
 
 

@@ -102,6 +102,21 @@ class TestDatagen:
         assert dir_bytes(frames) == before
         assert not data.exists()
 
+    def test_stale_frame_folder_fails_before_synthesis(self, tmp_path, capsys,
+                                                       monkeypatch):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        (frames / "truths.csv").write_text("stale")
+
+        def no_synthesis(config):
+            raise AssertionError("synthesized a scene")
+
+        monkeypatch.setattr(dg, "synth_scene", no_synthesis)
+        assert run("datagen", "--scenes", "2", "--frames-dir", str(frames)) == 1
+        captured = capsys.readouterr()
+        assert f"{frames} already holds truths.csv" in captured.err
+        assert captured.out == ""
+
     def test_writes_dataset_and_frames(self, tmp_path, capsys):
         data = tmp_path / "train.nccd"
         frames = tmp_path / "frames"

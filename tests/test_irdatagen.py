@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -564,6 +565,14 @@ class TestDatasetIO:
         with pytest.raises(dg.TruncatedFileError):
             dg.read_dataset(bad)
 
+    def test_zero_count_header_rejected(self, tmp_path):
+        # write_dataset refuses an empty set, so a count of 0 is corrupt
+        path = tmp_path / "empty.nccd"
+        path.write_bytes(b"NCCD" + struct.pack("<HHHQ", 1, 15, 19, 0))
+        assert path.stat().st_size == 18
+        with pytest.raises(dg.CorruptHeaderError, match="sample_count 0"):
+            dg.read_dataset(path)
+
     def test_bad_label_rejected(self, tmp_path):
         rng = np.random.default_rng(53)
         path = tmp_path / "set.nccd"
@@ -703,7 +712,9 @@ class TestTrainingSetRecipe:
 
     def test_pinned_small_recipe_bytes(self, tmp_path):
         # the dataset file and the augmented corpus of a small recipe, as
-        # recorded before sample sets became SAMPLE_DTYPE arrays
+        # recorded before sample sets became SAMPLE_DTYPE arrays (and, for
+        # the corpus, while it was float64: its exact widening hashes the
+        # same)
         configs = dg.training_scene_configs(scene_count=4, seed=5)
         samples = dg.build_training_set(configs, negative_budget=40)
         path = tmp_path / "small.nccd"
@@ -711,7 +722,8 @@ class TestTrainingSetRecipe:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "6bcd709cf5aa6d7ac54ea32cc75552e6c89904888da6f1a3725fe6ffd1abc1e5")
         patches, labels = dg.augmented_arrays(dg.read_dataset(path))
-        digest = hashlib.sha256(patches.tobytes())
+        assert patches.dtype == np.float32
+        digest = hashlib.sha256(patches.astype(np.float64).tobytes())
         digest.update(labels.tobytes())
         assert digest.hexdigest() == (
             "89ded7559c7d178571c23f2c4be3302fd86c3d69d3a7a1ae23b59070c82e8fc4")
@@ -732,7 +744,7 @@ class TestTrainingSetRecipe:
         patches, labels = dg.augmented_arrays(samples)
         want_p, want_l = oracles.naive_augment(samples["context"],
                                                samples["label"].tolist())
-        assert patches.dtype == np.float64
+        assert patches.dtype == np.float32
         assert np.array_equal(patches, want_p)
         assert np.array_equal(labels, want_l)
 

@@ -266,13 +266,32 @@ class TestTrain:
         assert hist == ref_hist
         assert hist.skipped_degenerate == (0 if mode == "none" else 7)
 
+    @pytest.mark.parametrize("mode", ["std", "mad", "none"])
+    def test_float32_patches_train_as_their_float64_copy(self, mode):
+        # more patches than one normalization block, so the widening
+        # crosses block edges
+        rng = np.random.default_rng(87)
+        patches, labels = toy_dataset(rng, count=pm._BLOCK_ROWS + 100)
+        patches = (patches + 50.0).astype(np.float32)
+        patches[::40] = 4.0  # flat patches
+        cfg = nn.TrainConfig(batch_size=16, max_epochs=2, seed=16)
+        runs = []
+        for corpus in (patches, patches.astype(np.float64)):
+            net = nn.init_network(2, filter_size=5, norm_mode=mode, seed=17)
+            runs.append((net, nn.train(net, corpus, labels, cfg)))
+        (net, hist), (ref_net, ref_hist) = runs
+        assert net.filters.tobytes() == ref_net.filters.tobytes()
+        assert net.weights.tobytes() == ref_net.weights.tobytes()
+        assert hist == ref_hist
+        assert hist.skipped_degenerate == (0 if mode == "none" else 16)
+
     def test_corpus_normalized_once(self, monkeypatch):
         calls = []
         real = pm._normalize_full
 
-        def counting(rows, mode):
+        def counting(rows, mode, out=None):
             calls.append(np.shape(rows)[0])
-            return real(rows, mode)
+            return real(rows, mode, out)
 
         monkeypatch.setattr(pm, "_normalize_full", counting)
         rng = np.random.default_rng(85)

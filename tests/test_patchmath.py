@@ -196,6 +196,48 @@ class TestNormalizeRows:
             tracemalloc.stop()
         assert peak <= 1.25 * out.nbytes
 
+    @pytest.mark.parametrize("mode", pm.NORM_MODES)
+    def test_float32_rows_equal_their_float64_copy(self, mode):
+        # 1,100 rows: two full blocks and a ragged third; flat rows, rows
+        # too small to normalize and rows a few float32 steps above 1e4
+        rng = np.random.default_rng(22)
+        rows = (rng.normal(size=(1100, 25))
+                * rng.uniform(0.01, 100.0, size=(1100, 1))).astype(np.float32)
+        rows[::50] = 3.25
+        rows[7::50] *= np.float32(1e-14)
+        steps = np.spacing(np.float32(1e4)) * (np.arange(25) % 3)
+        rows[9::50] = np.float32(1e4) + steps.astype(np.float32)
+        out, valid = pm.normalize_rows(rows, mode)
+        want, want_valid = pm.normalize_rows(rows.astype(np.float64), mode)
+        assert rows.dtype == np.float32 and out.dtype == np.float64
+        assert out.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(valid, want_valid)
+        flat = 0 if mode == pm.NORM_NONE else 2 * len(rows[::50])
+        assert valid.sum() == len(rows) - flat and valid[9::50].all()
+
+    @pytest.mark.parametrize("mode", pm.NORM_MODES)
+    def test_non_finite_float32_row_rejected(self, mode):
+        rows = np.random.default_rng(23).normal(
+            size=(pm._BLOCK_ROWS + 9, 4)).astype(np.float32)
+        rows[pm._BLOCK_ROWS + 5, 2] = np.nan
+        with pytest.raises(ValueError, match=f"row {pm._BLOCK_ROWS + 5} contains "
+                                             "non-finite values"):
+            pm.normalize_rows(rows, mode)
+
+    @pytest.mark.parametrize("mode", pm.NORM_MODES)
+    def test_float32_rows_are_widened_a_block_at_a_time(self, mode):
+        # the output plus a few block-sized temporaries (4 in STD); a
+        # float64 copy of the input would add 8 blocks on its own
+        rows = np.random.default_rng(24).normal(size=(4096, 225)).astype(np.float32)
+        block = pm._BLOCK_ROWS * rows.shape[1] * 8
+        tracemalloc.start()
+        try:
+            out, _ = pm.normalize_rows(rows, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 5 * block
+
     def test_validation(self):
         with pytest.raises(ValueError, match="expected"):
             pm.normalize_rows(np.zeros(4), pm.NORM_STD)
