@@ -118,7 +118,7 @@ def _normalized_bank(net):
     naming the first flat filter."""
     flat = net.filters.reshape(net.num_filters, -1)
     out, valid, stats = pm._normalize_full(flat, net.norm_mode)
-    if not np.all(valid):
+    if not valid.all():
         bad = int(np.flatnonzero(~valid)[0])
         raise pm.DegeneratePatchError(f"filter {bad} is flat and cannot be normalized")
     return out, stats
@@ -142,7 +142,8 @@ def forward(net, patch):
 
 def _forward_rows(net, pn):
     """Outputs for normalized patch rows ``pn`` (B, k*k)."""
-    return np.maximum(pn @ normalized_filters(net).T, 0.0) @ net.weights
+    scores = pn @ normalized_filters(net).T
+    return np.maximum(scores, 0.0, out=scores) @ net.weights
 
 
 def _patch_rows(net, patches):
@@ -197,11 +198,13 @@ def _loss_and_gradients_rows(net, pn, y):
     acts = np.maximum(scores, 0.0)
     out = acts @ net.weights                # (B,)
     diff = out - y
-    mean_loss = float(np.mean(np.abs(diff)))
+    # np.add.reduce and the divide by B are how np.mean computes the mean
+    mean_loss = float(np.add.reduce(np.abs(diff)) / bsz)
 
     g_out = np.sign(diff) / bsz             # d(mean loss)/d out_b
     g_weights = acts.T @ g_out              # (N,)
-    g_scores = np.outer(g_out, net.weights) * (scores > 0.0)
+    g_scores = g_out[:, None] * net.weights
+    g_scores *= scores > 0.0
     upstream = g_scores.T @ pn              # (N, n), normalized-filter space
     g_filters = pm._backprop_rows(upstream, stats, net.norm_mode)
     return mean_loss, GradientSet(
@@ -214,32 +217,56 @@ def momentum_step(param, grad, velocity, lr, momentum, weight_decay):
 
     v <- momentum * v - lr * (grad + weight_decay * param)
     p <- p + v
+
+    The inputs are left as they are.
     """
-    v = momentum * velocity - lr * (grad + weight_decay * param)
+    step = weight_decay * param
+    step += grad
+    step *= lr
+    v = momentum * velocity
+    v -= step
     return param + v, v
+
+
+def _scores_and_labels(scores, labels):
+    """``scores`` and ``labels`` as float arrays, checked to be non-empty,
+    equal-length and 1-D, the scores finite and the labels +1 or -1."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    if s.shape != y.shape or s.ndim != 1 or s.size == 0:
+        raise ValueError("scores and labels must be non-empty, equal-length 1-D arrays")
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
+    if not ((y == 1.0) | (y == -1.0)).all():
+        raise ValueError("labels must be +1 or -1")
+    return s, y
 
 
 def calibrate_threshold(scores, labels):
     """Threshold t maximizing accuracy of ``predict = +1 iff score >= t``.
 
     Needed because a small ReLU bank can emit one-signed outputs, so the
-    natural cutoff at 0 may sit outside the score range entirely.
+    natural cutoff at 0 may sit outside the score range entirely.  Splits
+    inside a run of tied scores are not thresholds; of the best splits the
+    lowest wins, and t is the midpoint of the scores on either side of it
+    (one below the lowest score or one above the highest at the ends).
+
+    Raises ValueError unless scores and labels are non-empty, equal-length
+    1-D arrays of finite scores and +1/-1 labels.
     """
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if s.shape != y.shape or s.ndim != 1 or s.size == 0:
-        raise ValueError("scores and labels must be equal-length 1-D arrays")
-    order = np.argsort(s, kind="stable")
-    s_sorted = s[order]
-    pos = (y[order] > 0).astype(int)
-    total_pos = int(pos.sum())
-    cum_pos = np.concatenate([[0], np.cumsum(pos)])  # positives before split i
+    s, y = _scores_and_labels(scores, labels)
+    s_sorted = np.sort(s)
+    # positives among the i lowest scores; at a realizable split (below)
+    # they are the positives scoring at most s_sorted[i - 1]
+    cum_pos = np.zeros(s.size + 1, dtype=np.intp)
+    cum_pos[1:] = np.searchsorted(np.sort(s[y > 0]), s_sorted, side="right")
+    total_pos = cum_pos[-1]
     idx = np.arange(s.size + 1)
     correct = (total_pos - cum_pos) + (idx - cum_pos)
     # splits inside a run of tied scores are not realizable thresholds
     realizable = np.ones(s.size + 1, dtype=bool)
     realizable[1:-1] = s_sorted[1:] > s_sorted[:-1]
-    correct = np.where(realizable, correct, -1)
+    correct[~realizable] = -1
     best = int(np.argmax(correct))
     if best == 0:
         return float(s_sorted[0] - 1.0)
@@ -249,8 +276,12 @@ def calibrate_threshold(scores, labels):
 
 
 def threshold_accuracy(scores, labels, threshold):
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels, dtype=float)
+    """Fraction of ``labels`` that ``predict = +1 iff score >= threshold``
+    gets right.  Raises ValueError for the inputs
+    :func:`calibrate_threshold` rejects and for a non-finite threshold."""
+    s, y = _scores_and_labels(scores, labels)
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     return float(np.mean((s >= threshold) == (y > 0)))
 
 

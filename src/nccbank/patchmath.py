@@ -26,6 +26,8 @@ Jacobian is undefined where any centered pixel sits on the |x| kink;
 :func:`backprop_normalization` uses the subgradient ``sign(0) = 0`` there.
 """
 
+import math
+
 import numpy as np
 
 SIGMA_MIN = 1e-12
@@ -62,52 +64,72 @@ def as_patch(values, name="patch"):
     return arr
 
 
-def _centered(rows):
-    # Two-pass centering of each row of a (B, n) matrix: the second pass
-    # removes the O(eps * scale) rounding residual so the mean-zero
-    # invariant holds to ~1e-16 even for patches with large offsets.
-    q = rows - rows.mean(axis=1, keepdims=True)
-    q -= q.mean(axis=1, keepdims=True)
+def _centered(rows, out=None):
+    # Two-pass centering of each row of a (B, n) matrix, into ``out`` (a
+    # new array if None): the second pass removes the O(eps * scale)
+    # rounding residual so the mean-zero invariant holds to ~1e-16 even
+    # for patches with large offsets.  A row's mean is its np.add.reduce
+    # divided by n, as np.mean computes it, without np.mean's call overhead.
+    n = rows.shape[1]
+    mean = np.add.reduce(rows, axis=1, keepdims=True)
+    mean /= n
+    q = np.subtract(rows, mean, out=out)
+    mean = np.add.reduce(q, axis=1, keepdims=True)
+    mean /= n
+    q -= mean
     return q
 
 
-def _row_stats(q, mode):
+def _row_stats(q, mode, buf=None):
     """The one per-mode denominator check, over centered rows ``q``.
 
     Returns ``(denominator, statistic, valid)`` per row: for STD the L2
     norm ``sqrt(n - 1) * std`` and the std, for MAD ``sqrt(n) * mad`` and
     the mad; ``valid`` is False where the statistic is at or below
-    ``SIGMA_MIN`` / ``MAD_MIN`` (or NaN).
+    ``SIGMA_MIN`` / ``MAD_MIN`` (or NaN).  The squares (STD) or absolute
+    values (MAD) of ``q`` go into ``buf``, an array of ``q``'s shape
+    (a new one if None).
     """
     n = q.shape[1]
     if mode == NORM_STD:
         if n < 2:
             raise ValueError("STD normalization needs at least 2 pixels")
-        ss = np.sqrt(np.sum(q * q, axis=1))
-        sigma = ss / np.sqrt(n - 1)
+        ss = np.sqrt(np.add.reduce(np.square(q, out=buf), axis=1))
+        sigma = ss / math.sqrt(n - 1)
         return ss, sigma, sigma > SIGMA_MIN
     if mode == NORM_MAD:
-        mad = np.mean(np.abs(q), axis=1)
-        return np.sqrt(n) * mad, mad, mad > MAD_MIN
+        mad = np.add.reduce(np.abs(q, out=buf), axis=1)
+        mad /= n
+        return math.sqrt(n) * mad, mad, mad > MAD_MIN
     raise ValueError(f"unknown normalization mode {mode!r}")
 
 
-def _normalize_full(x, mode, out=None):
-    """:func:`normalize_rows` over a (B, n) float64 matrix, written into
-    ``out`` (a new array if None), also returning ``stats = (q, den,
-    stat)``: the centered rows and their :func:`_row_stats` (None for
-    ``none``), as :func:`_backprop_rows` takes them.  Returns
-    ``(normalized, valid, stats)``."""
-    if out is None:
-        out = np.empty(x.shape)
+def _normalize_full(x, mode, out=None, buf=None):
+    """:func:`normalize_rows` over a (B, n) float64 matrix ``x``; returns
+    ``(normalized, valid, stats)``.
+
+    With ``out`` given, the rows are centered straight into it and divided
+    there in place, and ``stats`` is None.  Without, the normalized rows
+    are a new array and ``stats = (q, den, stat)`` holds the centered rows
+    beside them with their :func:`_row_stats` (None for ``none``), as
+    :func:`_backprop_rows` takes them.  ``buf`` (see
+    :func:`_row_stats`) may be ``x`` itself when ``out`` is given: ``x``
+    is not read after the centering.
+    """
     if mode == NORM_NONE:
+        if out is None:
+            out = np.empty(x.shape)
         np.copyto(out, x)
         return out, np.ones(x.shape[0], dtype=bool), None
-    q = _centered(x)
-    den, stat, valid = _row_stats(q, mode)
-    np.divide(q, den[:, None], out=out, where=valid[:, None])
-    out[~valid] = 0.0
-    return out, valid, (q, den, stat)
+    q = _centered(x, out)
+    den, stat, valid = _row_stats(q, mode, buf)
+    normalized = q if out is not None else np.empty(x.shape)
+    if valid.all():
+        np.divide(q, den[:, None], out=normalized)
+    else:  # a flat row is zeroed, not divided (0 / 0 for an exactly flat one)
+        np.divide(q, den[:, None], out=normalized, where=valid[:, None])
+        normalized[~valid] = 0.0
+    return normalized, valid, None if out is not None else (q, den, stat)
 
 
 def _patch_stats(patch, mode):
@@ -137,12 +159,14 @@ def normalize_rows(rows, mode):
     and then slicing it gives the same bits as normalizing the slice.
     ``none`` returns a copy.
 
-    The rows are normalized in blocks of ``_BLOCK_ROWS``, each written into
-    the one preallocated output, so the memory taken is that output plus
-    O(block) temporaries, never a corpus-sized centred copy.  A float32
-    matrix is kept as it is and widened one block at a time into a single
-    float64 buffer; widening is exact, so its output is bitwise that of
-    its float64 copy.  Any other input is converted to float64.
+    The rows are normalized in blocks of ``_BLOCK_ROWS``, each centered
+    straight into its slice of the one preallocated output and divided
+    there in place, so the memory taken is that output plus one work
+    block for the squares (or absolute values), never a corpus-sized
+    centred copy.  A float32 matrix is kept as it is and widened one block
+    at a time into that work block; widening is exact, so its output is
+    bitwise that of its float64 copy.  Any other input is converted to
+    float64.
 
     Raises ValueError if the matrix has no columns or holds a NaN or an
     infinity (in every mode, ``none`` included).
@@ -152,20 +176,26 @@ def normalize_rows(rows, mode):
         raise ValueError(f"expected (B, n) matrix with n >= 1, got shape {x.shape}")
     out = np.empty(x.shape)
     valid = np.empty(x.shape[0], dtype=bool)
-    wide = (np.empty((min(len(x), _BLOCK_ROWS), x.shape[1]))
-            if x.dtype == np.float32 else None)
+    buf = np.empty((min(len(x), _BLOCK_ROWS), x.shape[1]))
     # an empty matrix still goes through one (empty) block, so its mode
     # and width are checked as for any other
     for lo in range(0, max(len(x), 1), _BLOCK_ROWS):
         hi = lo + _BLOCK_ROWS
         block = x[lo:hi]
-        if wide is not None:
-            block = wide[: len(block)]
-            block[...] = x[lo:hi]
-        if not np.isfinite(block).all():
+        work = buf[: len(block)]
+        wide = block
+        if x.dtype == np.float32:
+            wide = work
+            wide[...] = block
+        # a NaN or an infinity makes its row's mean, and so its statistics,
+        # NaN: the row is flagged flat, and only flagged rows (every row in
+        # none mode) need their pixels scanned
+        with np.errstate(invalid="ignore"):
+            _, valid[lo:hi], _ = _normalize_full(wide, mode, out[lo:hi], work)
+        scan = block if mode == NORM_NONE else block[~valid[lo:hi]]
+        if not np.isfinite(scan).all():
             bad = lo + int(np.argmin(np.isfinite(block).all(axis=1)))
             raise ValueError(f"row {bad} contains non-finite values")
-        _, valid[lo:hi], _ = _normalize_full(block, mode, out[lo:hi])
     return out, valid
 
 
@@ -265,13 +295,19 @@ def _backprop_rows(u, stats, mode):
     if mode == NORM_NONE:
         return u.copy()
     q, den, stat = stats
+    n = q.shape[1]
     if mode == NORM_STD:
         pbar = q / den[:, None]
-        v = u - np.sum(u * pbar, axis=1, keepdims=True) * pbar
+        v = np.add.reduce(u * pbar, axis=1, keepdims=True) * pbar
     else:
-        dot = np.sum(u * q, axis=1, keepdims=True)
-        v = u - dot / (q.shape[1] * stat[:, None]) * np.sign(q)
-    return (v - v.mean(axis=1, keepdims=True)) / den[:, None]
+        v = np.sign(q)
+        v *= np.add.reduce(u * q, axis=1, keepdims=True) / (n * stat[:, None])
+    np.subtract(u, v, out=v)
+    mean = np.add.reduce(v, axis=1, keepdims=True)
+    mean /= n
+    v -= mean
+    v /= den[:, None]
+    return v
 
 
 def backprop_normalization(upstream, patch, mode):

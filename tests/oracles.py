@@ -55,6 +55,84 @@ def naive_normalize_mad(grid):
     return (g - mu) / (np.sqrt(g.size) * md)
 
 
+def two_pass_normalize_rows(rows, mode):
+    """The row normalizer's formula in plain numpy calls over the whole
+    matrix: rows widened to float64, centered twice with ``np.mean``, the
+    STD denominator ``sqrt(np.sum(q * q))`` or the MAD one
+    ``sqrt(n) * np.mean(|q|)``, a divide masked to the rows whose std or
+    mad exceeds 1e-12 and zeros elsewhere (a copy for ``none``).  Returns
+    ``(normalized, valid, (q, den, stat))``."""
+    x = np.asarray(rows, dtype=np.float64)
+    if mode == "none":
+        return x.copy(), np.ones(len(x), dtype=bool), None
+    n = x.shape[1]
+    q = x - x.mean(axis=1, keepdims=True)
+    q -= q.mean(axis=1, keepdims=True)
+    if mode == "std":
+        den = np.sqrt(np.sum(q * q, axis=1))
+        stat = den / np.sqrt(n - 1)
+    else:
+        stat = np.mean(np.abs(q), axis=1)
+        den = np.sqrt(n) * stat
+    valid = stat > 1e-12
+    out = np.zeros_like(q)
+    np.divide(q, den[:, None], out=out, where=valid[:, None])
+    return out, valid, (q, den, stat)
+
+
+def two_pass_loss_and_gradients(filters, weights, mode, pn, y):
+    """One batch step of the two-layer network in plain numpy calls
+    (``np.mean``, ``np.sum``, ``np.outer``): the mean L1 loss of
+    ``relu(pn @ fn.T) @ weights`` against labels ``y`` over normalized
+    patch rows ``pn``, and its gradients for the (N, k, k) ``filters``
+    (pulled back through :func:`two_pass_normalize_rows` in factored form,
+    ``sign(0) = 0``) and the weights.  Returns ``(loss, g_filters,
+    g_weights)``."""
+    fn, _, stats = two_pass_normalize_rows(filters.reshape(len(filters), -1), mode)
+    scores = pn @ fn.T
+    acts = np.maximum(scores, 0.0)
+    diff = acts @ weights - y
+    loss = float(np.mean(np.abs(diff)))
+    g_out = np.sign(diff) / len(y)
+    g_weights = acts.T @ g_out
+    u = (np.outer(g_out, weights) * (scores > 0.0)).T @ pn
+    if mode == "none":
+        return loss, u.reshape(filters.shape), g_weights
+    q, den, stat = stats
+    if mode == "std":
+        pbar = q / den[:, None]
+        v = u - np.sum(u * pbar, axis=1, keepdims=True) * pbar
+    else:
+        dot = np.sum(u * q, axis=1, keepdims=True)
+        v = u - dot / (q.shape[1] * stat[:, None]) * np.sign(q)
+    g = (v - v.mean(axis=1, keepdims=True)) / den[:, None]
+    return loss, g.reshape(filters.shape), g_weights
+
+
+def stable_argsort_threshold(scores, labels):
+    """Accuracy-maximizing threshold for ``predict = +1 iff score >= t``
+    by a stable argsort: the positives before every split are a cumulative
+    sum in sorted order, splits inside a run of tied scores score -1, the
+    first best split wins, and t is the midpoint of its two neighbours
+    (the lowest score - 1 or the highest + 1 at the ends)."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    order = np.argsort(s, kind="stable")
+    s_sorted = s[order]
+    pos = (y[order] > 0).astype(int)
+    cum_pos = np.concatenate([[0], np.cumsum(pos)])
+    idx = np.arange(s.size + 1)
+    correct = (pos.sum() - cum_pos) + (idx - cum_pos)
+    realizable = np.ones(s.size + 1, dtype=bool)
+    realizable[1:-1] = s_sorted[1:] > s_sorted[:-1]
+    best = int(np.argmax(np.where(realizable, correct, -1)))
+    if best == 0:
+        return float(s_sorted[0] - 1.0)
+    if best == s.size:
+        return float(s_sorted[-1] + 1.0)
+    return float(0.5 * (s_sorted[best - 1] + s_sorted[best]))
+
+
 def naive_correlate_valid(image, filt):
     """Triple-loop valid-mode cross-correlation."""
     img = np.asarray(image, dtype=float)

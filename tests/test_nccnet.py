@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from nccbank import nccnet as nn
@@ -173,6 +175,23 @@ class TestGradients:
         with pytest.raises(pm.DegeneratePatchError):
             nn.loss_and_gradients(net, np.zeros((1, 3, 3)), np.array([1.0]))
 
+    @pytest.mark.parametrize("mode", pm.NORM_MODES)
+    @pytest.mark.parametrize("num_filters", [1, 4])
+    def test_batch_step_equals_two_pass_formula_bytewise(self, mode, num_filters):
+        # np.add.reduce for np.mean and np.sum, a broadcast product for
+        # np.outer and in-place updates give the same bytes
+        rng = np.random.default_rng(88)
+        patches, labels = toy_dataset(rng, count=37)
+        net = nn.init_network(num_filters, filter_size=5, norm_mode=mode, seed=18)
+        net.weights = rng.normal(size=num_filters)  # both signs of g_scores
+        pn, _ = pm.normalize_rows(patches.reshape(37, -1), mode)
+        loss, grads = nn._loss_and_gradients_rows(net, pn, labels)
+        want = oracles.two_pass_loss_and_gradients(
+            net.filters, net.weights, mode, pn, labels)
+        assert loss == want[0]
+        assert grads.filters.tobytes() == want[1].tobytes()
+        assert grads.weights.tobytes() == want[2].tobytes()
+
 
 class TestSgd:
     def test_pinned_two_step_recurrence(self):
@@ -199,6 +218,16 @@ class TestSgd:
             p, v = nn.momentum_step(p0, g, 0.0, lr, m, 0.0)
             p, v = nn.momentum_step(p, g, v, lr, m, 0.0)
             assert p == pytest.approx(p0 - lr * g * (2.0 + m), rel=1e-12, abs=1e-12)
+
+    def test_arrays_left_as_they_are_and_bytes_of_the_formula(self):
+        rng = np.random.default_rng(71)
+        p, g, v = (rng.normal(size=(2, 3, 3)) for _ in range(3))
+        before = [a.tobytes() for a in (p, g, v)]
+        new_p, new_v = nn.momentum_step(p, g, v, 0.001, 0.95, 0.0005)
+        want_v = 0.95 * v - 0.001 * (g + 0.0005 * p)
+        assert new_v.tobytes() == want_v.tobytes()
+        assert new_p.tobytes() == (p + want_v).tobytes()
+        assert [a.tobytes() for a in (p, g, v)] == before
 
 
 class TestTrain:
@@ -289,9 +318,9 @@ class TestTrain:
         calls = []
         real = pm._normalize_full
 
-        def counting(rows, mode, out=None):
+        def counting(rows, mode, out=None, buf=None):
             calls.append(np.shape(rows)[0])
-            return real(rows, mode, out)
+            return real(rows, mode, out, buf)
 
         monkeypatch.setattr(pm, "_normalize_full", counting)
         rng = np.random.default_rng(85)
@@ -340,6 +369,26 @@ class TestTrain:
         assert np.array_equal(net.filters, before)
 
 
+@st.composite
+def calibration_cases(draw):
+    """Scores with many ties, all equal, +-0.0 beside other values, or
+    arbitrary finite floats; labels of both classes or of one."""
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["ties", "equal", "signed-zeros", "floats"]))
+    if kind == "ties":
+        elements = st.sampled_from([-2.0, -0.5, 0.0, 0.25, 0.5, 3.0])
+    elif kind == "equal":
+        elements = st.just(draw(st.floats(-5.0, 5.0)))
+    elif kind == "signed-zeros":
+        elements = st.sampled_from([-0.0, 0.0, -1.5, 1.5])
+    else:
+        elements = st.floats(-1e3, 1e3)
+    scores = draw(st.lists(elements, min_size=n, max_size=n))
+    classes = draw(st.sampled_from([(-1.0, 1.0), (1.0,), (-1.0,)]))
+    labels = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
+    return np.array(scores), np.array(labels)
+
+
 class TestThresholdCalibration:
     def test_separable_scores(self):
         s = np.array([0.1, 0.2, 0.8, 0.9])
@@ -368,6 +417,50 @@ class TestThresholdCalibration:
         t = nn.calibrate_threshold(s, y)
         assert t == pytest.approx(0.6)
         assert nn.threshold_accuracy(s, y, t) == 1.0
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(case=calibration_cases())
+    def test_equals_stable_argsort_bytewise(self, case):
+        # the positives below each split are counted by searchsorted over
+        # the sorted positives; at every realizable split that is the
+        # stable-order cumulative sum, so the same split and bits win
+        s, y = case
+        got = nn.calibrate_threshold(s, y)
+        want = oracles.stable_argsort_threshold(s, y)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_relu_scores_equal_stable_argsort_bytewise(self):
+        # 20,000 scores, a third of them exactly +-0.0 as from a ReLU bank
+        rng = np.random.default_rng(72)
+        y = np.where(rng.random(20000) < 0.8, 1.0, -1.0)
+        s = np.maximum(rng.normal(size=20000) + 0.5 * y, 0.0)
+        s[::7] = -0.0
+        got = nn.calibrate_threshold(s, y)
+        assert np.float64(got).tobytes() == np.float64(
+            oracles.stable_argsort_threshold(s, y)).tobytes()
+
+    @pytest.mark.parametrize("call", [
+        lambda s, y: nn.calibrate_threshold(s, y),
+        lambda s, y: nn.threshold_accuracy(s, y, 0.3),
+    ], ids=["calibrate", "accuracy"])
+    @pytest.mark.parametrize("scores, labels, match", [
+        ([np.nan, 0.2, 0.8], [-1.0, -1.0, 1.0], "scores must be finite"),
+        ([0.1, -np.inf, 0.8], [-1.0, -1.0, 1.0], "scores must be finite"),
+        ([0.1, 0.5, 0.8], [0.0, -1.0, 1.0], "labels must be"),
+        ([0.1, 0.5, 0.8], [2.0, -1.0, 1.0], "labels must be"),
+        ([0.1, 0.5, 0.8], [1.0], "equal-length"),
+        ([], [], "non-empty"),
+        ([[0.1, 0.5]], [[1.0, -1.0]], "1-D"),
+    ], ids=["nan-score", "inf-score", "label-0", "label-2", "lengths", "empty",
+            "2-d"])
+    def test_bad_input_rejected(self, call, scores, labels, match):
+        with pytest.raises(ValueError, match=match):
+            call(np.array(scores), np.array(labels))
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            nn.threshold_accuracy([0.1, 0.5, 0.8], [-1.0, 1.0, 1.0], threshold)
 
     def test_one_signed_network_outputs(self):
         # all-positive scores from a ReLU bank still calibrate cleanly

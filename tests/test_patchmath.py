@@ -1,7 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from nccbank import patchmath as pm
@@ -120,6 +123,33 @@ class TestNormalize:
             pm.normalize(p, "l2")
 
 
+ROW_KINDS = ("random", "offset", "flat", "near-flat", "tiny")
+
+
+@st.composite
+def row_matrices(draw):
+    """(B, n) matrices of mixed rows, float64 or float32, and a block size
+    that splits them into more than two blocks more often than not.  Row
+    kinds: unit-scale noise, noise on a +-1e4 offset, constant, constant
+    plus 1e-15 steps, and noise scaled below the flat cut-off."""
+    rows = draw(st.integers(1, 24))
+    cols = draw(st.integers(2, 30))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=rows, max_size=rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(rows, cols)) * rng.uniform(0.01, 100.0, size=(rows, 1))
+    for i, kind in enumerate(kinds):
+        if kind == "offset":
+            x[i] += rng.choice([-1e4, 1e4])
+        elif kind == "flat":
+            x[i] = rng.uniform(-10.0, 10.0)
+        elif kind == "near-flat":
+            x[i] = 7.0 + 1e-15 * np.arange(cols)
+        elif kind == "tiny":
+            x[i] *= 1e-14
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    return x.astype(dtype), draw(st.sampled_from([1, 3, 8, pm._BLOCK_ROWS]))
+
+
 class TestNormalizeRows:
     @staticmethod
     def corpus(rng):
@@ -182,6 +212,61 @@ class TestNormalizeRows:
         if mode == pm.NORM_NONE:
             assert not np.shares_memory(out, rows)
             assert out.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("mode", pm.NORM_MODES)
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(case=row_matrices())
+    def test_equals_two_pass_formula_bytewise(self, mode, case):
+        # the blocks are centered and divided in place with np.add.reduce
+        # sums; np.mean, np.sum and a masked divide give the same bytes
+        rows, block = case
+        with mock.patch.object(pm, "_BLOCK_ROWS", block):
+            out, valid = pm.normalize_rows(rows, mode)
+        want, want_valid, _ = oracles.two_pass_normalize_rows(rows, mode)
+        assert out.tobytes() == want.tobytes()
+        assert valid.tobytes() == want_valid.tobytes()
+
+    @pytest.mark.parametrize("mode", pm.NORM_MODES)
+    def test_row_whose_sum_overflows_is_flat_not_rejected(self, mode):
+        # finite pixels whose row sum overflows to inf: the statistics turn
+        # NaN and the row is zeroed and flagged, as by the two-pass formula
+        rows = np.random.default_rng(25).normal(size=(pm._BLOCK_ROWS + 4, 25))
+        rows[pm._BLOCK_ROWS + 1] = 1e308
+        with np.errstate(over="ignore"):
+            out, valid = pm.normalize_rows(rows, mode)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want, want_valid, _ = oracles.two_pass_normalize_rows(rows, mode)
+        assert out.tobytes() == want.tobytes()
+        assert valid.tobytes() == want_valid.tobytes()
+        assert valid[pm._BLOCK_ROWS + 1] == (mode == pm.NORM_NONE)
+        assert valid.sum() == len(rows) - (mode != pm.NORM_NONE)
+
+    @pytest.mark.parametrize("mode", pm.NORM_MODES)
+    def test_first_non_finite_row_named_among_flat_rows(self, mode):
+        # flat rows are flagged, and scanned, on both sides of the bad ones
+        block = pm._BLOCK_ROWS
+        rows = np.random.default_rng(26).normal(size=(2 * block + 9, 6))
+        rows[[3, block + 2, block + 6]] = 1.5
+        rows[block + 5, 4] = np.nan
+        rows[block + 7, 0] = np.inf
+        with pytest.raises(ValueError, match=f"row {block + 5} contains non-finite"):
+            pm.normalize_rows(rows, mode)
+
+    @pytest.mark.parametrize("mode", [pm.NORM_STD, pm.NORM_MAD])
+    def test_float64_blocks_take_one_work_block(self, mode):
+        # each block is centered straight into the output; its squares or
+        # |q| take one work block.  Normalizing a block into new arrays
+        # held a centred copy, its square or |q| and an isfinite mask at
+        # once: a peak of the output plus three blocks
+        rows = np.random.default_rng(27).normal(size=(4096, 225))
+        block = pm._BLOCK_ROWS * rows.shape[1] * 8
+        tracemalloc.start()
+        try:
+            out, _ = pm.normalize_rows(rows, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 1.5 * block
 
     @pytest.mark.parametrize("mode", [pm.NORM_STD, pm.NORM_MAD])
     def test_memory_is_one_output_plus_a_block(self, mode):
