@@ -98,7 +98,7 @@ def _window_scores(frame, k, mode, mat):
         a1 = pm._box_sums(np.abs(x), k)
         # plus the rounding of x and of the window mean, through the filter
         err = err + eps * a1 * (np.abs(mat).max() / 2 + 2 * k * np.abs(sums).max() / n)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if mode == pm.NORM_STD:
                 s2 = pm._box_sums(x * x, k)
                 den = np.sqrt(np.maximum(s2 - s1 * mu, 0.0))
@@ -111,7 +111,8 @@ def _window_scores(frame, k, mode, mat):
                 den = np.sqrt(n) * stat
                 rel = err / den + (2 * k + 1) * eps * a1 / sad + (n + 1) * eps
             fast = (rel <= _SCORE_RTOL) & (stat * (1.0 - rel) > floor)
-        dots = np.divide(dots, den, out=np.zeros_like(dots), where=fast)
+            # every window off the fast path is recomputed below
+            dots /= den
     rows, cols = np.nonzero(~fast)
     wins = np.lib.stride_tricks.sliding_window_view(f, (k, k))
     for lo in range(0, rows.size, _EXACT_BATCH):
@@ -208,22 +209,28 @@ def _local_maxima(response):
     ties both qualify and are left for NMS to thin.  Missing neighbors
     beyond the response border neither disqualify a cell nor count as the
     required strictly-smaller neighbor.  A 1x1 response is its own peak.
+
+    The 3 x 3 max over the -inf-padded response and the 3 x 3 min over the
+    +inf-padded one each take two separable passes.  Both include the
+    cell itself, so ``r >= max`` means "at least every neighbor" and
+    ``r > min`` "some neighbor strictly lower".  The min skips NaN (as a
+    NaN neighbor is never strictly lower) and the max keeps it (as no cell
+    is >= a NaN neighbor).
     """
     r = np.asarray(response, dtype=float)
     if r.size == 1:
         return np.ones(r.shape, dtype=bool)
-    lo = np.pad(r, 1, constant_values=-np.inf)  # missing: always <=
-    hi = np.pad(r, 1, constant_values=np.inf)  # missing: never strictly less
-    ge_all = np.ones(r.shape, dtype=bool)
-    gt_any = np.zeros(r.shape, dtype=bool)
-    h, w = r.shape
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            ge_all &= r >= lo[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
-            gt_any |= r > hi[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
-    return ge_all & gt_any
+    return (r >= _window3(r, -np.inf, np.maximum)) & (r > _window3(r, np.inf, np.fmin))
+
+
+def _window3(r, pad, reduce):
+    """``reduce`` over every 3 x 3 neighborhood of ``r`` padded with
+    ``pad``: along the rows, then along the columns."""
+    p = np.pad(r, 1, constant_values=pad)
+    rows = reduce(p[:, :-2], p[:, 1:-1])
+    reduce(rows, p[:, 2:], out=rows)
+    out = reduce(rows[:-2], rows[1:-1])
+    return reduce(out, rows[2:], out=out)
 
 
 def _check_radius(radius, name):
@@ -245,31 +252,34 @@ def detect_candidates(frame, scorer, nms_radius=DEFAULT_NMS_RADIUS):
     ValueError for a negative or non-finite ``nms_radius``.
     """
     radius = _check_radius(nms_radius, "nms_radius")
-    response = scorer(np.asarray(frame, dtype=float))
+    response = np.asarray(scorer(np.asarray(frame, dtype=float)), dtype=float)
     rows, cols = np.nonzero(_local_maxima(response))
     if rows.size == 0:
         return []
     scores = response[rows, cols]
-    order = np.lexsort((cols, rows, -scores))
+    # np.nonzero yields raster order, so a stable sort breaks ties by (row, col)
+    order = np.argsort(-scores, kind="stable")
     rows, cols, scores = rows[order], cols[order], scores[order]
     # Candidates sit on integer cells, so "within the radius of a kept
-    # candidate" is "inside the integer disk painted around it".  Offsets
-    # beyond the response cannot matter, which also keeps radius**2 finite.
+    # candidate" is "inside the integer disk painted around it", here as
+    # flat offsets into a border-padded mask.  Offsets beyond the response
+    # cannot matter, which also keeps radius**2 finite.
     h, w = response.shape
     pr, pc = min(int(radius), h - 1), min(int(radius), w - 1)
-    disk = (np.arange(-pr, pr + 1)[:, None] ** 2 + np.arange(-pc, pc + 1) ** 2
-            <= min(radius, h + w) ** 2)
-    suppressed = np.zeros((h + 2 * pr, w + 2 * pc), dtype=bool)
+    dr, dc = np.nonzero(np.arange(-pr, pr + 1)[:, None] ** 2 + np.arange(-pc, pc + 1) ** 2
+                        <= min(radius, h + w) ** 2)
+    width = w + 2 * pc
+    offsets = (dr - pr) * width + (dc - pc)
+    cells = np.empty_like(offsets)
+    suppressed = np.zeros((h + 2 * pr) * width, dtype=bool)
     kept = []
-    for i, (r, c) in enumerate(zip(rows.tolist(), cols.tolist())):
-        if not suppressed[r + pr, c + pc]:
+    for i, at in enumerate(((rows + pr) * width + cols + pc).tolist()):
+        if not suppressed[at]:
             kept.append(i)
-            suppressed[r : r + 2 * pr + 1, c : c + 2 * pc + 1] |= disk
+            suppressed[np.add(offsets, at, out=cells)] = True
     half = scorer.window // 2
-    return [
-        Detection(int(rows[i] + half), int(cols[i] + half), float(scores[i]))
-        for i in kept
-    ]
+    return list(map(Detection, (rows[kept] + half).tolist(), (cols[kept] + half).tolist(),
+                    scores[kept].tolist()))
 
 
 def sliding_detect(frame, scorer, threshold, nms_radius=DEFAULT_NMS_RADIUS):
@@ -404,7 +414,8 @@ def roc_curve(scored_frames, thresholds, match_radius=DEFAULT_MATCH_RADIUS,
     positives over all truths while false alarms average per frame.  The
     area under the curve integrates hit rate over false alarms per frame,
     normalized by the largest false-alarm rate the sweep reached (the
-    abscissa has no natural upper bound).
+    abscissa has no natural upper bound).  A NaN threshold raises
+    ValueError; +-inf are allowed.
     """
     frames = [(list(cands), _as_truths(truths)) for cands, truths in scored_frames]
     if not frames:
@@ -415,6 +426,8 @@ def roc_curve(scored_frames, thresholds, match_radius=DEFAULT_MATCH_RADIUS,
     thr = np.sort(np.asarray(thresholds, dtype=float))[::-1]
     if thr.size == 0:
         raise ValueError("no thresholds")
+    if np.isnan(thr).any():
+        raise ValueError("thresholds must not be NaN")
 
     # Greedy matching of a threshold's surviving subset walks the frame's
     # sorted pairs, skipping filtered detections; that equals
@@ -427,7 +440,9 @@ def roc_curve(scored_frames, thresholds, match_radius=DEFAULT_MATCH_RADIUS,
     for cands, t in frames:
         scores = np.array([d.score for d in cands])
         pairs = _match_pairs(cands, t, match_radius)
-        dets += np.count_nonzero(scores > thr[:, None], axis=1)
+        # the count of scores above each threshold, NaN scores never above
+        ranked = np.sort(scores[~np.isnan(scores)])
+        dets += ranked.size - np.searchsorted(ranked, thr, side="right")
         frame_tp = np.zeros(thr.size, dtype=int)
         for s in np.unique(scores[[di for _, di, _ in pairs]])[::-1]:
             frame_tp[thr < s] = len(_greedy_matches(pairs, scores >= s))

@@ -352,9 +352,10 @@ def mad_ncc_fixed_score(patch, filt, qformat=None):
 
 
 def _trunc_div_array(num, den):
-    # den > 0 elementwise; numpy // floors, so route negatives through
-    # the negated floor to truncate toward zero like the scalar path.
-    return np.where(num >= 0, num // den, -((-num) // den))
+    # den > 0 elementwise; numpy // floors, so divide the magnitudes and
+    # restore the sign to truncate toward zero like the scalar path.
+    quot = np.abs(num) // den
+    return np.negative(quot, out=quot, where=num < 0)
 
 
 def _may_overflow(taps):
@@ -390,18 +391,29 @@ def _raise_first_overflow(sums, sad, prod_over, acc):
         raise OverflowError(_STAGE_OVERFLOWS[int(np.argmax(over[:, bad[0]]))])
 
 
+def _stage_dtype(taps):
+    """int32 when every box sum, sad and sum(x * t) of a 16-bit window
+    fits it, that is when n * 0xFFFF * max(1, max|tap|) < 2**31 (every
+    Q(8, 7) filter up to 16 x 16); int64 otherwise."""
+    bound = taps.size * 0xFFFF * max(1, int(np.max(np.abs(taps.astype(np.int64)))))
+    return np.int32 if bound < 1 << 31 else np.int64
+
+
 def mad_ncc_fixed_response(frame, filt, qformat=None):
     """Valid-mode response map of the fixed-point scorer over a frame.
 
     Bit-identical to calling :func:`mad_ncc_fixed_score` at every window
     position, errors included.  The window sums are integer box sums; the
-    sads and the accumulators ``sum((x - mean) * t)`` take one pass per
-    window offset over the int64 frame.  Windows are checked for stage
-    overflow only when the taps make one possible, which the default
-    Q(8, 7) taps never do, and the output numerator is computed in Python
-    integers only when k alone makes an int64 wrap possible (k >= 162).
-    Returns ``(raw, degenerate)`` where ``raw`` is int32 of shape
-    (H - k + 1, W - k + 1) and ``degenerate`` marks zero-sad windows
+    sads and the sums ``sum(x * t)`` take one pass per window offset over
+    the frame.  These run in int32 when ``k * k * 0xFFFF * max(1,
+    max|tap|) < 2**31``, which holds for every Q(8, 7) filter up to
+    16 x 16, and in int64 otherwise; the accumulator ``sum(x * t) - mean *
+    sum(t)`` and the output stage are int64 either way.  Windows are
+    checked for stage overflow only when the taps make one possible, which
+    the int32 bound rules out, and the output numerator is computed in
+    Python integers only when k alone makes an int64 wrap possible
+    (k >= 162).  Returns ``(raw, degenerate)`` where ``raw`` is int32 of
+    shape (H - k + 1, W - k + 1) and ``degenerate`` marks zero-sad windows
     (their raw value is 0).
     """
     taps = _fixed_taps(filt, qformat)
@@ -410,26 +422,31 @@ def mad_ncc_fixed_response(frame, filt, qformat=None):
     k = taps.shape[0]
     if fr.ndim != 2 or fr.shape[0] < k or fr.shape[1] < k:
         raise ValueError(f"frame {fr.shape} too small for {k}x{k} taps")
-    x = fr.astype(np.int64)
-    t64 = taps.astype(np.int64)
+    dtype = _stage_dtype(taps)
+    x = fr.astype(dtype)
+    t = taps.astype(dtype)
     sums = pm._box_sums(x, k)
     means = sums // (k * k)  # sums >= 0, floor == trunc
     sad = pm._sad(x, means, k)
     h, w = means.shape
-    # acc = sum((x - mean) * t) = sum(x * t) - mean * sum(t), exact in int64
-    acc = means * -int(t64.sum())
-    prod_over = np.zeros(means.shape, dtype=bool) if _may_overflow(t64) else None
+    xt = np.zeros_like(means)
+    prod = np.empty_like(means)
+    prod_over = np.zeros(means.shape, dtype=bool) if _may_overflow(t) else None
     for i in range(k):
         for j in range(k):
             win = x[i : i + h, j : j + w]
-            acc += win * t64[i, j]
+            xt += np.multiply(win, t[i, j], out=prod)
             if prod_over is not None:
-                dev_t = (win - means) * t64[i, j]
+                dev_t = (win - means) * t[i, j]
                 prod_over |= (dev_t < -(1 << 31)) | (dev_t >= 1 << 31)
+    # acc = sum((x - mean) * t) = sum(x * t) - mean * sum(t), exact in int64
+    acc = means.astype(np.int64)
+    acc *= -int(taps.sum(dtype=np.int64))
+    acc += xt
     if prod_over is not None:
         _raise_first_overflow(sums, sad, prod_over, acc)
     num = (acc.astype(object) if _num_may_wrap(k) else acc) * (k * OUT_QFORMAT.scale)
-    den = sad * qformat.scale
+    den = sad.astype(np.int64) * qformat.scale
     scores = _trunc_div_array(num, np.where(den > 0, den, 1))
     scores = np.clip(scores, OUT_QFORMAT.raw_min, OUT_QFORMAT.raw_max)
     flat = sad == 0

@@ -114,11 +114,17 @@ def init_network(num_filters, filter_size=15, norm_mode=pm.NORM_STD, seed=0):
 
 def _normalized_bank(net):
     """Normalized filters as (N, k*k) rows plus their backprop stats (see
-    :func:`nccbank.patchmath._normalize_full`); raises DegeneratePatchError
-    naming the first flat filter."""
-    flat = net.filters.reshape(net.num_filters, -1)
-    out, valid, stats = pm._normalize_full(flat, net.norm_mode)
+    :func:`nccbank.patchmath._normalize_full`); raises ValueError naming
+    the first filter with a NaN or infinite tap, else DegeneratePatchError
+    naming the first flat filter.  A non-finite tap makes its filter's
+    statistics NaN, so the taps are scanned only once a filter is flagged."""
+    rows = net.filters.reshape(net.num_filters, -1)
+    out, valid, stats = pm._normalize_full(rows, net.norm_mode)
     if not valid.all():
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0])
+            raise ValueError(f"filter {bad} has non-finite taps")
         bad = int(np.flatnonzero(~valid)[0])
         raise pm.DegeneratePatchError(f"filter {bad} is flat and cannot be normalized")
     return out, stats
@@ -128,7 +134,8 @@ def normalized_filters(net):
     """Normalize every filter, returned as an (N, k*k) matrix.
 
     Raises DegeneratePatchError naming the filter if one has gone flat
-    (possible in principle under aggressive weight decay).
+    (possible in principle under aggressive weight decay), and ValueError
+    naming it if one holds a NaN or infinite tap (a diverged training).
     """
     return _normalized_bank(net)[0]
 

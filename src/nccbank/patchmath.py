@@ -86,7 +86,8 @@ def _row_stats(q, mode, buf=None):
     Returns ``(denominator, statistic, valid)`` per row: for STD the L2
     norm ``sqrt(n - 1) * std`` and the std, for MAD ``sqrt(n) * mad`` and
     the mad; ``valid`` is False where the statistic is at or below
-    ``SIGMA_MIN`` / ``MAD_MIN`` (or NaN).  The squares (STD) or absolute
+    ``SIGMA_MIN`` / ``MAD_MIN`` or not finite (a NaN, or an infinity from
+    squares or sums that overflow).  The squares (STD) or absolute
     values (MAD) of ``q`` go into ``buf``, an array of ``q``'s shape
     (a new one if None).
     """
@@ -96,11 +97,11 @@ def _row_stats(q, mode, buf=None):
             raise ValueError("STD normalization needs at least 2 pixels")
         ss = np.sqrt(np.add.reduce(np.square(q, out=buf), axis=1))
         sigma = ss / math.sqrt(n - 1)
-        return ss, sigma, sigma > SIGMA_MIN
+        return ss, sigma, (sigma > SIGMA_MIN) & (sigma < np.inf)
     if mode == NORM_MAD:
         mad = np.add.reduce(np.abs(q, out=buf), axis=1)
         mad /= n
-        return math.sqrt(n) * mad, mad, mad > MAD_MIN
+        return math.sqrt(n) * mad, mad, (mad > MAD_MIN) & (mad < np.inf)
     raise ValueError(f"unknown normalization mode {mode!r}")
 
 
@@ -154,8 +155,9 @@ def normalize_rows(rows, mode):
     """Normalize each row of a (B, n) matrix; the one normalizer.
 
     Returns ``(normalized, valid)``, ``normalized`` in float64.  Degenerate
-    (flat) rows are zeroed and flagged False instead of raising; callers
-    decide how to treat them.  Rows are independent: normalizing a matrix
+    (flat) rows, and rows whose std or mad overflows to infinity, are
+    zeroed and flagged False instead of raising; callers decide how to
+    treat them.  Rows are independent: normalizing a matrix
     and then slicing it gives the same bits as normalizing the slice.
     ``none`` returns a copy.
 

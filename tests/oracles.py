@@ -60,7 +60,8 @@ def two_pass_normalize_rows(rows, mode):
     matrix: rows widened to float64, centered twice with ``np.mean``, the
     STD denominator ``sqrt(np.sum(q * q))`` or the MAD one
     ``sqrt(n) * np.mean(|q|)``, a divide masked to the rows whose std or
-    mad exceeds 1e-12 and zeros elsewhere (a copy for ``none``).  Returns
+    mad exceeds 1e-12 and is finite, and zeros elsewhere (a copy for
+    ``none``).  Returns
     ``(normalized, valid, (q, den, stat))``."""
     x = np.asarray(rows, dtype=np.float64)
     if mode == "none":
@@ -74,7 +75,7 @@ def two_pass_normalize_rows(rows, mode):
     else:
         stat = np.mean(np.abs(q), axis=1)
         den = np.sqrt(n) * stat
-    valid = stat > 1e-12
+    valid = (stat > 1e-12) & np.isfinite(stat)
     out = np.zeros_like(q)
     np.divide(q, den[:, None], out=out, where=valid[:, None])
     return out, valid, (q, den, stat)
@@ -187,6 +188,28 @@ def naive_window_scores(frame, k, mode, mat):
         scores.append(out.reshape(rows, cols, -1))
         flat.append(~valid.reshape(rows, cols))
     return np.concatenate(scores), np.concatenate(flat)
+
+
+def naive_local_maxima(response):
+    """Cells >= all in-bounds 8-neighbors and > at least one of them, by
+    16 shifted comparisons against the response padded with -inf (a
+    missing neighbor is always <=) and with +inf (never strictly less); a
+    1x1 response is its own peak."""
+    r = np.asarray(response, dtype=float)
+    if r.size == 1:
+        return np.ones(r.shape, dtype=bool)
+    lo = np.pad(r, 1, constant_values=-np.inf)  # missing: always <=
+    hi = np.pad(r, 1, constant_values=np.inf)  # missing: never strictly less
+    ge_all = np.ones(r.shape, dtype=bool)
+    gt_any = np.zeros(r.shape, dtype=bool)
+    h, w = r.shape
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr == 0 and dc == 0:
+                continue
+            ge_all &= r >= lo[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
+            gt_any |= r > hi[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
+    return ge_all & gt_any
 
 
 def naive_nms(response, candidates, radius):

@@ -96,8 +96,30 @@ def test_mask_nms_matches_greedy_loop(response, radius):
     fractional and beyond the frame."""
     r = response.astype(float)
     got = bn.detect_candidates(r, IdentityScorer(), radius)
-    want = oracles.naive_nms(r, bn._local_maxima(r), radius)
+    want = oracles.naive_nms(r, oracles.naive_local_maxima(r), radius)
     assert [(d.row, d.col, d.score) for d in got] == want
+
+
+@st.composite
+def peak_responses(draw):
+    """Integer-valued responses over few levels, so ties and plateaus are
+    everywhere, with -0.0 beside 0.0; single cells, single rows, single
+    columns and small blocks, some of them constant."""
+    side = st.integers(2, 14)
+    shape = draw(st.one_of(st.just((1, 1)), st.tuples(st.just(1), side),
+                           st.tuples(side, st.just(1)), st.tuples(side, side)))
+    levels = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
+    if draw(st.booleans()):
+        return np.full(shape, draw(levels))
+    return draw(hnp.arrays(np.float64, shape, elements=levels))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(response=peak_responses())
+def test_local_maxima_match_pairwise_comparisons(response):
+    got = bn._local_maxima(response)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(got, oracles.naive_local_maxima(response))
 
 
 class TestNccFilterScorer:
@@ -570,6 +592,15 @@ class TestRocCurve:
         )]
         curve = bn.roc_curve(scored, np.linspace(9, 1, 128))
         assert curve.auc == pytest.approx(0.5)
+
+    def test_nan_threshold_rejected(self):
+        # +-inf stay allowed, as in sliding_detect
+        scored = [([D(1, 1, 0.5)], [(1, 1)])]
+        with pytest.raises(ValueError, match="NaN"):
+            bn.roc_curve(scored, [0.2, np.nan])
+        curve = bn.roc_curve(scored, [-np.inf, 0.2, np.inf])
+        assert curve.thresholds.tolist() == [np.inf, 0.2, -np.inf]
+        assert curve.hit_rates.tolist() == [0.0, 1.0, 1.0]
 
     def test_no_truths_raises(self):
         with pytest.raises(ValueError):

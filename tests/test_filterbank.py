@@ -377,6 +377,49 @@ class TestFixedResponse:
         np.testing.assert_array_equal(raw, [[want.raw]])
         assert raw.dtype == np.int32 and not degenerate.any()
 
+    @pytest.mark.parametrize("peak, qformat, dtype", [
+        # 225 * 0xFFFF * 128 < 2**31 <= 225 * 0xFFFF * 146
+        (128, fb.TAP_QFORMAT, np.int32),
+        (146, fb.QFormat(9, 7), np.int64),
+        # large enough for an int32 sum(x * t) to wrap on a window that is
+        # not flat
+        (255, fb.QFormat(9, 7), np.int64),
+    ])
+    def test_either_side_of_the_int32_bound(self, peak, qformat, dtype):
+        # 15 x 15 taps at +peak but for a negative centre row and a -peak
+        # corner, over a 45 x 45 frame of 5 x 5 blocks of 0 and 65535 whose
+        # bottom rows are all 65535: flat windows, and windows bright but
+        # for one or a few dark blocks, at the extremes of every stage
+        taps = np.full((15, 15), peak, dtype=np.int32)
+        taps[7] = -(peak // 2)
+        taps[0, 0] = -peak
+        assert fb._stage_dtype(taps) is dtype
+        bi, bj = np.ogrid[:9, :9]
+        dark = ((bi * 3 + bj) % 7 == 0) & (bi < 5)
+        frame = np.kron(np.where(dark, 0, 0xFFFF), np.ones((5, 5), dtype=int))
+        frame = frame.astype(np.uint16)
+        raw, degenerate = fb.mad_ncc_fixed_response(frame, taps, qformat)
+        want = [
+            [fb.mad_ncc_fixed_score(frame[i : i + 15, j : j + 15], taps, qformat)
+             for j in range(frame.shape[1] - 14)]
+            for i in range(frame.shape[0] - 14)
+        ]
+        np.testing.assert_array_equal(raw, [[s.raw for s in row] for row in want])
+        np.testing.assert_array_equal(
+            degenerate, [[s.degenerate for s in row] for row in want])
+        assert degenerate.any() and not degenerate.all()
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_trunc_div_array_matches_scalar(self, dtype):
+        nums = [(1 << 62) - 1, -((1 << 62) - 1), 1, -1, 0]
+        dens = [1, 2, 3, 7, 1024, (1 << 31) - 1]
+        pairs = [(a, b) for a in nums for b in dens]
+        num = np.array([a for a, _ in pairs], dtype=dtype)
+        den = np.array([b for _, b in pairs], dtype=dtype)
+        got = fb._trunc_div_array(num, den)
+        assert got.dtype == num.dtype
+        assert got.tolist() == [fb._trunc_div_int(a, b) for a, b in pairs]
+
     def test_all_flat_frame(self):
         taps = fb.prepare_fixed_taps(fb.ricker_hat_grid(15))
         raw, degen = fb.mad_ncc_fixed_response(

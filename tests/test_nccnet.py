@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nccbank import bench as bn
 from nccbank import nccnet as nn
 from nccbank import patchmath as pm
 
@@ -102,6 +103,26 @@ class TestForward:
         net = nn.init_network(1, filter_size=4, seed=3)
         with pytest.raises(pm.DegeneratePatchError):
             nn.forward(net, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("mode", [pm.NORM_STD, pm.NORM_MAD])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_filter_named_not_called_flat(self, mode, bad):
+        # a diverged filter, beside a flat one that comes first
+        net = nn.init_network(3, filter_size=5, norm_mode=mode, seed=4)
+        net.filters[0] = 0.5
+        net.filters[1, 0, 0] = bad
+        patches = np.random.default_rng(5).normal(size=(2, 5, 5))
+        calls = [lambda: nn.forward_batch(net, patches),
+                 lambda: bn.NetworkScorer(net), lambda: nn.normalized_filters(net)]
+        for call in calls:
+            # numpy warns of inf - inf while centring an infinite tap
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == "filter 1 has non-finite taps"
+            assert not isinstance(info.value, pm.DegeneratePatchError)
+        net.filters[1, 0, 0] = 0.0
+        with pytest.raises(pm.DegeneratePatchError, match="filter 0 is flat"):
+            nn.normalized_filters(net)
 
 
 class TestGradients:

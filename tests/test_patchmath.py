@@ -229,9 +229,12 @@ class TestNormalizeRows:
     @pytest.mark.parametrize("mode", pm.NORM_MODES)
     def test_row_whose_sum_overflows_is_flat_not_rejected(self, mode):
         # finite pixels whose row sum overflows to inf: the statistics turn
-        # NaN and the row is zeroed and flagged, as by the two-pass formula
+        # NaN and the row is zeroed and flagged, as by the two-pass formula.
+        # A 1e200 row centres finitely, but its squares overflow: its std
+        # is inf, so it is zeroed and flagged too; its mad stays finite.
         rows = np.random.default_rng(25).normal(size=(pm._BLOCK_ROWS + 4, 25))
         rows[pm._BLOCK_ROWS + 1] = 1e308
+        rows[pm._BLOCK_ROWS + 3] *= 1e200
         with np.errstate(over="ignore"):
             out, valid = pm.normalize_rows(rows, mode)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -239,7 +242,9 @@ class TestNormalizeRows:
         assert out.tobytes() == want.tobytes()
         assert valid.tobytes() == want_valid.tobytes()
         assert valid[pm._BLOCK_ROWS + 1] == (mode == pm.NORM_NONE)
-        assert valid.sum() == len(rows) - (mode != pm.NORM_NONE)
+        assert valid[pm._BLOCK_ROWS + 3] == (mode != pm.NORM_STD)
+        assert out[pm._BLOCK_ROWS + 3].any() == (mode != pm.NORM_STD)
+        assert valid.sum() == len(rows) - (mode != pm.NORM_NONE) - (mode == pm.NORM_STD)
 
     @pytest.mark.parametrize("mode", pm.NORM_MODES)
     def test_first_non_finite_row_named_among_flat_rows(self, mode):
