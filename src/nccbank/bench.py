@@ -37,15 +37,6 @@ def frame_to_u16(frame):
     return np.clip(np.rint(f), 0, 0xFFFF).astype(np.uint16)
 
 
-def _check_frame(frame, window):
-    f = pm.as_patch(frame, "frame")
-    if f.shape[0] < window or f.shape[1] < window:
-        raise ValueError(
-            f"frame {f.shape} smaller than the {window}x{window} window"
-        )
-    return f
-
-
 # Largest score error, relative to max(1, |score|), that the response
 # map's error bound may allow a window before the window is recomputed
 # by the exact two-pass path.
@@ -53,6 +44,119 @@ _SCORE_RTOL = 5e-11
 
 # Windows per batch of the exact fallback; bounds its (B, k*k) copies.
 _EXACT_BATCH = 8192
+
+_EPS = np.finfo(float).eps
+
+
+class _FrameWindows:
+    """The window statistics of one frame, each computed on first use and
+    then kept for every built-in scorer that scores the frame.
+
+    :func:`run_benchmark` makes one per frame and hands it to the built-in
+    scorers in place of the frame, so a statistic is computed once per
+    frame and charged to the first scorer that reads it.  Only what
+    depends on the frame alone is kept: each scorer still bounds its own
+    error from its own filters, so whether a window takes the exact path
+    stays decided per scorer.  Every item is computed by the same
+    operations as a lone scorer computes it, so sharing changes no bit.
+    """
+
+    def __init__(self, frame):
+        self._frame = frame
+        self._memo = {}
+
+    def _get(self, key, make):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def frame(self, k):
+        """The checked float frame; ValueError unless it holds a k x k
+        window."""
+        f = self._get("frame", lambda: pm.as_patch(self._frame, "frame"))
+        if f.shape[0] < k or f.shape[1] < k:
+            raise ValueError(f"frame {f.shape} smaller than the {k}x{k} window")
+        return f
+
+    def centred(self, mode):
+        """The frame less its mean (the frame itself for ``none``)."""
+        if mode == pm.NORM_NONE:
+            return self.frame(1)
+
+        def make():
+            f = self.frame(1)
+            return f - f.mean()
+
+        return self._get("x", make)
+
+    def spectrum(self, mode):
+        """``rfft2`` of :meth:`centred`."""
+        return self._get(("spectrum", mode == pm.NORM_NONE),
+                         lambda: np.fft.rfft2(self.centred(mode)))
+
+    def rms(self, mode):
+        """Root mean square of :meth:`centred`, the frame's part of the
+        FFT error."""
+        def make():
+            x = self.centred(mode)
+            return np.sqrt(np.mean(x * x))
+
+        return self._get(("rms", mode == pm.NORM_NONE), make)
+
+    def sums(self, k):
+        """``(mu, a1)`` of every k x k window of :meth:`centred`: its mean
+        and its sum of absolute values.  The window sums are kept only
+        until :meth:`std` has read them."""
+        def make():
+            x = self.centred(pm.NORM_STD)
+            s1 = self._memo["s1", k] = pm._box_sums(x, k)
+            return s1 / (k * k), pm._box_sums(np.abs(x), k)
+
+        return self._get(("sums", k), make)
+
+    def std(self, k):
+        """``(den, cancel)`` of every k x k window: the STD denominator from
+        box sums and the relative error of its cancellation ``S2 - S1^2 /
+        n``, by the factor ``S2 / den^2``."""
+        def make():
+            x = self.centred(pm.NORM_STD)
+            mu, _ = self.sums(k)
+            s1 = self._memo.pop(("s1", k))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                s2 = pm._box_sums(x * x, k)
+                den = np.sqrt(np.maximum(s2 - s1 * mu, 0.0))
+                return den, 4 * k * _EPS * s2 / (den * den)
+
+        return self._get((pm.NORM_STD, k), make)
+
+    def mad(self, k):
+        """``(stat, spread)`` of every k x k window: the mad and the
+        relative error of the window's sad from the rounding of its pixels
+        and its mean."""
+        def make():
+            x = self.centred(pm.NORM_MAD)
+            mu, a1 = self.sums(k)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                sad = pm._sad(x, mu, k)
+                return sad / (k * k), (2 * k + 1) * _EPS * a1 / sad
+
+        return self._get((pm.NORM_MAD, k), make)
+
+    def drop(self, keys):
+        """Forget the items under ``keys`` (see :func:`_reads`)."""
+        for key in keys:
+            self._memo.pop(key, None)
+
+    def u16(self, k):
+        """The frame on the u16 pixel range of the fixed-point scorers."""
+        self.frame(k)
+        return self._get("u16", lambda: frame_to_u16(self.frame(1)))
+
+
+def _frame_windows(frame):
+    """``frame`` itself if it is a :class:`_FrameWindows`, else a new one
+    of it."""
+    return frame if isinstance(frame, _FrameWindows) else _FrameWindows(frame)
 
 
 def _exact_scores(rows, mode, mat):
@@ -67,50 +171,61 @@ def _exact_scores(rows, mode, mat):
     return np.divide(dots, den[:, None], out=np.zeros_like(dots), where=valid[:, None])
 
 
-def _window_scores(frame, k, mode, mat):
-    """(H - k + 1, W - k + 1, N) map of every k x k window of ``frame``
-    against the rows of ``mat``: the window's N dots divided by its
-    ``mode`` denominator, not its k*k pixels (plain dots for ``none``).
+def _window_scores(frame, k, mode, mat, spectra=None):
+    """(H - k + 1, W - k + 1, N) map of every k x k window of ``frame`` (an
+    array or a :class:`_FrameWindows`) against the rows of ``mat``: the
+    window's N dots divided by its ``mode`` denominator, not its k*k
+    pixels (plain dots for ``none``).
 
-    The dots are FFT correlations of the frame, less the window mean times
-    each row's sum; the STD denominator comes from box sums, the MAD one
-    from one |x - mean| pass per window offset.  Every window gets a bound
-    on its score's error, from the frame's energy and its own magnitude,
-    spread and (STD) cancellation; where the bound exceeds
+    The dots are FFT correlations of the centred frame, less the window
+    mean times each row's sum; the STD denominator comes from box sums,
+    the MAD one from one |x - mean| pass per window offset.  Every window
+    gets a bound on its score's error, from the frame's energy and its own
+    magnitude, spread and (STD) cancellation; where the bound exceeds
     ``_SCORE_RTOL * max(1, |score|)`` or cannot tell the flat flag, the
-    window is recomputed exactly as :func:`_exact_scores`.
+    window is recomputed exactly as :func:`_exact_scores`.  ``spectra``, a
+    dict, keeps the rows' conjugate spectra for the last frame shape
+    scored, so a scorer transforms its filters once per shape.
     """
-    f = _check_frame(frame, k)
+    windows = _frame_windows(frame)
+    f = windows.frame(k)
     n = k * k
-    eps = np.finfo(float).eps
-    x = f if mode == pm.NORM_NONE else f - f.mean()
-    dots = pm._correlate(x, mat.reshape(-1, k, k))
+    if spectra is None:
+        spectra = {}
+    if f.shape not in spectra:
+        spectra.clear()
+        spectra[f.shape] = pm._filter_spectra(mat.reshape(-1, k, k), f.shape)
+    dots = pm._correlate_spectra(windows.spectrum(mode), spectra[f.shape], f.shape, (k, k))
     l1 = np.abs(mat).sum(axis=1).max()
     # the FFT's error: spread over the frame, a few eps * rms * l1
-    err = eps * l1 * np.log2(x.size) * np.sqrt(np.mean(x * x))
+    err = _EPS * l1 * np.log2(f.size) * windows.rms(mode)
     if mode == pm.NORM_NONE:
         fast = err <= _SCORE_RTOL * np.maximum(1.0, np.abs(dots).min(axis=0))
     else:
-        s1 = pm._box_sums(x, k)
-        mu = s1 / n
+        mu, a1 = windows.sums(k)
         sums = mat.sum(axis=1)
-        dots -= mu * sums[:, None, None]
-        a1 = pm._box_sums(np.abs(x), k)
-        # plus the rounding of x and of the window mean, through the filter
-        err = err + eps * a1 * (np.abs(mat).max() / 2 + 2 * k * np.abs(sums).max() / n)
+        for row, total in zip(dots, sums):  # one (h, w) temporary at a time
+            row -= mu * total
+        # plus the rounding of x and of the window mean, through the filter;
+        # the bound is built in place, err first, then rel = err / den + ...
+        rel = _EPS * a1
+        rel *= np.abs(mat).max() / 2 + 2 * k * np.abs(sums).max() / n
+        rel += err
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if mode == pm.NORM_STD:
-                s2 = pm._box_sums(x * x, k)
-                den = np.sqrt(np.maximum(s2 - s1 * mu, 0.0))
+                den, cancel = windows.std(k)
                 stat, floor = den / np.sqrt(n - 1), pm.SIGMA_MIN
-                # S2 - S1^2 / n cancels by the factor S2 / den^2
-                rel = err / den + 4 * k * eps * s2 / (den * den)
+                rel /= den
+                rel += cancel
             else:
-                sad = pm._sad(x, mu, k)
-                stat, floor = sad / n, pm.MAD_MIN
-                den = np.sqrt(n) * stat
-                rel = err / den + (2 * k + 1) * eps * a1 / sad + (n + 1) * eps
-            fast = (rel <= _SCORE_RTOL) & (stat * (1.0 - rel) > floor)
+                stat, spread = windows.mad(k)
+                den, floor = np.sqrt(n) * stat, pm.MAD_MIN
+                rel /= den
+                rel += spread
+                rel += (n + 1) * _EPS
+            low = 1.0 - rel
+            low *= stat
+            fast = (rel <= _SCORE_RTOL) & (low > floor)
             # every window off the fast path is recomputed below
             dots /= den
     rows, cols = np.nonzero(~fast)
@@ -138,9 +253,10 @@ class NccFilterScorer:
         if mode != pm.NORM_NONE:
             g = pm.normalize(g, mode)
         self._mat = g.reshape(1, -1).copy()
+        self._spectra = {}
 
     def __call__(self, frame):
-        return _window_scores(frame, self.window, self.mode, self._mat)[..., 0]
+        return _window_scores(frame, self.window, self.mode, self._mat, self._spectra)[..., 0]
 
 
 class NetworkScorer:
@@ -150,12 +266,14 @@ class NetworkScorer:
     def __init__(self, net, name=None):
         self.net = net
         self.window = net.filter_size
+        self.mode = net.norm_mode
         self.name = name or f"net-{net.num_filters}x{net.filter_size}-{net.norm_mode}"
         self._bank = nn.normalized_filters(net)
+        self._spectra = {}
 
     def __call__(self, frame):
-        dots = _window_scores(frame, self.window, self.net.norm_mode, self._bank)
-        return np.maximum(dots, 0.0) @ self.net.weights
+        dots = _window_scores(frame, self.window, self.mode, self._bank, self._spectra)
+        return np.maximum(dots, 0.0, out=dots) @ self.net.weights
 
 
 class MadRatioScorer:
@@ -167,12 +285,15 @@ class MadRatioScorer:
         if window % 2 == 0 or window < 3:
             raise ValueError(f"window must be odd and >= 3, got {window}")
         self.window = window
+        self.mode = pm.NORM_MAD
         self.name = name or "mad-ratio"
         self._mat = np.zeros((1, window * window))
         self._mat[0, window * window // 2] = window
+        self._spectra = {}
 
     def __call__(self, frame):
-        return np.abs(_window_scores(frame, self.window, pm.NORM_MAD, self._mat)[..., 0])
+        return np.abs(_window_scores(frame, self.window, self.mode, self._mat,
+                                     self._spectra)[..., 0])
 
 
 class FixedMadScorer:
@@ -185,10 +306,31 @@ class FixedMadScorer:
         self.name = name or f"fixed-mad-{self.window}"
 
     def __call__(self, frame):
-        f = _check_frame(frame, self.window)
-        u16 = frame_to_u16(f)
+        u16 = _frame_windows(frame).u16(self.window)
         raw, _ = fb.mad_ncc_fixed_response(u16, self.raw, qformat=self.qformat)
-        return raw.astype(float) / fb.OUT_QFORMAT.scale
+        scores = raw.astype(float)
+        scores /= fb.OUT_QFORMAT.scale
+        return scores
+
+
+# Scorers that take a _FrameWindows in place of a frame; run_benchmark
+# hands one only to these exact types, never to a subclass or a user's
+# scorer, whose __call__ may expect an array.
+_SHARING_SCORERS = (NccFilterScorer, NetworkScorer, MadRatioScorer, FixedMadScorer)
+
+
+def _reads(scorer):
+    """The keys of the :class:`_FrameWindows` items that a scorer of
+    :data:`_SHARING_SCORERS` keeps there.  :func:`run_benchmark` drops
+    each item after the last scorer that reads it; a key left out only
+    keeps its item to the end of the frame."""
+    if type(scorer) is FixedMadScorer:
+        return ["u16"]
+    none = scorer.mode == pm.NORM_NONE
+    keys = [("spectrum", none), ("rms", none)]
+    if not none:
+        keys += ["x", ("sums", scorer.window), (scorer.mode, scorer.window)]
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +394,9 @@ def detect_candidates(frame, scorer, nms_radius=DEFAULT_NMS_RADIUS):
     ValueError for a negative or non-finite ``nms_radius``.
     """
     radius = _check_radius(nms_radius, "nms_radius")
-    response = np.asarray(scorer(np.asarray(frame, dtype=float)), dtype=float)
+    if not isinstance(frame, _FrameWindows):
+        frame = np.asarray(frame, dtype=float)
+    response = np.asarray(scorer(frame), dtype=float)
     rows, cols = np.nonzero(_local_maxima(response))
     if rows.size == 0:
         return []
@@ -559,6 +703,16 @@ def run_benchmark(frames, truths, methods, config=None):
     resolved, and checked for a dump file of its own, and the config's
     radii and threshold count are checked, before the first frame is
     scored.
+
+    Frames are the outer loop and methods the inner one.  The built-in
+    scorers of one frame share its window statistics (the centred frame
+    and its spectrum, box sums, STD and MAD denominators, the u16 frame):
+    each is computed once, by the first scorer that reads it, and dropped
+    after the last one, at the latest before the next frame.  A method's
+    ``ms_per_frame`` is the sum of its own scoring and detection times
+    over the frames, divided by their count, so a shared statistic is
+    charged to the first method that reads it.  A scorer object of another
+    type is called with the float frame.
     """
     cfg = config or BenchConfig()
     _check_radius(cfg.nms_radius, "nms_radius")
@@ -574,14 +728,23 @@ def run_benchmark(frames, truths, methods, config=None):
         raise ValueError("no frames")
     scorers = [resolve_method(m) if isinstance(m, str) else m for m in methods]
     _dump_files([scorer.name for scorer in scorers])
+    shares = [type(scorer) in _SHARING_SCORERS for scorer in scorers]
+    reads = [_reads(scorer) if share else [] for scorer, share in zip(scorers, shares)]
+    last = {key: m for m, keys in enumerate(reads) for key in keys}
+    done = [[key for key in keys if last[key] == m] for m, keys in enumerate(reads)]
+    per_method = [[] for _ in scorers]
+    elapsed = [0.0] * len(scorers)
+    for frame in frames:
+        windows = _FrameWindows(frame)
+        for m, scorer in enumerate(scorers):
+            start = time.perf_counter()
+            per_method[m].append(detect_candidates(
+                windows if shares[m] else frame, scorer, cfg.nms_radius))
+            windows.drop(done[m])
+            elapsed[m] += time.perf_counter() - start
     results = []
-    for scorer in scorers:
-        start = time.perf_counter()
-        per_frame = [
-            detect_candidates(f, scorer, cfg.nms_radius) for f in frames
-        ]
-        elapsed = time.perf_counter() - start
-        ms = 1000.0 * elapsed / len(frames) if cfg.include_timing else None
+    for scorer, per_frame, spent in zip(scorers, per_method, elapsed):
+        ms = 1000.0 * spent / len(frames) if cfg.include_timing else None
         results.append(_sweep(scorer.name, per_frame, truth_arrays, cfg, ms))
     return BenchReport(
         results=results,

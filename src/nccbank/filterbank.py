@@ -285,7 +285,8 @@ def _fixed_taps(filt, qformat):
         raise ValueError("fixed-point taps must be integers")
     if taps.ndim != 2 or taps.shape[0] != taps.shape[1]:
         raise ValueError(f"taps must be square, got shape {taps.shape}")
-    if np.any(np.abs(taps) > (1 << 31) - 1):
+    # compared as Python ints: np.abs wraps a signed dtype's minimum to itself
+    if taps.size and max(-int(taps.min()), int(taps.max())) > (1 << 31) - 1:
         raise ValueError("taps exceed 32-bit range")
     return taps
 
@@ -354,7 +355,8 @@ def mad_ncc_fixed_score(patch, filt, qformat=None):
 def _trunc_div_array(num, den):
     # den > 0 elementwise; numpy // floors, so divide the magnitudes and
     # restore the sign to truncate toward zero like the scalar path.
-    quot = np.abs(num) // den
+    quot = np.abs(num)
+    quot //= den
     return np.negative(quot, out=quot, where=num < 0)
 
 
@@ -399,16 +401,39 @@ def _stage_dtype(taps):
     return np.int32 if bound < 1 << 31 else np.int64
 
 
+def _tap_sums(x, t, means, check):
+    """``sum(x * t)`` over every k x k window of the integer plane ``x``,
+    one contiguous pass per tap as :func:`patchmath._sad` runs its passes,
+    and, if ``check``, a mask of the windows with a product ``(x - mean)
+    * t`` outside the 32-bit stage (else None)."""
+    k = t.shape[0]
+    h, w = means.shape
+    flat, width, run = x.reshape(-1), x.shape[1], pm._run(x.shape, k)
+    xt = np.zeros(h * width, dtype=x.dtype)
+    acc = xt[:run]
+    prod = np.empty(run, dtype=x.dtype)
+    prod_over = np.zeros(means.shape, dtype=bool) if check else None
+    for i in range(k):
+        for j in range(k):
+            at = i * width + j
+            acc += np.multiply(flat[at : at + run], t[i, j], out=prod)
+            if check:
+                dev_t = (x[i : i + h, j : j + w] - means) * t[i, j]
+                prod_over |= (dev_t < -(1 << 31)) | (dev_t >= 1 << 31)
+    return pm._valid(xt, x.shape, k), prod_over
+
+
 def mad_ncc_fixed_response(frame, filt, qformat=None):
     """Valid-mode response map of the fixed-point scorer over a frame.
 
     Bit-identical to calling :func:`mad_ncc_fixed_score` at every window
     position, errors included.  The window sums are integer box sums; the
-    sads and the sums ``sum(x * t)`` take one pass per window offset over
-    the frame.  These run in int32 when ``k * k * 0xFFFF * max(1,
-    max|tap|) < 2**31``, which holds for every Q(8, 7) filter up to
-    16 x 16, and in int64 otherwise; the accumulator ``sum(x * t) - mean *
-    sum(t)`` and the output stage are int64 either way.  Windows are
+    sads and the sums ``sum(x * t)`` take one pass per window offset, each
+    a contiguous slice of the flattened frame.  These run in int32 when
+    ``k * k * 0xFFFF * max(1, max|tap|) < 2**31``, which holds for every
+    Q(8, 7) filter up to 16 x 16, and in int64 otherwise; the accumulator
+    ``sum(x * t) - mean * sum(t)`` and the output stage are int64 either
+    way.  Windows are
     checked for stage overflow only when the taps make one possible, which
     the int32 bound rules out, and the output numerator is computed in
     Python integers only when k alone makes an int64 wrap possible
@@ -428,27 +453,19 @@ def mad_ncc_fixed_response(frame, filt, qformat=None):
     sums = pm._box_sums(x, k)
     means = sums // (k * k)  # sums >= 0, floor == trunc
     sad = pm._sad(x, means, k)
-    h, w = means.shape
-    xt = np.zeros_like(means)
-    prod = np.empty_like(means)
-    prod_over = np.zeros(means.shape, dtype=bool) if _may_overflow(t) else None
-    for i in range(k):
-        for j in range(k):
-            win = x[i : i + h, j : j + w]
-            xt += np.multiply(win, t[i, j], out=prod)
-            if prod_over is not None:
-                dev_t = (win - means) * t[i, j]
-                prod_over |= (dev_t < -(1 << 31)) | (dev_t >= 1 << 31)
+    xt, prod_over = _tap_sums(x, t, means, _may_overflow(t))
     # acc = sum((x - mean) * t) = sum(x * t) - mean * sum(t), exact in int64
     acc = means.astype(np.int64)
     acc *= -int(taps.sum(dtype=np.int64))
     acc += xt
     if prod_over is not None:
         _raise_first_overflow(sums, sad, prod_over, acc)
-    num = (acc.astype(object) if _num_may_wrap(k) else acc) * (k * OUT_QFORMAT.scale)
-    den = sad.astype(np.int64) * qformat.scale
-    scores = _trunc_div_array(num, np.where(den > 0, den, 1))
-    scores = np.clip(scores, OUT_QFORMAT.raw_min, OUT_QFORMAT.raw_max)
+    num = acc.astype(object) if _num_may_wrap(k) else acc
+    num *= k * OUT_QFORMAT.scale
+    den = sad.astype(np.int64)
+    den *= qformat.scale
+    scores = _trunc_div_array(num, np.maximum(den, 1, out=den))  # den >= 0
+    np.clip(scores, OUT_QFORMAT.raw_min, OUT_QFORMAT.raw_max, out=scores)
     flat = sad == 0
     scores[flat] = 0
     return scores.astype(np.int32), flat

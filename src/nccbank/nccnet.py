@@ -117,9 +117,12 @@ def _normalized_bank(net):
     :func:`nccbank.patchmath._normalize_full`); raises ValueError naming
     the first filter with a NaN or infinite tap, else DegeneratePatchError
     naming the first flat filter.  A non-finite tap makes its filter's
-    statistics NaN, so the taps are scanned only once a filter is flagged."""
+    statistics NaN, so the taps are scanned only once a filter is flagged;
+    numpy's warning of the inf - inf that centring an infinite tap makes
+    is silenced, so under ``-W error`` the ValueError is what surfaces."""
     rows = net.filters.reshape(net.num_filters, -1)
-    out, valid, stats = pm._normalize_full(rows, net.norm_mode)
+    with np.errstate(invalid="ignore"):
+        out, valid, stats = pm._normalize_full(rows, net.norm_mode)
     if not valid.all():
         finite = np.isfinite(rows).all(axis=1)
         if not finite.all():

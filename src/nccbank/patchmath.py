@@ -213,6 +213,31 @@ def normalize(patch, mode):
     return _patch_stats(p, mode)[0].reshape(p.shape)
 
 
+def _filter_spectra(filters, size):
+    """Conjugate spectra of the (N, h, w) ``filters`` zero-padded to the
+    image ``size``, as :func:`_correlate_spectra` takes them."""
+    spectra = np.fft.rfft2(filters, s=size)
+    return np.conj(spectra, out=spectra)
+
+
+def _correlate_spectra(spectrum, filter_spectra, size, fshape):
+    """Valid-mode cross-correlation of an image of ``size`` with N filters
+    of shape ``fshape``, from the image's ``rfft2`` and the filters'
+    :func:`_filter_spectra`: an (N, H - h + 1, W - w + 1) array.
+
+    Each filter's inverse transform is ``irfft2``'s two steps, the first
+    in place on that filter's product spectrum, so one product is held at
+    a time.  numpy transforms every line alone, so the bits are those of
+    ``irfft2`` over the whole product.
+    """
+    out = np.empty((len(filter_spectra),) + tuple(size))
+    for spec, plane in zip(filter_spectra, out):
+        prod = spec * spectrum
+        np.fft.ifft(prod, size[0], axis=-2, out=prod)
+        np.fft.irfft(prod, size[1], axis=-1, out=plane)
+    return out[:, : size[0] - fshape[0] + 1, : size[1] - fshape[1] + 1]
+
+
 def _correlate(image, filters):
     """Valid-mode cross-correlation of ``image`` (H, W) with each of the
     (N, h, w) ``filters``: an (N, H - h + 1, W - w + 1) array.
@@ -224,10 +249,8 @@ def _correlate(image, filters):
     energy sits.
     """
     size = image.shape
-    h, w = filters.shape[1:]
-    spectrum = np.fft.rfft2(image)
-    out = np.fft.irfft2(np.conj(np.fft.rfft2(filters, s=size)) * spectrum, s=size)
-    return out[:, : size[0] - h + 1, : size[1] - w + 1]
+    return _correlate_spectra(np.fft.rfft2(image), _filter_spectra(filters, size),
+                              size, filters.shape[1:])
 
 
 def cross_correlate_valid(image, filt):
@@ -247,31 +270,73 @@ def cross_correlate_valid(image, filt):
     return _correlate(img, f[None])[0]
 
 
+def _run(shape, k):
+    """Length of the flat run, in a row-major (H, W) array, from the first
+    k x k window's top-left pixel to the last one's: (h - 1) * W + w with
+    h, w = H - k + 1, W - k + 1.
+
+    The window with its top-left pixel at flat index p reads pixel (i, j)
+    at p + i * W + j, so a pass over one window offset is the contiguous
+    slice ``flat[i * W + j :][:run]``, inside the array for every offset.
+    The run also holds the W - w starts between two output rows, whose
+    windows wrap into the next row: they are computed and then dropped
+    (see :func:`_valid`).
+    """
+    h, w = shape[0] - k + 1, shape[1] - k + 1
+    return (h - 1) * shape[1] + w
+
+
+def _valid(out, shape, k):
+    """The (H - k + 1, W - k + 1) valid outputs of a flat buffer of
+    (H - k + 1) * W entries whose first :func:`_run` entries were
+    computed, as a view."""
+    h, w = shape[0] - k + 1, shape[1] - k + 1
+    return out.reshape(h, shape[1])[:, :w]
+
+
 def _box_sums(a, k):
     """Sum of every k x k window of ``a``: k-term sums along the rows,
     then along the columns, so each window's sum takes 2(k - 1) additions
-    of its own pixels and its rounding is bounded by its own magnitudes."""
-    h, w = a.shape[0] - k + 1, a.shape[1] - k + 1
-    rows = a[:, :w].copy()
+    of its own pixels and its rounding is bounded by its own magnitudes.
+
+    Each pass adds one contiguous shifted slice of the flattened array
+    (see :func:`_run`), in the order of the two 2-D passes, so every
+    valid window gets the same bits.  Returns a view.
+    """
+    flat = np.ascontiguousarray(a).reshape(-1)
+    width = a.shape[1]
+    run = _run(a.shape, k)
+    span = run + (k - 1) * width  # the row sums the column pass reads
+    rows = flat[:span].copy()
     for j in range(1, k):
-        rows += a[:, j : j + w]
-    out = rows[:h].copy()
+        rows += flat[j : j + span]
+    out = np.empty((a.shape[0] - k + 1) * width, dtype=rows.dtype)
+    col = out[:run]
+    col[...] = rows[:run]
     for i in range(1, k):
-        out += rows[i : i + h]
-    return out
+        col += rows[i * width : i * width + run]
+    return _valid(out, a.shape, k)
 
 
 def _sad(x, mu, k):
     """Sum of |x - mu| over every k x k window of ``x``, window means
-    ``mu``: one pass per window offset, no per-window pixel copies."""
-    h, w = mu.shape
-    sad = np.zeros_like(mu)
-    dev = np.empty_like(mu)
+    ``mu``: one contiguous pass per window offset (see :func:`_run`), no
+    per-window pixel copies.  Returns a view."""
+    flat = np.ascontiguousarray(x).reshape(-1)
+    width = x.shape[1]
+    run = _run(x.shape, k)
+    mean = np.zeros((mu.shape[0], width), dtype=mu.dtype)
+    mean[:, : mu.shape[1]] = mu
+    mean = mean.reshape(-1)[:run]
+    sad = np.zeros(mu.shape[0] * width, dtype=mu.dtype)
+    acc = sad[:run]
+    dev = np.empty(run, dtype=mu.dtype)
     for i in range(k):
         for j in range(k):
-            np.subtract(x[i : i + h, j : j + w], mu, out=dev)
-            sad += np.abs(dev, out=dev)
-    return sad
+            at = i * width + j
+            np.subtract(flat[at : at + run], mean, out=dev)
+            acc += np.abs(dev, out=dev)
+    return _valid(sad, x.shape, k)
 
 
 def ncc_score(patch, filt, mode=NORM_STD):

@@ -151,6 +151,35 @@ def naive_correlate_valid(image, filt):
     return out
 
 
+def two_d_box_sums(a, k):
+    """Sum of every k x k window of ``a`` by 2-D shifted slices: k-term
+    sums along the rows, then along the columns (the former
+    ``patchmath._box_sums``, whose addition order the flat version
+    keeps)."""
+    h, w = a.shape[0] - k + 1, a.shape[1] - k + 1
+    rows = a[:, :w].copy()
+    for j in range(1, k):
+        rows += a[:, j : j + w]
+    out = rows[:h].copy()
+    for i in range(1, k):
+        out += rows[i : i + h]
+    return out
+
+
+def two_d_sad(x, mu, k):
+    """Sum of |x - mu| over every k x k window, one 2-D shifted slice per
+    window offset in row-major offset order (the former
+    ``patchmath._sad``)."""
+    h, w = mu.shape
+    sad = np.zeros_like(mu)
+    dev = np.empty_like(mu)
+    for i in range(k):
+        for j in range(k):
+            np.subtract(x[i : i + h, j : j + w], mu, out=dev)
+            sad += np.abs(dev, out=dev)
+    return sad
+
+
 def naive_window_scores(frame, k, mode, mat):
     """Window scores by the chunked per-window loop.
 

@@ -723,6 +723,73 @@ class TestRunBenchmark:
         assert report.results[0].name == "custom-9"
 
 
+class TestSharedWindows:
+    """run_benchmark scores each frame once per method with the frame's
+    shared window statistics; every candidate must equal the method's own
+    detect_candidates over the plain frame, in any method order."""
+
+    @staticmethod
+    def methods(tmp_path):
+        net = nn.init_network(num_filters=3, filter_size=15, norm_mode=pm.NORM_STD, seed=2)
+        nn.save_network(net, tmp_path / "bank.nccnet")
+        hat = fb.ricker_hat_grid(15)
+        return [
+            "hat15-ideal", "gauss-1.2", f"net:{tmp_path / 'bank.nccnet'}", "mad-ratio",
+            "hat7-ideal", "hat7-fixed-mad", "hat5-fixed-mad",
+            bn.NccFilterScorer(hat, pm.NORM_MAD, name="hat15-mad"),
+            bn.NccFilterScorer(fb.gaussian_grid(15, 1.2), pm.NORM_NONE, name="gauss-none"),
+            IdentityScorer(),
+        ]
+
+    @staticmethod
+    def frames():
+        frames, truths = tiny_benchmark(count=3)
+        # the right half raised by 5000: its STD windows take the exact path
+        raised = frames[0].copy()
+        raised[:, 36:] += 5000.0
+        return frames + [raised], truths + [truths[0]]
+
+    @staticmethod
+    def fresh(method):
+        return bn.resolve_method(method) if isinstance(method, str) else method
+
+    def test_candidates_equal_per_method_detection(self, tmp_path):
+        methods = self.methods(tmp_path)
+        frames, truths = self.frames()
+        with mock.patch.object(bn, "_exact_scores", wraps=bn._exact_scores) as exact:
+            report = bn.run_benchmark(frames, truths, methods)
+        assert pm.NORM_STD in [call.args[1] for call in exact.call_args_list]
+        for method, result in zip(methods, report.results):
+            scorer = self.fresh(method)
+            want = [[(d.row, d.col, d.score) for d in bn.detect_candidates(f, scorer)]
+                    for f in frames]
+            got = [[(d.row, d.col, d.score) for d in c] for c in result.frame_candidates]
+            assert got == want, result.name
+
+    def test_method_order_changes_nothing(self, tmp_path):
+        methods = self.methods(tmp_path)
+        frames, truths = self.frames()
+        cfg = bn.BenchConfig(include_timing=False)
+        forward = bn.run_benchmark(frames, truths, methods, cfg).results
+        backward = bn.run_benchmark(frames, truths, methods[::-1], cfg).results[::-1]
+        for a, b in zip(forward, backward):
+            assert a.name == b.name and a.curve.auc == b.curve.auc
+            assert [[(d.row, d.col, d.score) for d in c] for c in a.frame_candidates] == \
+                [[(d.row, d.col, d.score) for d in c] for c in b.frame_candidates]
+
+    def test_scorer_objects_get_plain_frames(self):
+        frames, truths = self.frames()
+        seen = []
+
+        class Recording(bn.NccFilterScorer):
+            def __call__(self, frame):
+                seen.append(type(frame))
+                return super().__call__(frame)
+
+        bn.run_benchmark(frames, truths, ["gauss-1.2", Recording(fb.gaussian_grid(9, 1.0))])
+        assert seen == [np.ndarray] * len(frames)
+
+
 def dir_bytes(root):
     out = {}
     import os

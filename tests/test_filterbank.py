@@ -167,6 +167,23 @@ class TestQuantize:
         assert fb.QFormat(16, 10).raw_max == 32767
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                   np.uint32, np.uint64])
+def test_tap_range_check_ignores_dtype(dtype):
+    """|tap| <= 2**31 - 1 in every integer dtype: -2**31 is refused in
+    int32 as in int64 (np.abs wraps it to itself in int32)."""
+    info = np.iinfo(dtype)
+    q = fb.QFormat(32, 0)
+    for value in sorted({max(info.min, -(2**31) + 1), info.min, min(info.max, 2**31 - 1),
+                         info.max, min(info.max, 2**31)}):
+        taps = np.array([[value, 0], [0, 1]], dtype=dtype)
+        if abs(value) > 2**31 - 1:
+            with pytest.raises(ValueError, match="taps exceed 32-bit range"):
+                fb._fixed_taps(taps, q)
+        else:
+            assert fb._fixed_taps(taps, q) is not None
+
+
 class TestFixedScore:
     # hand-worked 2x2 case: patch [[10,20],[30,40]], taps (-0.5,-0.25,0.25,0.5)
     # in Q(8,7) = [[-64,-32],[32,64]]:

@@ -372,6 +372,38 @@ class TestCorrelation:
             pm.cross_correlate_valid(np.zeros((3, 3)), np.zeros((4, 2)))
 
 
+@st.composite
+def box_cases(draw):
+    """A plane, a window side and the plane's window means: float64 planes
+    whose magnitudes span 1e-3 to 1e6 (so a changed addition order shows
+    in the bits), int32 and int64 planes of u16 pixels; single rows,
+    single columns, k = 1 and k = H among them."""
+    dtype = draw(st.sampled_from([np.float64, np.int32, np.int64]))
+    shape = draw(st.one_of(st.tuples(st.just(1), st.integers(1, 12)),
+                           st.tuples(st.integers(1, 12), st.just(1)),
+                           st.tuples(st.integers(1, 12), st.integers(1, 12))))
+    k = draw(st.one_of(st.just(1), st.just(min(shape)), st.integers(1, min(shape))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if dtype == np.float64:
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 6, shape)
+        mu = oracles.two_d_box_sums(a, k) / (k * k)
+    else:
+        a = rng.integers(0, 0x10000, shape).astype(dtype)
+        mu = oracles.two_d_box_sums(a, k) // (k * k)
+    return a, k, mu
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=box_cases())
+def test_flat_box_sums_and_sad_match_two_d_passes(case):
+    """The contiguous shifted-slice passes give the 2-D passes' bytes."""
+    a, k, mu = case
+    for got, want in ((pm._box_sums(a, k), oracles.two_d_box_sums(a, k)),
+                      (pm._sad(a, mu, k), oracles.two_d_sad(a, mu, k))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
 class TestNccScore:
     def test_orthogonal_patterns_score_zero(self):
         checker = np.array([[1.0, -1.0], [-1.0, 1.0]])
