@@ -526,13 +526,20 @@ class RocCurve:
 
 
 def default_thresholds(scored_frames, count=DEFAULT_THRESHOLD_COUNT):
-    """Evenly spaced descending sweep between min and max candidate score."""
+    """Evenly spaced descending sweep between min and max candidate score.
+
+    Raises ValueError for a NaN or infinite candidate score, wherever it
+    sits: the sweep has no finite ends to space between."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    scores = [d.score for cands, _ in scored_frames for d in cands]
-    if not scores:
+    scores = np.array([d.score for cands, _ in scored_frames for d in cands],
+                      dtype=float)
+    if not scores.size:
         return np.array([0.0])
-    lo, hi = min(scores), max(scores)
+    if not np.isfinite(scores).all():
+        bad = scores[~np.isfinite(scores)][0]
+        raise ValueError(f"candidate scores must be finite, got {bad}")
+    lo, hi = float(scores.min()), float(scores.max())
     if lo == hi:
         return np.array([hi])
     return np.linspace(hi, lo, count)
@@ -820,6 +827,14 @@ def write_benchmark_report(report, out_dir):
                     for fi, dets in enumerate(r.frame_candidates) for d in dets))
 
 
+def _finite_score(text):
+    """``text`` as a float; ValueError unless it is finite."""
+    score = float(text)
+    if not np.isfinite(score):
+        raise ValueError(f"score must be finite, got {text!r}")
+    return score
+
+
 def _check_count(text, name):
     """Decimal ``text`` as an int; ValueError unless it is >= 1."""
     if not (text.isdecimal() and int(text) >= 1):
@@ -842,9 +857,9 @@ def read_benchmark_scores(out_dir):
     method name (from auc.csv order) to per-frame candidate lists and
     ``meta`` maps each meta.csv key to its value: ``frame_count`` and
     ``threshold_count`` as ints >= 1, the two radii as finite floats
-    >= 0.  A missing or malformed meta value, or a truth or detection row
-    whose frame is outside ``[0, frame_count)``, raises ValueError naming
-    the file (and the line).
+    >= 0.  A missing or malformed meta value, a truth or detection row
+    whose frame is outside ``[0, frame_count)``, or a NaN or infinite
+    detection score, raises ValueError naming the file (and the line).
     """
     meta_path = os.path.join(out_dir, "meta.csv")
     text = dict(gridio._read_csv(meta_path, ["key", "value"], (str, str)))
@@ -878,7 +893,8 @@ def read_benchmark_scores(out_dir):
                             ["method", "auc", "ms_per_frame"], (str, str, str))
     per_method = {
         name: by_frame(os.path.join("detections", _safe_filename(name) + ".csv"),
-                       ["frame", "row", "col", "score"], (int, int, float), Detection)
+                       ["frame", "row", "col", "score"], (int, int, _finite_score),
+                       Detection)
         for name, *_ in aucs
     }
     return per_method, truths, meta

@@ -456,8 +456,11 @@ def subsample_negatives(negatives, budget, seed=0):
     # one from above.  The ``nbuf`` picks since the last fold wait in
     # ``buf``, and a row is checked against them only when it tops ``ub``.
     # A row that tops ``ub`` with every pick checked is a farthest one, and
-    # no lower row is as far, so ties still go to the lower index.
+    # no lower row is as far, so ties still go to the lower index.  A fold
+    # compacts the live rows into the spare buffer and swaps the two, so
+    # the pool is never copied into a fresh array while the old is held.
     live = feats[pool]
+    spare = np.empty_like(live)
     rng = np.random.default_rng(seed)
     start = int(rng.integers(len(pool)))
     order = [start]
@@ -478,8 +481,11 @@ def subsample_negatives(negatives, budget, seed=0):
         nbuf += 1
         ub[k] = -np.inf
         if nbuf == _FOLD:  # drop the picked rows, then fold buf in one GEMM
-            keep = ub > -np.inf
-            live, ids = live[keep], ids[keep]
+            keep = np.flatnonzero(ub > -np.inf)
+            # mode="raise" would gather into a temporary copy first; the
+            # indices come from flatnonzero and are all in range
+            rows = np.take(live, keep, axis=0, out=spare[: keep.size], mode="clip")
+            live, spare, ids = rows, live, ids[keep]
             ub = np.minimum(ub[keep], 1.0 - (live @ buf.T).max(axis=1))
             checked = np.zeros(len(ids), dtype=np.intp)
             nbuf = 0

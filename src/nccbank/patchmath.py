@@ -151,6 +151,49 @@ def _float_rows(values):
     return arr if arr.dtype == np.float32 else np.asarray(arr, dtype=float)
 
 
+def _normalize_blocks(rows, mode, dtype):
+    """:func:`normalize_rows` stored in ``dtype`` (float64 or float32).
+
+    Every row is normalized in float64.  A float64 store centres each
+    block straight into its slice of the output; a float32 store
+    normalizes each block into a float64 block and rounds it into its
+    slice once, so its rows are ``normalize_rows(rows)[0]`` rounded to
+    float32, byte for byte.  Its blocks are half as tall, so its two
+    float64 blocks take the memory of the float64 store's one.
+    """
+    x = _float_rows(rows)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError(f"expected (B, n) matrix with n >= 1, got shape {x.shape}")
+    out = np.empty(x.shape, dtype)
+    valid = np.empty(x.shape[0], dtype=bool)
+    step = _BLOCK_ROWS if out.dtype == np.float64 else _BLOCK_ROWS // 2
+    buf = np.empty((min(len(x), step), x.shape[1]))
+    dst = None if out.dtype == np.float64 else np.empty_like(buf)
+    # an empty matrix still goes through one (empty) block, so its mode
+    # and width are checked as for any other
+    for lo in range(0, max(len(x), 1), step):
+        hi = lo + step
+        block = x[lo:hi]
+        work = buf[: len(block)]
+        wide = block
+        if x.dtype == np.float32:
+            wide = work
+            wide[...] = block
+        norm = out[lo:hi] if dst is None else dst[: len(block)]
+        # a NaN or an infinity makes its row's mean, and so its statistics,
+        # NaN: the row is flagged flat, and only flagged rows (every row in
+        # none mode) need their pixels scanned
+        with np.errstate(invalid="ignore"):
+            _, valid[lo:hi], _ = _normalize_full(wide, mode, norm, work)
+        if dst is not None:
+            out[lo:hi] = norm
+        scan = block if mode == NORM_NONE else block[~valid[lo:hi]]
+        if not np.isfinite(scan).all():
+            bad = lo + int(np.argmin(np.isfinite(block).all(axis=1)))
+            raise ValueError(f"row {bad} contains non-finite values")
+    return out, valid
+
+
 def normalize_rows(rows, mode):
     """Normalize each row of a (B, n) matrix; the one normalizer.
 
@@ -168,37 +211,13 @@ def normalize_rows(rows, mode):
     centred copy.  A float32 matrix is kept as it is and widened one block
     at a time into that work block; widening is exact, so its output is
     bitwise that of its float64 copy.  Any other input is converted to
-    float64.
+    float64.  :func:`nccbank.nccnet.train` runs the same block loop but
+    stores the normalized rows rounded to float32.
 
     Raises ValueError if the matrix has no columns or holds a NaN or an
     infinity (in every mode, ``none`` included).
     """
-    x = _float_rows(rows)
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise ValueError(f"expected (B, n) matrix with n >= 1, got shape {x.shape}")
-    out = np.empty(x.shape)
-    valid = np.empty(x.shape[0], dtype=bool)
-    buf = np.empty((min(len(x), _BLOCK_ROWS), x.shape[1]))
-    # an empty matrix still goes through one (empty) block, so its mode
-    # and width are checked as for any other
-    for lo in range(0, max(len(x), 1), _BLOCK_ROWS):
-        hi = lo + _BLOCK_ROWS
-        block = x[lo:hi]
-        work = buf[: len(block)]
-        wide = block
-        if x.dtype == np.float32:
-            wide = work
-            wide[...] = block
-        # a NaN or an infinity makes its row's mean, and so its statistics,
-        # NaN: the row is flagged flat, and only flagged rows (every row in
-        # none mode) need their pixels scanned
-        with np.errstate(invalid="ignore"):
-            _, valid[lo:hi], _ = _normalize_full(wide, mode, out[lo:hi], work)
-        scan = block if mode == NORM_NONE else block[~valid[lo:hi]]
-        if not np.isfinite(scan).all():
-            bad = lo + int(np.argmin(np.isfinite(block).all(axis=1)))
-            raise ValueError(f"row {bad} contains non-finite values")
-    return out, valid
+    return _normalize_blocks(rows, mode, np.float64)
 
 
 def normalize(patch, mode):

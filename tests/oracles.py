@@ -385,19 +385,33 @@ def rel_error(approx, exact):
     return float(np.max(np.abs(a - e))) / denom
 
 
-def naive_train(nn, net, patches, labels, config):
+def _per_batch_train(nn, net, patches, labels, config, dtype):
     """Training loop that normalizes the raw patches again for every batch
-    step and every per-epoch evaluation.
+    step and every per-epoch evaluation and rounds them to ``dtype``: each
+    batch is widened back to float64 for its step, and each evaluation
+    scores its rows against the normalized bank rounded to ``dtype``.
 
-    ``nn`` is the nccnet module; only its public per-batch functions are
-    used (``forward_batch`` to find flat patches and to score,
-    ``loss_and_gradients`` and ``momentum_step`` per batch), with the same
-    split, shuffles and history as ``nn.train``.  Trains ``net`` in place; returns the history.
+    ``nn`` is the nccnet module; only its public functions are used
+    (``forward_batch`` to find flat patches, ``normalized_filters``,
+    ``momentum_step`` and the threshold calls) with
+    :func:`two_pass_loss_and_gradients` per batch, and the same split,
+    shuffles and history as ``nn.train``.  Trains ``net`` in place;
+    returns the history.
     """
     arr = np.asarray(patches, dtype=float)
     y = np.asarray(labels, dtype=float)
+    mode = net.norm_mode
     _, valid = nn.forward_batch(net, arr)
     keep = np.flatnonzero(valid)
+
+    def normalized(idx):
+        rows = arr[idx].reshape(len(idx), -1)
+        return two_pass_normalize_rows(rows, mode)[0].astype(dtype)
+
+    def scores(idx):
+        fn = nn.normalized_filters(net).astype(dtype)
+        return np.maximum(normalized(idx) @ fn.T, 0.0) @ net.weights
+
     rng = np.random.default_rng(config.seed)
     perm = keep[rng.permutation(keep.size)]
     n_hold = int(round(keep.size * config.holdout_fraction))
@@ -413,19 +427,20 @@ def naive_train(nn, net, patches, labels, config):
         losses, counts = [], []
         for lo in range(0, order.size, config.batch_size):
             batch = order[lo : lo + config.batch_size]
-            loss, grads = nn.loss_and_gradients(net, arr[batch], y[batch])
+            pn = normalized(batch).astype(np.float64)
+            loss, g_filters, g_weights = two_pass_loss_and_gradients(
+                net.filters, net.weights, mode, pn, y[batch])
             net.filters, f_velocity = nn.momentum_step(
-                net.filters, grads.filters, f_velocity, *hyper)
+                net.filters, g_filters, f_velocity, *hyper)
             net.weights, w_velocity = nn.momentum_step(
-                net.weights, grads.weights, w_velocity, *hyper)
+                net.weights, g_weights, w_velocity, *hyper)
             losses.append(loss)
             counts.append(batch.size)
         denom = max(float(np.linalg.norm(start_filters)), 1e-30)
-        train_scores, _ = nn.forward_batch(net, arr[train_idx])
+        train_scores = scores(train_idx)
         thr = nn.calibrate_threshold(train_scores, y[train_idx])
         if hold_idx.size:
-            hold_scores, _ = nn.forward_batch(net, arr[hold_idx])
-            acc = nn.threshold_accuracy(hold_scores, y[hold_idx], thr)
+            acc = nn.threshold_accuracy(scores(hold_idx), y[hold_idx], thr)
         else:
             acc = nn.threshold_accuracy(train_scores, y[train_idx], thr)
         epochs.append(nn.EpochStats(
@@ -441,3 +456,16 @@ def naive_train(nn, net, patches, labels, config):
         holdout_size=int(hold_idx.size),
         skipped_degenerate=int(np.sum(~valid)),
     )
+
+
+def naive_train(nn, net, patches, labels, config):
+    """``nn.train`` by :func:`_per_batch_train`: every normalized batch,
+    every evaluation row and the bank for scoring rounded through
+    float32, as ``nn.train`` stores and scores them."""
+    return _per_batch_train(nn, net, patches, labels, config, np.float32)
+
+
+def float64_train(nn, net, patches, labels, config):
+    """The trainer before the float32 corpus, by :func:`_per_batch_train`:
+    the normalized rows and the bank stay in float64."""
+    return _per_batch_train(nn, net, patches, labels, config, np.float64)

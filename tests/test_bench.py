@@ -617,6 +617,16 @@ class TestRocCurve:
         one = [([D(1, 1, 0.4), D(5, 5, 0.4)], [(1, 1)])]
         assert bn.default_thresholds(one).tolist() == [0.4]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_default_thresholds_reject_non_finite_scores(self, bad, first):
+        # Python min/max over a list made every threshold NaN when the NaN
+        # came first and skipped it when it came later
+        dets = [D(1, 1, 0.25), D(2, 9, 0.75)]
+        dets.insert(0 if first else 2, D(5, 5, bad))
+        with pytest.raises(ValueError, match="candidate scores must be finite"):
+            bn.default_thresholds([(dets[:2], [(1, 1)]), (dets[2:], [])])
+
 
 # ---------------------------------------------------------------------------
 # method registry
@@ -882,6 +892,21 @@ class TestReadBenchmarkScores:
         lines = len(dump.read_text().splitlines())
         with pytest.raises(ValueError, match=(
             rf"mad-ratio.csv: line {lines}: frame 7 outside \[0, 4\)"
+        )):
+            bn.read_benchmark_scores(report_dir)
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_non_finite_detection_score(self, report_dir, score, first):
+        dump = report_dir / "detections" / "mad-ratio.csv"
+        header, *rows = dump.read_text().splitlines()
+        assert rows
+        bad = f"1,5,5,{score}"
+        rows = [bad] + rows if first else rows + [bad]
+        dump.write_text("\n".join([header] + rows) + "\n")
+        line = 2 if first else len(rows) + 1
+        with pytest.raises(ValueError, match=(
+            rf"mad-ratio.csv: line {line}: score must be finite, got '{score}'"
         )):
             bn.read_benchmark_scores(report_dir)
 

@@ -403,6 +403,22 @@ class TestBenchAndRoc:
         assert run("roc", "--scores", str(orig), "--out-dir", str(tmp_path / "a")) == 1
         assert "match_radius must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("score", ["nan", "inf"])
+    def test_roc_rejects_non_finite_stored_score(self, small_corpus, tmp_path,
+                                                 capsys, score):
+        _, frames = small_corpus
+        orig = tmp_path / "orig"
+        assert run(
+            "bench", "--data", str(frames), "--methods", "mad-ratio",
+            "--out-dir", str(orig), "--thresholds", "8", "--no-timing",
+        ) == 0
+        dump = orig / "detections" / "mad-ratio.csv"
+        header, *rows = dump.read_text().splitlines()
+        dump.write_text("\n".join([header, f"0,5,5,{score}"] + rows) + "\n")
+        assert run("roc", "--scores", str(orig), "--out-dir", str(tmp_path / "a")) == 1
+        err = capsys.readouterr().err
+        assert f"mad-ratio.csv: line 2: score must be finite, got '{score}'" in err
+
     @pytest.mark.parametrize("text, message", [
         ("frame,r,c\n", "truths.csv: bad header"),
         ("frame,row,col\nframe_0000.txt,5\n", "truths.csv: line 2: expected 3"),

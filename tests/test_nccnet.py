@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from nccbank import bench as bn
+from nccbank import irdatagen as dg
 from nccbank import nccnet as nn
 from nccbank import patchmath as pm
 
@@ -297,8 +299,9 @@ class TestTrain:
         "mode, holdout", [("std", 0.25), ("mad", 0.25), ("none", 0.25), ("std", 0.0)]
     )
     def test_equals_per_batch_normalization_oracle(self, mode, holdout):
-        # train normalizes the corpus once and slices it; the oracle
-        # normalizes every batch and evaluation again from the raw patches
+        # train normalizes the corpus once, stores it in float32 and slices
+        # it; the oracle normalizes every batch and evaluation again from
+        # the raw patches and rounds them, and the scoring bank, the same way
         rng = np.random.default_rng(84)
         patches, labels = toy_dataset(rng, count=90)
         patches[::15] = 4.0  # six flat patches
@@ -333,6 +336,50 @@ class TestTrain:
         assert net.weights.tobytes() == ref_net.weights.tobytes()
         assert hist == ref_hist
         assert hist.skipped_degenerate == (0 if mode == "none" else 16)
+
+    @pytest.mark.parametrize("mode", pm.NORM_MODES)
+    def test_float32_corpus_within_tolerance_of_float64_trainer(self, mode):
+        # the stated tolerance of the float32 corpus against the float64
+        # trainer; this recipe measured at most 5.4e-9 of the largest tap,
+        # 9.4e-10 in the weights, equal accuracies, 5.1e-7 in the
+        # thresholds and 2.7e-9 in the mean losses (all 0 in none mode,
+        # whose float32 patches are stored exactly)
+        configs = dg.training_scene_configs(scene_count=4, seed=5)
+        patches, labels = dg.augmented_arrays(
+            dg.build_training_set(configs, negative_budget=40))
+        cfg = nn.TrainConfig(batch_size=40, seed=3)
+        runs = []
+        for fit in (nn.train, lambda *a: oracles.float64_train(nn, *a)):
+            net = nn.init_network(2, filter_size=dg.CORE_SIZE, norm_mode=mode, seed=2)
+            runs.append((net, fit(net, patches, labels, cfg)))
+        (net, hist), (ref_net, ref_hist) = runs
+        taps = np.abs(ref_net.filters).max()
+        assert np.abs(net.filters - ref_net.filters).max() <= 1e-6 * taps
+        np.testing.assert_allclose(net.weights, ref_net.weights, rtol=1e-6, atol=0)
+        assert len(hist.epochs) == len(ref_hist.epochs) == 5
+        for ep, ref in zip(hist.epochs, ref_hist.epochs):
+            assert abs(ep.holdout_accuracy - ref.holdout_accuracy) <= 1e-3
+            assert abs(ep.threshold - ref.threshold) <= 1e-5 * abs(ref.threshold)
+            assert abs(ep.mean_loss - ref.mean_loss) <= 1e-8 * abs(ref.mean_loss)
+        assert hist.final_accuracy > 0.9
+
+    @pytest.mark.parametrize("mode", pm.NORM_MODES)
+    def test_float32_corpus_memory(self, mode):
+        # 1.27x: the float32 corpus plus two half-height float64 blocks;
+        # full-height blocks measured 1.52x, and the float64 corpus alone
+        # took 2x the float32 one (2.27x in all)
+        rng = np.random.default_rng(89)
+        patches = rng.normal(size=(4096, 15, 15)).astype(np.float32)
+        labels = np.where(np.arange(4096) % 2 == 0, 1.0, -1.0)
+        net = nn.init_network(2, filter_size=15, norm_mode=mode, seed=19)
+        cfg = nn.TrainConfig(batch_size=64, max_epochs=1, seed=20)
+        tracemalloc.start()
+        try:
+            nn.train(net, patches, labels, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * patches.nbytes
 
     def test_corpus_normalized_once(self, monkeypatch):
         calls = []

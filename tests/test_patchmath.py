@@ -306,6 +306,36 @@ class TestNormalizeRows:
         assert valid.sum() == len(rows) - flat and valid[9::50].all()
 
     @pytest.mark.parametrize("mode", pm.NORM_MODES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_float32_store_is_the_rounded_float64_result(self, mode, dtype):
+        # the store nccnet.train keeps: three of its half-height blocks and
+        # a ragged tail, with flat rows, rows too small to normalize and
+        # rows offset by 1e4
+        rng = np.random.default_rng(28)
+        count = 3 * (pm._BLOCK_ROWS // 2) + 37
+        rows = rng.normal(size=(count, 25)) * rng.uniform(0.01, 100.0, size=(count, 1))
+        rows[::50] = 3.25
+        rows[7::50] *= 1e-16
+        rows[9::50] += 1e4
+        rows = rows.astype(dtype)
+        out, valid = pm._normalize_blocks(rows, mode, np.float32)
+        want, want_valid = pm.normalize_rows(rows, mode)
+        assert out.dtype == np.float32
+        assert out.tobytes() == want.astype(np.float32).tobytes()
+        np.testing.assert_array_equal(valid, want_valid)
+        flat = len(rows[::50]) + len(rows[7::50])
+        assert valid.sum() == count - (0 if mode == pm.NORM_NONE else flat)
+
+    @pytest.mark.parametrize("mode", pm.NORM_MODES)
+    def test_non_finite_row_named_by_the_float32_store(self, mode):
+        rows = np.random.default_rng(29).normal(size=(pm._BLOCK_ROWS + 9, 4))
+        rows[pm._BLOCK_ROWS + 5, 2] = np.nan
+        rows[pm._BLOCK_ROWS + 7, 0] = np.inf
+        with pytest.raises(ValueError, match=f"row {pm._BLOCK_ROWS + 5} contains "
+                                             "non-finite values"):
+            pm._normalize_blocks(rows, mode, np.float32)
+
+    @pytest.mark.parametrize("mode", pm.NORM_MODES)
     def test_non_finite_float32_row_rejected(self, mode):
         rows = np.random.default_rng(23).normal(
             size=(pm._BLOCK_ROWS + 9, 4)).astype(np.float32)
