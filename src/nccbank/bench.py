@@ -54,7 +54,8 @@ class _FrameWindows:
 
     :func:`run_benchmark` makes one per frame and hands it to the built-in
     scorers in place of the frame, so a statistic is computed once per
-    frame and charged to the first scorer that reads it.  Only what
+    frame and charged to the first scorer that reads it; its items are
+    freed with it, when the next frame gets a new one.  Only what
     depends on the frame alone is kept: each scorer still bounds its own
     error from its own filters, so whether a window takes the exact path
     stays decided per scorer.  Every item is computed by the same
@@ -141,11 +142,6 @@ class _FrameWindows:
                 return sad / (k * k), (2 * k + 1) * _EPS * a1 / sad
 
         return self._get((pm.NORM_MAD, k), make)
-
-    def drop(self, keys):
-        """Forget the items under ``keys`` (see :func:`_reads`)."""
-        for key in keys:
-            self._memo.pop(key, None)
 
     def u16(self, k):
         """The frame on the u16 pixel range of the fixed-point scorers."""
@@ -317,20 +313,6 @@ class FixedMadScorer:
 # hands one only to these exact types, never to a subclass or a user's
 # scorer, whose __call__ may expect an array.
 _SHARING_SCORERS = (NccFilterScorer, NetworkScorer, MadRatioScorer, FixedMadScorer)
-
-
-def _reads(scorer):
-    """The keys of the :class:`_FrameWindows` items that a scorer of
-    :data:`_SHARING_SCORERS` keeps there.  :func:`run_benchmark` drops
-    each item after the last scorer that reads it; a key left out only
-    keeps its item to the end of the frame."""
-    if type(scorer) is FixedMadScorer:
-        return ["u16"]
-    none = scorer.mode == pm.NORM_NONE
-    keys = [("spectrum", none), ("rms", none)]
-    if not none:
-        keys += ["x", ("sums", scorer.window), (scorer.mode, scorer.window)]
-    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -714,8 +696,8 @@ def run_benchmark(frames, truths, methods, config=None):
     Frames are the outer loop and methods the inner one.  The built-in
     scorers of one frame share its window statistics (the centred frame
     and its spectrum, box sums, STD and MAD denominators, the u16 frame):
-    each is computed once, by the first scorer that reads it, and dropped
-    after the last one, at the latest before the next frame.  A method's
+    each is computed once, by the first scorer that reads it, and kept
+    until the frame's last method has scored it.  A method's
     ``ms_per_frame`` is the sum of its own scoring and detection times
     over the frames, divided by their count, so a shared statistic is
     charged to the first method that reads it.  A scorer object of another
@@ -736,9 +718,6 @@ def run_benchmark(frames, truths, methods, config=None):
     scorers = [resolve_method(m) if isinstance(m, str) else m for m in methods]
     _dump_files([scorer.name for scorer in scorers])
     shares = [type(scorer) in _SHARING_SCORERS for scorer in scorers]
-    reads = [_reads(scorer) if share else [] for scorer, share in zip(scorers, shares)]
-    last = {key: m for m, keys in enumerate(reads) for key in keys}
-    done = [[key for key in keys if last[key] == m] for m, keys in enumerate(reads)]
     per_method = [[] for _ in scorers]
     elapsed = [0.0] * len(scorers)
     for frame in frames:
@@ -747,7 +726,6 @@ def run_benchmark(frames, truths, methods, config=None):
             start = time.perf_counter()
             per_method[m].append(detect_candidates(
                 windows if shares[m] else frame, scorer, cfg.nms_radius))
-            windows.drop(done[m])
             elapsed[m] += time.perf_counter() - start
     results = []
     for scorer, per_frame, spent in zip(scorers, per_method, elapsed):
@@ -827,12 +805,16 @@ def write_benchmark_report(report, out_dir):
                     for fi, dets in enumerate(r.frame_candidates) for d in dets))
 
 
-def _finite_score(text):
-    """``text`` as a float; ValueError unless it is finite."""
-    score = float(text)
-    if not np.isfinite(score):
-        raise ValueError(f"score must be finite, got {text!r}")
-    return score
+def _finite(what):
+    """A converter of text to a float that raises ValueError, naming
+    ``what``, unless the float is finite."""
+    def convert(text):
+        value = float(text)
+        if not np.isfinite(value):
+            raise ValueError(f"{what} must be finite, got {text!r}")
+        return value
+
+    return convert
 
 
 def _check_count(text, name):
@@ -859,7 +841,8 @@ def read_benchmark_scores(out_dir):
     ``threshold_count`` as ints >= 1, the two radii as finite floats
     >= 0.  A missing or malformed meta value, a truth or detection row
     whose frame is outside ``[0, frame_count)``, or a NaN or infinite
-    detection score, raises ValueError naming the file (and the line).
+    truth coordinate or detection score, raises ValueError naming the
+    file (and the line).
     """
     meta_path = os.path.join(out_dir, "meta.csv")
     text = dict(gridio._read_csv(meta_path, ["key", "value"], (str, str)))
@@ -885,7 +868,8 @@ def read_benchmark_scores(out_dir):
             per_frame[fi].append(make(*fields))
         return per_frame
 
-    truths = by_frame("truths.csv", ["frame", "row", "col"], (float, float),
+    truths = by_frame("truths.csv", ["frame", "row", "col"],
+                      (_finite("row"), _finite("col")),
                       lambda row, col: (row, col))
     truths = [np.array(t).reshape(-1, 2) for t in truths]
 
@@ -893,7 +877,7 @@ def read_benchmark_scores(out_dir):
                             ["method", "auc", "ms_per_frame"], (str, str, str))
     per_method = {
         name: by_frame(os.path.join("detections", _safe_filename(name) + ".csv"),
-                       ["frame", "row", "col", "score"], (int, int, _finite_score),
+                       ["frame", "row", "col", "score"], (int, int, _finite("score")),
                        Detection)
         for name, *_ in aucs
     }

@@ -21,6 +21,11 @@ Because normalization backprop is linear in the upstream gradient, a whole
 batch can be pulled through the bank's Jacobians in one call: upstream
 gradients are accumulated in normalized-filter space first, and each step
 normalizes the bank once for both the forward and the backward pass.
+
+One forward over normalized patch rows, ``_forward``, serves the training
+step, the per-epoch scoring and :func:`forward_batch`; ``_backward`` takes
+any dL/d(out), so the L1 loss is the only loss-specific code.
+:func:`forward` keeps its single-patch form as the reference.
 """
 
 import dataclasses
@@ -150,14 +155,32 @@ def forward(net, patch):
     return float(np.maximum(scores, 0.0) @ net.weights)
 
 
-def _forward_rows(net, pn):
-    """Outputs for normalized patch rows ``pn`` (B, k*k): float64 rows
-    against the normalized bank, float32 rows (the corpus
-    :func:`train` stores) against the bank rounded to float32, in one
-    float32 GEMM; the ReLU'd scores are weighted in float64."""
-    fn = normalized_filters(net).astype(pn.dtype, copy=False)
-    scores = pn @ fn.T
-    return np.maximum(scores, 0.0, out=scores) @ net.weights
+def _forward(net, pn):
+    """Outputs for normalized patch rows ``pn`` (B, k*k) and the cache
+    :func:`_backward` takes: the (B, N) ReLU'd scores and the bank's
+    backprop stats.  Float64 rows score against the normalized bank,
+    float32 rows (the corpus :func:`train` stores) against the bank
+    rounded to float32, in one float32 GEMM; the ReLU'd scores are
+    weighted in float64."""
+    fn, stats = _normalized_bank(net)
+    acts = pn @ fn.astype(pn.dtype, copy=False).T
+    np.maximum(acts, 0.0, out=acts)
+    return acts @ net.weights, (acts, stats)
+
+
+def _backward(net, pn, cache, g_out):
+    """Gradients of a loss given ``g_out`` = dL/d(out) (B,) for the rows
+    ``pn`` that :func:`_forward` scored into ``cache``.  The ReLU mask is
+    ``acts > 0``, which equals ``scores > 0`` (NaN included)."""
+    acts, stats = cache
+    g_weights = acts.T @ g_out              # (N,)
+    g_scores = g_out[:, None] * net.weights
+    g_scores *= acts > 0.0
+    upstream = g_scores.T @ pn              # (N, n), normalized-filter space
+    g_filters = pm._backprop_rows(upstream, stats, net.norm_mode)
+    return GradientSet(
+        filters=g_filters.reshape(net.filters.shape), weights=g_weights
+    )
 
 
 def _patch_rows(net, patches):
@@ -179,7 +202,7 @@ def forward_batch(net, patches):
     ValueError (see :func:`nccbank.patchmath.normalize_rows`).
     """
     pn, valid = pm.normalize_rows(_patch_rows(net, patches), net.norm_mode)
-    out = _forward_rows(net, pn)
+    out, _ = _forward(net, pn)
     out[~valid] = 0.0
     return out, valid
 
@@ -205,25 +228,12 @@ def loss_and_gradients(net, patches, labels):
 
 def _loss_and_gradients_rows(net, pn, y):
     """:func:`loss_and_gradients` over normalized patch rows ``pn``."""
-    bsz = pn.shape[0]
-    fn, stats = _normalized_bank(net)
-
-    scores = pn @ fn.T                      # (B, N)
-    acts = np.maximum(scores, 0.0)
-    out = acts @ net.weights                # (B,)
+    out, cache = _forward(net, pn)
     diff = out - y
     # np.add.reduce and the divide by B are how np.mean computes the mean
-    mean_loss = float(np.add.reduce(np.abs(diff)) / bsz)
-
-    g_out = np.sign(diff) / bsz             # d(mean loss)/d out_b
-    g_weights = acts.T @ g_out              # (N,)
-    g_scores = g_out[:, None] * net.weights
-    g_scores *= scores > 0.0
-    upstream = g_scores.T @ pn              # (N, n), normalized-filter space
-    g_filters = pm._backprop_rows(upstream, stats, net.norm_mode)
-    return mean_loss, GradientSet(
-        filters=g_filters.reshape(net.filters.shape), weights=g_weights
-    )
+    mean_loss = float(np.add.reduce(np.abs(diff)) / pn.shape[0])
+    g_out = np.sign(diff) / pn.shape[0]     # d(mean loss)/d out_b
+    return mean_loss, _backward(net, pn, cache, g_out)
 
 
 def momentum_step(param, grad, velocity, lr, momentum, weight_decay):
@@ -392,7 +402,7 @@ def train(net, patches, labels, config=None):
         denom = max(float(np.linalg.norm(start_filters)), 1e-30)
         rel_change = float(np.linalg.norm(net.filters - start_filters)) / denom
 
-        scores = _forward_rows(net, pn)
+        scores, _ = _forward(net, pn)
         thr = calibrate_threshold(scores[train_idx], y[train_idx])
         eval_idx = hold_idx if hold_idx.size else train_idx
         acc = threshold_accuracy(scores[eval_idx], y[eval_idx], thr)

@@ -910,6 +910,22 @@ class TestReadBenchmarkScores:
         )):
             bn.read_benchmark_scores(report_dir)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["row", "col"])
+    def test_non_finite_truth(self, report_dir, tmp_path_factory, value, field):
+        truths = report_dir / "truths.csv"
+        with open(truths, "a") as fh:
+            fh.write(f"0,{value},5\n" if field == "row" else f"0,5,{value}\n")
+        line = len(truths.read_text().splitlines())
+        match = rf"truths.csv: line {line}: {field} must be finite, got '{value}'"
+        with pytest.raises(ValueError, match=match):
+            bn.read_benchmark_scores(report_dir)
+        dest = tmp_path_factory.mktemp("resweep")
+        with pytest.raises(ValueError, match=match):
+            bn.resweep_roc(report_dir, dest)
+        assert not (dest / "auc.csv").exists()
+        assert not (dest / "roc.csv").exists()
+
     @pytest.mark.parametrize("key", ["frame_count", "nms_radius", "match_radius",
                                      "threshold_count"])
     def test_missing_meta_key(self, report_dir, key):

@@ -164,6 +164,48 @@ class TestGradients:
             assert oracles.rel_error(grads.weights, fd_w.ravel()) < 1e-6
             checked += 1
 
+    @pytest.mark.parametrize("mode", pm.NORM_MODES)
+    @pytest.mark.parametrize("num_filters", [1, 3])
+    def test_backward_matches_finite_differences_of_squared_error(
+            self, mode, num_filters):
+        # L = sum((out - y)^2) / 2, so dL/d(out) = out - y: a g_out that is
+        # not the L1 loss's sign, on kink-free 15x15 patches and a batch
+        # away from every ReLU and MAD kink
+        rng = np.random.default_rng(61)
+        checked = 0
+        while checked < 2:
+            filters = rng.normal(scale=0.5, size=(num_filters, 15, 15))
+            weights = rng.normal(scale=0.8, size=num_filters)
+            net = nn.NccNetwork(filters.copy(), weights.copy(), mode)
+            patches = []
+            while len(patches) < 20:
+                patch = rng.normal(loc=rng.uniform(-5.0, 5.0),
+                                   scale=rng.uniform(0.5, 2.0), size=(15, 15))
+                if np.min(np.abs(patch - patch.mean())) > 1e-4:
+                    patches.append(patch)
+            patches = np.stack(patches)
+            labels = np.where(rng.random(20) < 0.5, 1.0, -1.0)
+            if not margin_ok(net, patches, labels):
+                continue
+            pn, _ = pm.normalize_rows(patches.reshape(20, -1), mode)
+
+            out, cache = nn._forward(net, pn)
+            grads = nn._backward(net, pn, cache, out - labels)
+
+            def loss(taps, w):
+                trial = nn.NccNetwork(taps.reshape(filters.shape), w.ravel(), mode)
+                diff = nn._forward(trial, pn)[0] - labels
+                return 0.5 * float(diff @ diff)
+
+            fd_f = oracles.fd_gradient(lambda g: loss(g, weights),
+                                       filters.reshape(num_filters, -1))
+            assert oracles.rel_error(grads.filters.reshape(num_filters, -1),
+                                     fd_f) < 1e-4
+            fd_w = oracles.fd_gradient(lambda w: loss(filters, w),
+                                       weights.reshape(1, -1))
+            assert oracles.rel_error(grads.weights, fd_w.ravel()) < 1e-4
+            checked += 1
+
     def test_relu_blocks_negative_scores(self):
         # single filter anti-correlated with the lone patch: score < 0,
         # so no gradient reaches the filter taps, only the weight (by 0)
