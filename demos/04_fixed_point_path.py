@@ -62,12 +62,13 @@ def main():
     yy, xx = np.mgrid[0:15, 0:15] - 7.0
     blob = np.exp(-(yy * yy + xx * xx) / (2 * 1.2 ** 2))
     frame[rr - 7 : rr + 8, cc - 7 : cc + 8] += (400 * blob).astype(np.int64)
-    raw, degenerate = fb.mad_ncc_fixed_response(frame, taps, fb.TAP_QFORMAT)
+    raw, degenerate, saturated = fb.mad_ncc_fixed_response(frame, taps, fb.TAP_QFORMAT)
     r, c = np.unravel_index(np.argmax(raw), raw.shape)
     print(f"  planted blob center ({rr}, {cc}); integer-path argmax at "
           f"({r + 7}, {c + 7})")
     print(f"  score there = {raw[r, c] / 1024:+.4f} (raw {raw[r, c]} in Q16.10);"
-          f" degenerate windows: {int(degenerate.sum())}")
+          f" degenerate windows: {int(degenerate.sum())},"
+          f" saturated: {int(saturated.sum())}")
 
     print()
     print("quantized filters round-trip through a text file:")

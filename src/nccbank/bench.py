@@ -303,7 +303,7 @@ class FixedMadScorer:
 
     def __call__(self, frame):
         u16 = _frame_windows(frame).u16(self.window)
-        raw, _ = fb.mad_ncc_fixed_response(u16, self.raw, qformat=self.qformat)
+        raw, _, _ = fb.mad_ncc_fixed_response(u16, self.raw, qformat=self.qformat)
         scores = raw.astype(float)
         scores /= fb.OUT_QFORMAT.scale
         return scores
@@ -319,7 +319,8 @@ _SHARING_SCORERS = (NccFilterScorer, NetworkScorer, MadRatioScorer, FixedMadScor
 # detection
 
 
-@dataclass(frozen=True)
+# slotted: a benchmark pass keeps every candidate of every frame and method
+@dataclass(frozen=True, slots=True)
 class Detection:
     row: int
     col: int

@@ -437,9 +437,11 @@ def mad_ncc_fixed_response(frame, filt, qformat=None):
     checked for stage overflow only when the taps make one possible, which
     the int32 bound rules out, and the output numerator is computed in
     Python integers only when k alone makes an int64 wrap possible
-    (k >= 162).  Returns ``(raw, degenerate)`` where ``raw`` is int32 of
-    shape (H - k + 1, W - k + 1) and ``degenerate`` marks zero-sad windows
-    (their raw value is 0).
+    (k >= 162).  Returns ``(raw, degenerate, saturated)`` where ``raw`` is
+    int32 of shape (H - k + 1, W - k + 1), ``degenerate`` marks zero-sad
+    windows (their raw value is 0) and ``saturated`` the windows whose
+    quotient left the output format before the clip (never a flat one), as
+    the flags of :func:`mad_ncc_fixed_score`.
     """
     taps = _fixed_taps(filt, qformat)
     fr = np.asarray(frame)
@@ -465,10 +467,11 @@ def mad_ncc_fixed_response(frame, filt, qformat=None):
     den = sad.astype(np.int64)
     den *= qformat.scale
     scores = _trunc_div_array(num, np.maximum(den, 1, out=den))  # den >= 0
+    flat = sad == 0  # every deviation is 0, so acc and the quotient are too
+    saturated = scores < OUT_QFORMAT.raw_min
+    saturated |= scores > OUT_QFORMAT.raw_max
     np.clip(scores, OUT_QFORMAT.raw_min, OUT_QFORMAT.raw_max, out=scores)
-    flat = sad == 0
-    scores[flat] = 0
-    return scores.astype(np.int32), flat
+    return scores.astype(np.int32), flat, saturated
 
 
 @dataclasses.dataclass

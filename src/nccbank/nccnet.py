@@ -478,7 +478,11 @@ def load_network(path):
         if rows < 1:
             raise ValueError(bad)
         block = "\n".join(lines[pos : pos + 1 + rows])
-        grids.append(gridio.parse_grid(block))
+        grid = gridio.parse_grid(block)
+        if grids and grid.shape != grids[0].shape:
+            raise ValueError(f"filter {i} has shape {grid.shape}, "
+                             f"filter 0 has {grids[0].shape}")
+        grids.append(grid)
         pos += 1 + rows
     if pos >= len(lines) or not lines[pos].startswith("weights"):
         raise ValueError("missing weights line")

@@ -250,7 +250,7 @@ def test_fixed_point_tracks_float_scores_and_peaks():
             rng_seed=int(seeds.integers(0, 2**31)),
         ))
         frame = bn.frame_to_u16(scene.image)
-        raw, _ = fb.mad_ncc_fixed_response(frame, taps, fb.TAP_QFORMAT)
+        raw, _, _ = fb.mad_ncc_fixed_response(frame, taps, fb.TAP_QFORMAT)
         fixed_peak = np.unravel_index(np.argmax(raw), raw.shape)
         float_resp = _float_mad_response(frame, taps_float)
         float_peak = np.unravel_index(np.argmax(float_resp), float_resp.shape)

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -373,6 +374,21 @@ class TestDetect:
         assert bn.sliding_detect(frame, scorer, -float("inf")) == [
             bn.Detection(4, 4, 5.0)
         ]
+
+    def test_detections_are_slotted_frozen_records(self):
+        # a benchmark pass keeps every candidate of every frame and method,
+        # so a Detection carries no per-instance dict
+        frame = np.zeros((9, 9))
+        frame[4, 5] = 3.0
+        (det,) = bn.detect_candidates(frame, IdentityScorer())
+        assert bn.Detection.__slots__ == ("row", "col", "score")
+        assert not hasattr(det, "__dict__")
+        assert [f.name for f in dataclasses.fields(det)] == ["row", "col", "score"]
+        assert det == bn.Detection(4, 5, 3.0) != bn.Detection(4, 5, 2.0)
+        assert hash(det) == hash(bn.Detection(4, 5, 3.0)) == hash((4, 5, 3.0))
+        assert repr(det) == "Detection(row=4, col=5, score=3.0)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            det.score = 4.0
 
     def test_sliding_detect_equals_filtered_candidates(self):
         frame = textured_frame(40, 40, seed=8)

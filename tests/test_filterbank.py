@@ -299,17 +299,44 @@ class TestFixedResponse:
                 fb.mad_ncc_fixed_response(frame, taps, qformat)
             assert str(info.value) == want
             return
-        raw, degenerate = fb.mad_ncc_fixed_response(frame, taps, qformat)
+        raw, degenerate, saturated = fb.mad_ncc_fixed_response(frame, taps, qformat)
         np.testing.assert_array_equal(raw, [[s.raw for s in row] for row in want])
         np.testing.assert_array_equal(
             degenerate, [[s.degenerate for s in row] for row in want])
+        np.testing.assert_array_equal(
+            saturated, [[s.saturated for s in row] for row in want])
+
+    def test_saturation_flags_match_scalar(self):
+        # Q(16, 0) taps of up to +-40 on 3 x 3 windows: |score| can reach
+        # 3 * 40, beyond Q(16, 10)'s +-32, so windows saturate both ways;
+        # the flat block gives degenerate windows, never saturated ones
+        rng = np.random.default_rng(7)
+        frame = rng.integers(1000, 1040, size=(14, 14)).astype(np.uint16)
+        frame[9:14, 0:5] = 1020
+        q = fb.QFormat(16, 0)
+        taps = rng.integers(-40, 41, size=(3, 3))
+        raw, degenerate, saturated = fb.mad_ncc_fixed_response(frame, taps, q)
+        want = [
+            [fb.mad_ncc_fixed_score(frame[i : i + 3, j : j + 3], taps, q)
+             for j in range(12)]
+            for i in range(12)
+        ]
+        np.testing.assert_array_equal(raw, [[s.raw for s in row] for row in want])
+        np.testing.assert_array_equal(
+            degenerate, [[s.degenerate for s in row] for row in want])
+        np.testing.assert_array_equal(
+            saturated, [[s.saturated for s in row] for row in want])
+        assert saturated.dtype == bool
+        assert 0 < saturated.sum() < saturated.size and degenerate.any()
+        assert not (saturated & degenerate).any()
+        assert set(raw[saturated].tolist()) == {fb.OUT_QFORMAT.raw_min, fb.OUT_QFORMAT.raw_max}
 
     def test_bit_identical_to_scalar(self):
         rng = np.random.default_rng(95)
         frame = rng.integers(100, 5000, size=(30, 30)).astype(np.uint16)
         frame[5:14, 20:29] = 777  # one flat window somewhere in the field
         taps = fb.prepare_fixed_taps(fb.crop_grid(fb.ricker_hat_grid(15), 9))
-        raw, degen = fb.mad_ncc_fixed_response(frame, taps, fb.TAP_QFORMAT)
+        raw, degen, _ = fb.mad_ncc_fixed_response(frame, taps, fb.TAP_QFORMAT)
         assert raw.shape == (22, 22)
         for i in range(22):
             for j in range(22):
@@ -349,7 +376,7 @@ class TestFixedResponse:
                 fb.mad_ncc_fixed_response(frame, taps, q)
         else:
             assert error is None
-            raw, _ = fb.mad_ncc_fixed_response(frame, taps, q)
+            raw, _, _ = fb.mad_ncc_fixed_response(frame, taps, q)
             np.testing.assert_array_equal(raw, want)
 
     @pytest.mark.parametrize("tap, error", [
@@ -371,7 +398,7 @@ class TestFixedResponse:
             with pytest.raises(OverflowError, match=error):
                 fb.mad_ncc_fixed_response(frame, taps, q)
             return
-        raw, degenerate = fb.mad_ncc_fixed_response(frame, taps, q)
+        raw, degenerate, _ = fb.mad_ncc_fixed_response(frame, taps, q)
         want = fb.mad_ncc_fixed_score(frame[1:, 1:], taps, q)
         assert raw[1, 1] == want.raw and not degenerate[1, 1]
         assert degenerate.sum() == 3
@@ -390,9 +417,10 @@ class TestFixedResponse:
         want = fb.mad_ncc_fixed_score(frame, taps, q)
         assert want.saturated
         assert want.raw == (fb.OUT_QFORMAT.raw_max if sign > 0 else fb.OUT_QFORMAT.raw_min)
-        raw, degenerate = fb.mad_ncc_fixed_response(frame, taps, q)
+        raw, degenerate, saturated = fb.mad_ncc_fixed_response(frame, taps, q)
         np.testing.assert_array_equal(raw, [[want.raw]])
         assert raw.dtype == np.int32 and not degenerate.any()
+        assert saturated.dtype == bool and saturated.all()
 
     @pytest.mark.parametrize("peak, qformat, dtype", [
         # 225 * 0xFFFF * 128 < 2**31 <= 225 * 0xFFFF * 146
@@ -415,7 +443,7 @@ class TestFixedResponse:
         dark = ((bi * 3 + bj) % 7 == 0) & (bi < 5)
         frame = np.kron(np.where(dark, 0, 0xFFFF), np.ones((5, 5), dtype=int))
         frame = frame.astype(np.uint16)
-        raw, degenerate = fb.mad_ncc_fixed_response(frame, taps, qformat)
+        raw, degenerate, _ = fb.mad_ncc_fixed_response(frame, taps, qformat)
         want = [
             [fb.mad_ncc_fixed_score(frame[i : i + 15, j : j + 15], taps, qformat)
              for j in range(frame.shape[1] - 14)]
@@ -439,10 +467,10 @@ class TestFixedResponse:
 
     def test_all_flat_frame(self):
         taps = fb.prepare_fixed_taps(fb.ricker_hat_grid(15))
-        raw, degen = fb.mad_ncc_fixed_response(
+        raw, degen, saturated = fb.mad_ncc_fixed_response(
             np.full((20, 20), 42, dtype=np.uint16), taps, fb.TAP_QFORMAT
         )
-        assert degen.all()
+        assert degen.all() and not saturated.any()
         assert np.all(raw == 0)
 
     def test_validation(self):

@@ -659,6 +659,10 @@ class TestNetworkIO:
          "bad grid header for filter 0: '-1 2'"),
         (HEAD + "filters 1\n0 2\n1 2\n3 4\nweights 1.0\n",
          "bad grid header for filter 0: '0 2'"),
+        (HEAD + "filters 2\n2 2\n1 2\n3 4\n3 3\n1 2 3\n4 5 6\n7 8 9\nweights 1.0 1.0\n",
+         "filter 1 has shape (3, 3), filter 0 has (2, 2)"),
+        (HEAD + "filters 3\n2 2\n1 2\n3 4\n2 2\n5 6\n7 8\n2 1\n1\n2\nweights 1 1 1\n",
+         "filter 2 has shape (2, 1), filter 0 has (2, 2)"),
     ]
 
     @pytest.mark.parametrize("text, message", MALFORMED,
