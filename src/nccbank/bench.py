@@ -336,26 +336,20 @@ def _local_maxima(response):
     required strictly-smaller neighbor.  A 1x1 response is its own peak.
 
     The 3 x 3 max over the -inf-padded response and the 3 x 3 min over the
-    +inf-padded one each take two separable passes.  Both include the
-    cell itself, so ``r >= max`` means "at least every neighbor" and
-    ``r > min`` "some neighbor strictly lower".  The min skips NaN (as a
-    NaN neighbor is never strictly lower) and the max keeps it (as no cell
-    is >= a NaN neighbor).
+    +inf-padded one are :func:`nccbank.patchmath._box_sums` reductions.
+    Both include the cell itself, so ``r >= max`` means "at least every
+    neighbor" and ``r > min`` "some neighbor strictly lower".  The min
+    skips NaN (as a NaN neighbor is never strictly lower) and the max
+    keeps it (as no cell is >= a NaN neighbor).
     """
     r = np.asarray(response, dtype=float)
     if r.size == 1:
         return np.ones(r.shape, dtype=bool)
-    return (r >= _window3(r, -np.inf, np.maximum)) & (r > _window3(r, np.inf, np.fmin))
 
+    def window3(pad, reduce):
+        return pm._box_sums(np.pad(r, 1, constant_values=pad), 3, reduce)
 
-def _window3(r, pad, reduce):
-    """``reduce`` over every 3 x 3 neighborhood of ``r`` padded with
-    ``pad``: along the rows, then along the columns."""
-    p = np.pad(r, 1, constant_values=pad)
-    rows = reduce(p[:, :-2], p[:, 1:-1])
-    reduce(rows, p[:, 2:], out=rows)
-    out = reduce(rows[:-2], rows[1:-1])
-    return reduce(out, rows[2:], out=out)
+    return (r >= window3(-np.inf, np.maximum)) & (r > window3(np.inf, np.fmin))
 
 
 def _check_radius(radius, name):

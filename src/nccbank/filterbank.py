@@ -526,6 +526,8 @@ def tiled_std_scan(frame, filt):
     Returns ``(scores, ScanCounts)``.  At each run's first pixel the score
     equals exact STD NCC of that window; elsewhere the shared denominator
     makes it an approximation (that is the cost tradeoff being modeled).
+    A run whose window is flat by :func:`nccbank.patchmath.normalize_rows`
+    scores 0.0 throughout.
     """
     img = pm.as_patch(frame, "frame")
     fnorm = pm.normalize(filt, pm.NORM_STD)  # offline filter prep, not counted
@@ -533,11 +535,6 @@ def tiled_std_scan(frame, filt):
     hh, ww = img.shape
     if hh < f or ww < f:
         raise ValueError(f"frame {img.shape} too small for {f}x{f} filter")
-    counts = ScanCounts()
-
-    def counted_sqrt(x):
-        counts.square_roots += 1
-        return math.sqrt(x)
 
     # pixel-rate correlation, windows clamped to stay inside the frame
     corr = pm.cross_correlate_valid(img, fnorm)
@@ -545,20 +542,17 @@ def tiled_std_scan(frame, filt):
     tc = np.minimum(np.arange(ww), ww - f)
     corr_all = corr[tr[:, None], tc[None, :]]
 
-    # patch-rate normalization: one sqrt per full run of f*f pixels
+    # patch-rate normalization: one sqrt per full run of f*f pixels, by
+    # the row statistics every STD path shares (a flat window scores 0)
     n_runs = (hh * ww) // (f * f)
-    inv = np.zeros(max(n_runs, 1))
-    for run in range(n_runs):
-        pos = run * f * f
-        r, c = divmod(pos, ww)
-        win = img[tr[r] : tr[r] + f, tc[c] : tc[c] + f]
-        q = win - win.mean()
-        ss = counted_sqrt(float(np.sum(q * q)))
-        inv[run] = 1.0 / ss if ss > pm.SIGMA_MIN else 0.0
+    r, c = np.divmod(np.arange(n_runs) * f * f, ww)
+    wins = np.lib.stride_tricks.sliding_window_view(img, (f, f))[tr[r], tc[c]]
+    den, _, valid = pm._row_stats(pm._centered(wins.reshape(n_runs, -1)), pm.NORM_STD)
+    inv = np.divide(1.0, den, out=np.zeros(n_runs), where=valid)
 
-    run_of_pixel = np.minimum(np.arange(hh * ww) // (f * f), max(n_runs - 1, 0))
+    run_of_pixel = np.minimum(np.arange(hh * ww) // (f * f), n_runs - 1)
     scores = corr_all.ravel() * inv[run_of_pixel]
-    return scores.reshape(hh, ww), counts
+    return scores.reshape(hh, ww), ScanCounts(square_roots=den.size)
 
 
 def save_quantized_filter(path, raw, qformat):

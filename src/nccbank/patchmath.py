@@ -38,10 +38,11 @@ NORM_MAD = "mad"
 NORM_NONE = "none"
 NORM_MODES = (NORM_STD, NORM_MAD, NORM_NONE)
 
-# Rows per block of normalize_rows.  512 rows of 15x15 patches make about
-# 0.9 MB per float temporary, so a block's few temporaries stay near L2
-# size; blocks of 2,048 rows measured slower on the 162,560-row corpus.
-_BLOCK_ROWS = 512
+# Rows per block of normalize_rows.  256 rows of 15x15 patches make about
+# 0.46 MB per float64 block, and the block loop holds two (the work block
+# and its squares), so they stay near L2 size; blocks of 2,048 rows
+# measured slower on the 162,560-row corpus.
+_BLOCK_ROWS = 256
 
 
 class DegeneratePatchError(ValueError):
@@ -109,13 +110,12 @@ def _normalize_full(x, mode, out=None, buf=None):
     """:func:`normalize_rows` over a (B, n) float64 matrix ``x``; returns
     ``(normalized, valid, stats)``.
 
-    With ``out`` given, the rows are centered straight into it and divided
-    there in place, and ``stats`` is None.  Without, the normalized rows
-    are a new array and ``stats = (q, den, stat)`` holds the centered rows
-    beside them with their :func:`_row_stats` (None for ``none``), as
-    :func:`_backprop_rows` takes them.  ``buf`` (see
-    :func:`_row_stats`) may be ``x`` itself when ``out`` is given: ``x``
-    is not read after the centering.
+    With ``out`` given (it may be ``x`` itself), the rows are centered
+    into it and divided there in place, and ``stats`` is None.  Without,
+    the normalized rows are a new array and ``stats = (q, den, stat)``
+    holds the centered rows beside them with their :func:`_row_stats`
+    (None for ``none``), as :func:`_backprop_rows` takes them.  ``buf``
+    is as in :func:`_row_stats`.
     """
     if mode == NORM_NONE:
         if out is None:
@@ -154,39 +154,31 @@ def _float_rows(values):
 def _normalize_blocks(rows, mode, dtype):
     """:func:`normalize_rows` stored in ``dtype`` (float64 or float32).
 
-    Every row is normalized in float64.  A float64 store centres each
-    block straight into its slice of the output; a float32 store
-    normalizes each block into a float64 block and rounds it into its
-    slice once, so its rows are ``normalize_rows(rows)[0]`` rounded to
-    float32, byte for byte.  Its blocks are half as tall, so its two
-    float64 blocks take the memory of the float64 store's one.
+    Every block is copied, a float32 one widened, into one float64 work
+    block, normalized there in place and stored into its slice of the
+    output, so a float32 store holds ``normalize_rows(rows)[0]`` rounded
+    to float32 once, byte for byte.
     """
     x = _float_rows(rows)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError(f"expected (B, n) matrix with n >= 1, got shape {x.shape}")
     out = np.empty(x.shape, dtype)
     valid = np.empty(x.shape[0], dtype=bool)
-    step = _BLOCK_ROWS if out.dtype == np.float64 else _BLOCK_ROWS // 2
-    buf = np.empty((min(len(x), step), x.shape[1]))
-    dst = None if out.dtype == np.float64 else np.empty_like(buf)
+    work = np.empty((min(len(x), _BLOCK_ROWS), x.shape[1]))
+    buf = np.empty_like(work)
     # an empty matrix still goes through one (empty) block, so its mode
     # and width are checked as for any other
-    for lo in range(0, max(len(x), 1), step):
-        hi = lo + step
+    for lo in range(0, max(len(x), 1), _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
         block = x[lo:hi]
-        work = buf[: len(block)]
-        wide = block
-        if x.dtype == np.float32:
-            wide = work
-            wide[...] = block
-        norm = out[lo:hi] if dst is None else dst[: len(block)]
+        w = work[: len(block)]
+        w[...] = block
         # a NaN or an infinity makes its row's mean, and so its statistics,
         # NaN: the row is flagged flat, and only flagged rows (every row in
         # none mode) need their pixels scanned
         with np.errstate(invalid="ignore"):
-            _, valid[lo:hi], _ = _normalize_full(wide, mode, norm, work)
-        if dst is not None:
-            out[lo:hi] = norm
+            _, valid[lo:hi], _ = _normalize_full(w, mode, w, buf[: len(block)])
+        out[lo:hi] = w
         scan = block if mode == NORM_NONE else block[~valid[lo:hi]]
         if not np.isfinite(scan).all():
             bad = lo + int(np.argmin(np.isfinite(block).all(axis=1)))
@@ -204,15 +196,16 @@ def normalize_rows(rows, mode):
     and then slicing it gives the same bits as normalizing the slice.
     ``none`` returns a copy.
 
-    The rows are normalized in blocks of ``_BLOCK_ROWS``, each centered
-    straight into its slice of the one preallocated output and divided
-    there in place, so the memory taken is that output plus one work
-    block for the squares (or absolute values), never a corpus-sized
-    centred copy.  A float32 matrix is kept as it is and widened one block
-    at a time into that work block; widening is exact, so its output is
-    bitwise that of its float64 copy.  Any other input is converted to
-    float64.  :func:`nccbank.nccnet.train` runs the same block loop but
-    stores the normalized rows rounded to float32.
+    The rows are normalized in blocks of ``_BLOCK_ROWS``, each copied
+    into one float64 work block, normalized there in place and stored into
+    its slice of the one preallocated output, so the memory taken is that
+    output plus two blocks (the work block and its squares or absolute
+    values), never a corpus-sized centred copy.  A float32 matrix is kept
+    as it is and widened one block at a time into the work block; widening
+    is exact, so its output is bitwise that of its float64 copy.  Any
+    other input is converted to float64.  :func:`nccbank.nccnet.train`
+    runs the same block loop but stores the normalized rows rounded to
+    float32.
 
     Raises ValueError if the matrix has no columns or holds a NaN or an
     infinity (in every mode, ``none`` included).
@@ -313,14 +306,15 @@ def _valid(out, shape, k):
     return out.reshape(h, shape[1])[:, :w]
 
 
-def _box_sums(a, k):
-    """Sum of every k x k window of ``a``: k-term sums along the rows,
-    then along the columns, so each window's sum takes 2(k - 1) additions
-    of its own pixels and its rounding is bounded by its own magnitudes.
+def _box_sums(a, k, reduce=np.add):
+    """Sum (or ``reduce``, a binary ufunc such as np.maximum) of every
+    k x k window of ``a``: k-term sums along the rows, then along the
+    columns, so each window's sum takes 2(k - 1) additions of its own
+    pixels and its rounding is bounded by its own magnitudes.
 
-    Each pass adds one contiguous shifted slice of the flattened array
-    (see :func:`_run`), in the order of the two 2-D passes, so every
-    valid window gets the same bits.  Returns a view.
+    Each pass reduces one contiguous shifted slice of the flattened array
+    (see :func:`_run`) into the running result, in the order of the two
+    2-D passes, so every valid window gets the same bits.  Returns a view.
     """
     flat = np.ascontiguousarray(a).reshape(-1)
     width = a.shape[1]
@@ -328,12 +322,12 @@ def _box_sums(a, k):
     span = run + (k - 1) * width  # the row sums the column pass reads
     rows = flat[:span].copy()
     for j in range(1, k):
-        rows += flat[j : j + span]
+        reduce(rows, flat[j : j + span], out=rows)
     out = np.empty((a.shape[0] - k + 1) * width, dtype=rows.dtype)
     col = out[:run]
     col[...] = rows[:run]
     for i in range(1, k):
-        col += rows[i * width : i * width + run]
+        reduce(col, rows[i * width : i * width + run], out=col)
     return _valid(out, a.shape, k)
 
 

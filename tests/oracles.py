@@ -151,18 +151,17 @@ def naive_correlate_valid(image, filt):
     return out
 
 
-def two_d_box_sums(a, k):
-    """Sum of every k x k window of ``a`` by 2-D shifted slices: k-term
-    sums along the rows, then along the columns (the former
-    ``patchmath._box_sums``, whose addition order the flat version
-    keeps)."""
+def two_d_box_sums(a, k, reduce=np.add):
+    """Sum (or ``reduce``) of every k x k window of ``a`` by 2-D shifted
+    slices: k-term sums along the rows, then along the columns (the former
+    ``patchmath._box_sums``, whose order the flat version keeps)."""
     h, w = a.shape[0] - k + 1, a.shape[1] - k + 1
     rows = a[:, :w].copy()
     for j in range(1, k):
-        rows += a[:, j : j + w]
+        reduce(rows, a[:, j : j + w], out=rows)
     out = rows[:h].copy()
     for i in range(1, k):
-        out += rows[i : i + h]
+        reduce(out, rows[i : i + h], out=out)
     return out
 
 

@@ -526,6 +526,24 @@ class TestTiledScan:
             exact = pm.ncc_score(window, filt, "std")
             assert scores[r, c] == pytest.approx(exact, abs=1e-9)
 
+    def test_flat_run_window_scores_zero(self):
+        # the first run's window is the filter's shape at sigma 9e-13:
+        # sigma = ss / sqrt(24) is below SIGMA_MIN but ss is above it.  It
+        # is flat by the row statistics every STD path shares, so its run
+        # scores 0.0 (a private ss floor scored it a perfect match)
+        filt = fb.gaussian_grid(5, 1.0)
+        frame = np.random.default_rng(99).normal(loc=50.0, scale=5.0, size=(40, 40))
+        frame[:5, :5] = 9e-13 * (filt - filt.mean()) / np.std(filt, ddof=1)
+        window = frame[:5, :5]
+        ss = np.sqrt(np.sum((window - window.mean()) ** 2))
+        assert ss / np.sqrt(24) < pm.SIGMA_MIN < ss
+        assert not pm.normalize_rows(window.reshape(1, -1), pm.NORM_STD)[1][0]
+        with pytest.raises(pm.DegeneratePatchError):
+            pm.ncc_score(window, filt, "std")
+        scores, _ = fb.tiled_std_scan(frame, filt)
+        assert scores[0, 0] == 0.0
+        assert not scores[0, :25].any()
+
     def test_frame_too_small(self):
         with pytest.raises(ValueError):
             fb.tiled_std_scan(np.zeros((4, 4)) + np.arange(4), fb.gaussian_grid(5, 1.0))

@@ -362,10 +362,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("mode", ["std", "mad", "none"])
     def test_float32_patches_train_as_their_float64_copy(self, mode):
-        # more patches than one normalization block, so the widening
+        # more patches than two normalization blocks, so the widening
         # crosses block edges
         rng = np.random.default_rng(87)
-        patches, labels = toy_dataset(rng, count=pm._BLOCK_ROWS + 100)
+        patches, labels = toy_dataset(rng, count=2 * pm._BLOCK_ROWS + 100)
         patches = (patches + 50.0).astype(np.float32)
         patches[::40] = 4.0  # flat patches
         cfg = nn.TrainConfig(batch_size=16, max_epochs=2, seed=16)
@@ -407,8 +407,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("mode", pm.NORM_MODES)
     def test_float32_corpus_memory(self, mode):
-        # 1.27x: the float32 corpus plus two half-height float64 blocks;
-        # full-height blocks measured 1.52x, and the float64 corpus alone
+        # 1.27x: the float32 corpus plus two 256-row float64 blocks;
+        # 512-row blocks measured 1.52x, and the float64 corpus alone
         # took 2x the float32 one (2.27x in all)
         rng = np.random.default_rng(89)
         patches = rng.normal(size=(4096, 15, 15)).astype(np.float32)
