@@ -21,13 +21,12 @@ def build_data(scene_count=60, seed=4):
         for c in dg.training_scene_configs(scene_count=scene_count, seed=seed,
                                            targets_per_scene=8)
     ]
-    scenes = [dg.synth_scene(c) for c in configs]
-    positives, negatives = dg.collect_samples(scenes)
-    negatives = dg.subsample_negatives(
-        negatives, min(2500, len(negatives)), seed=seed)
-    patches, labels = dg.augmented_arrays(np.concatenate([positives, negatives]))
-    print(f"{scene_count} scenes -> {len(positives)} positives, "
-          f"{len(negatives)} negatives kept")
+    samples = dg.build_training_set(configs, negative_budget=2500,
+                                    subsample_seed=seed)
+    patches, labels = dg.augmented_arrays(samples)
+    n_pos = int(np.count_nonzero(samples["label"] == 1))
+    print(f"{scene_count} scenes -> {n_pos} positives, "
+          f"{len(samples) - n_pos} negatives kept")
     print(f"after 64x/4x augmentation: {patches.shape[0]} samples "
           f"({int(np.sum(labels > 0))} positive)")
     return patches, labels

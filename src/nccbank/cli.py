@@ -25,6 +25,9 @@ from . import nccnet as nn
 from . import patchmath as pm
 
 CLUTTER_CHOICES = ("mix",) + dg.CLUTTER_KINDS
+# datagen flags named by the SceneConfig field they set on every config
+_SCENE_FLAGS = ("clutter_kind", "target_amplitude", "psf_sigma", "noise_sigma",
+                "bad_pixel_rate")
 
 
 def _build_parser():
@@ -44,21 +47,24 @@ def _build_parser():
     d.add_argument("--frames-per-scene", type=int, default=1,
                    help="independent frames per scene config")
     d.add_argument("--seed", type=int, default=1000)
-    d.add_argument("--clutter", choices=CLUTTER_CHOICES, default="mix",
-                   help="single clutter kind, or cycle through all of them")
     d.add_argument("--width", type=int, default=128)
     d.add_argument("--height", type=int, default=128)
     d.add_argument("--targets", type=int, default=9, help="targets per scene")
-    d.add_argument("--amplitude", type=float, default=60.0)
-    d.add_argument("--psf-sigma", type=float, default=1.2)
-    d.add_argument("--noise", type=float, default=5.0)
-    d.add_argument("--bad-pixel-rate", type=float, default=3e-4)
+    # scene flags: each left out keeps the recipe's value for every config
+    d.add_argument("--clutter", choices=CLUTTER_CHOICES, dest="clutter_kind",
+                   help="single clutter kind; mix (the recipe's) cycles "
+                   "through all of them")
+    d.add_argument("--amplitude", type=float, dest="target_amplitude")
+    d.add_argument("--psf-sigma", type=float, dest="psf_sigma")
+    d.add_argument("--noise", type=float, dest="noise_sigma")
+    d.add_argument("--bad-pixel-rate", type=float, dest="bad_pixel_rate")
     d.add_argument("--negatives", type=int, default=8000,
                    help="negative budget after farthest-point thinning")
     d.add_argument("--standard", action="store_true",
                    help="use the reference training corpus recipe "
-                   "(60 scenes of 256x256, 34 targets each); overrides the "
-                   "shape flags above")
+                   "(60 scenes of 256x256, 34 targets each); overrides "
+                   "--scenes, --width, --height and --targets, and the scene "
+                   "flags apply on top")
     d.set_defaults(func=_cmd_datagen)
 
     t = sub.add_parser("train", help="train a filter bank on a dataset file")
@@ -66,14 +72,14 @@ def _build_parser():
     t.add_argument("--out", required=True, help="network file to write")
     t.add_argument("--filters", type=int, default=1)
     t.add_argument("--norm", choices=sorted(pm.NORM_MODES), default=pm.NORM_STD)
-    t.add_argument("--epochs", type=int, default=5)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--lr", type=float, default=0.001)
-    t.add_argument("--momentum", type=float, default=0.95)
-    t.add_argument("--weight-decay", type=float, default=0.0005)
-    t.add_argument("--batch-size", type=int, default=40)
-    t.add_argument("--holdout", type=float, default=0.2)
-    t.set_defaults(func=_cmd_train)
+    t.add_argument("--epochs", type=int, dest="max_epochs")
+    t.add_argument("--seed", type=int)
+    t.add_argument("--lr", type=float, dest="learning_rate")
+    t.add_argument("--momentum", type=float)
+    t.add_argument("--weight-decay", type=float)
+    t.add_argument("--batch-size", type=int)
+    t.add_argument("--holdout", type=float, dest="holdout_fraction")
+    t.set_defaults(func=_cmd_train, **dataclasses.asdict(nn.TrainConfig()))
 
     e = sub.add_parser("export-filter", help="write one trained filter to a file")
     e.add_argument("--net", required=True, help="network file")
@@ -81,7 +87,8 @@ def _build_parser():
     e.add_argument("--out", required=True)
     e.add_argument("--fixed", action="store_true",
                    help="center, prescale and quantize to integer taps")
-    e.add_argument("--qformat", type=int, nargs=2, default=(8, 7),
+    e.add_argument("--qformat", type=int, nargs=2,
+                   default=dataclasses.astuple(fb.TAP_QFORMAT),
                    metavar=("BITS", "FRAC"), help="tap format for --fixed")
     e.set_defaults(func=_cmd_export_filter)
 
@@ -130,35 +137,23 @@ def _cmd_datagen(args):
     if args.frames_dir:
         dg._check_unused_frames_dir(args.frames_dir)
     if args.standard:
-        configs = dg.standard_training_configs(seed=args.seed)
+        recipe = dg.standard_training_configs(seed=args.seed)
     else:
-        configs = dg.training_scene_configs(
+        recipe = dg.training_scene_configs(
             scene_count=args.scenes,
             seed=args.seed,
             width=args.width,
             height=args.height,
             targets_per_scene=args.targets,
         )
-        configs = [
-            dataclasses.replace(
-                c,
-                clutter_kind=(c.clutter_kind if args.clutter == "mix"
-                              else args.clutter),
-                target_amplitude=args.amplitude,
-                psf_sigma=args.psf_sigma,
-                noise_sigma=args.noise,
-                bad_pixel_rate=args.bad_pixel_rate,
-            )
-            for c in configs
-        ]
-    if args.frames_per_scene > 1:
-        configs = [
-            dataclasses.replace(
-                c, rng_seed=(c.rng_seed + 7919 * rep) % 2**31
-            )
-            for c in configs
-            for rep in range(args.frames_per_scene)
-        ]
+    given = {name: value for name in _SCENE_FLAGS
+             if (value := getattr(args, name)) not in (None, "mix")}
+    # rep 0 keeps the recipe's seed: recipe seeds are drawn below 2**31
+    configs = [
+        dataclasses.replace(c, rng_seed=(c.rng_seed + 7919 * rep) % 2**31, **given)
+        for c in recipe
+        for rep in range(args.frames_per_scene)
+    ]
     scenes = [dg.synth_scene(c) for c in configs]
     print(f"synthesized {len(scenes)} scenes "
           f"({sum(len(s.truths) for s in scenes)} targets)")
@@ -184,15 +179,8 @@ def _cmd_train(args):
         num_filters=args.filters, filter_size=dg.CORE_SIZE,
         norm_mode=args.norm, seed=args.seed,
     )
-    config = nn.TrainConfig(
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch_size,
-        max_epochs=args.epochs,
-        holdout_fraction=args.holdout,
-        seed=args.seed,
-    )
+    config = nn.TrainConfig(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(nn.TrainConfig)})
     history = nn.train(net, patches, labels, config)
     for ep in history.epochs:
         print(f"epoch {ep.epoch + 1}: loss={ep.mean_loss:.6f} "
@@ -212,7 +200,7 @@ def _cmd_export_filter(args):
         )
     grid = net.filters[args.index]
     if args.fixed:
-        qf = fb.QFormat(args.qformat[0], args.qformat[1])
+        qf = fb.QFormat(*args.qformat)
         raw = fb.prepare_fixed_taps(grid, qf)
         fb.save_quantized_filter(args.out, raw, qf)
         print(f"wrote quantized filter {args.index} "

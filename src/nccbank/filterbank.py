@@ -531,6 +531,8 @@ def tiled_std_scan(frame, filt):
     """
     img = pm.as_patch(frame, "frame")
     fnorm = pm.normalize(filt, pm.NORM_STD)  # offline filter prep, not counted
+    if fnorm.shape[0] != fnorm.shape[1]:
+        raise ValueError(f"filter must be square, got shape {fnorm.shape}")
     f = fnorm.shape[0]
     hh, ww = img.shape
     if hh < f or ww < f:

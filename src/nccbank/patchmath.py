@@ -320,14 +320,17 @@ def _box_sums(a, k, reduce=np.add):
     width = a.shape[1]
     run = _run(a.shape, k)
     span = run + (k - 1) * width  # the row sums the column pass reads
-    rows = flat[:span].copy()
-    for j in range(1, k):
-        reduce(rows, flat[j : j + span], out=rows)
-    out = np.empty((a.shape[0] - k + 1) * width, dtype=rows.dtype)
+    out = np.empty((a.shape[0] - k + 1) * width, dtype=flat.dtype)
     col = out[:run]
-    col[...] = rows[:run]
-    for i in range(1, k):
-        reduce(col, rows[i * width : i * width + run], out=col)
+    if k == 1:
+        col[...] = flat[:run]
+    else:  # each pass starts from its first two slices: no copy
+        rows = reduce(flat[:span], flat[1 : 1 + span])
+        for j in range(2, k):
+            reduce(rows, flat[j : j + span], out=rows)
+        reduce(rows[:run], rows[width : width + run], out=col)
+        for i in range(2, k):
+            reduce(col, rows[i * width : i * width + run], out=col)
     return _valid(out, a.shape, k)
 
 

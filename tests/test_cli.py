@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import shutil
 import subprocess
@@ -11,7 +12,7 @@ from nccbank import filterbank as fb
 from nccbank import gridio
 from nccbank import irdatagen as dg
 from nccbank import nccnet as nn
-from nccbank.cli import cli_main
+from nccbank.cli import _build_parser, cli_main
 
 
 def run(*argv):
@@ -158,6 +159,82 @@ class TestDatagen:
         assert dir_bytes(tmp_path / "a") == dir_bytes(tmp_path / "b")
 
 
+# each datagen scene flag, a value off every recipe's, and the SceneConfig
+# field it sets
+SCENE_FLAGS = [
+    ("--clutter", "collimator", "clutter_kind", dg.COLLIMATOR),
+    ("--amplitude", "75", "target_amplitude", 75.0),
+    ("--psf-sigma", "1.5", "psf_sigma", 1.5),
+    ("--noise", "20", "noise_sigma", 20.0),
+    ("--bad-pixel-rate", "0.001", "bad_pixel_rate", 0.001),
+]
+SMALL_SHAPE = ["--scenes", "2", "--width", "80", "--height", "80", "--targets", "2"]
+
+
+def small_standard_configs(seed=1000):
+    """A 2-scene stand-in for the reference recipe, unlike SMALL_SHAPE's."""
+    return dg.training_scene_configs(scene_count=2, seed=seed, width=72,
+                                     height=72, targets_per_scene=3)
+
+
+@pytest.fixture
+def synthesized(monkeypatch):
+    """The configs datagen synthesizes, in order, under a small standard
+    recipe."""
+    seen = []
+    synth_scene = dg.synth_scene
+
+    def record(config):
+        seen.append(config)
+        return synth_scene(config)
+
+    monkeypatch.setattr(dg, "synth_scene", record)
+    monkeypatch.setattr(dg, "standard_training_configs", small_standard_configs)
+    return seen
+
+
+class TestDatagenRecipe:
+    @staticmethod
+    def recipe(standard, seed=5):
+        if standard:
+            return small_standard_configs(seed=seed)
+        return dg.training_scene_configs(scene_count=2, seed=seed, width=80,
+                                         height=80, targets_per_scene=2)
+
+    @staticmethod
+    def datagen(tmp_path, standard, *argv):
+        return run("datagen", *SMALL_SHAPE, "--seed", "5",
+                   *(["--standard"] if standard else []), *argv,
+                   "--frames-dir", str(tmp_path / "frames"))
+
+    @pytest.mark.parametrize("standard", [False, True])
+    @pytest.mark.parametrize("flag, value, field, parsed", SCENE_FLAGS)
+    def test_scene_flag_reaches_every_config(self, tmp_path, synthesized, standard,
+                                             flag, value, field, parsed):
+        assert self.datagen(tmp_path, standard, flag, value) == 0
+        assert synthesized == [dataclasses.replace(c, **{field: parsed})
+                               for c in self.recipe(standard)]
+
+    @pytest.mark.parametrize("standard", [False, True])
+    @pytest.mark.parametrize("argv", [[], ["--clutter", "mix"]])
+    def test_recipe_configs_pass_through(self, tmp_path, synthesized, standard, argv):
+        recipe = self.recipe(standard)
+        assert [c.clutter_kind for c in recipe] == list(dg.CLUTTER_KINDS[:2])
+        assert self.datagen(tmp_path, standard, *argv) == 0
+        assert synthesized == recipe
+
+    @pytest.mark.parametrize("standard", [False, True])
+    def test_frames_per_scene_reseeds_later_reps_only(self, tmp_path, synthesized,
+                                                      standard):
+        recipe = self.recipe(standard)
+        assert self.datagen(tmp_path, standard, "--frames-per-scene", "2") == 0
+        assert synthesized[0::2] == recipe
+        assert synthesized[1::2] == [
+            dataclasses.replace(c, rng_seed=(c.rng_seed + 7919) % 2**31)
+            for c in recipe
+        ]
+
+
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
     """One small dataset + frame folder shared by the pipeline tests."""
@@ -212,6 +289,29 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_defaults_are_train_config_defaults(self):
+        args = _build_parser().parse_args(["train", "--data", "d", "--out", "o"])
+        defaults = dataclasses.asdict(nn.TrainConfig())
+        assert {name: getattr(args, name) for name in defaults} == defaults
+
+    def test_flags_reach_train_config(self, small_corpus, tmp_path, monkeypatch):
+        configs = []
+
+        def no_training(net, patches, labels, config):
+            configs.append(config)
+            raise RuntimeError("not training")
+
+        monkeypatch.setattr(nn, "train", no_training)
+        data, _ = small_corpus
+        assert run("train", "--data", str(data), "--out", str(tmp_path / "n.txt"),
+                   "--lr", "0.01", "--momentum", "0.5", "--weight-decay", "0.002",
+                   "--batch-size", "16", "--epochs", "3", "--holdout", "0.25",
+                   "--seed", "7") == 1
+        assert configs == [nn.TrainConfig(
+            learning_rate=0.01, momentum=0.5, weight_decay=0.002, batch_size=16,
+            max_epochs=3, holdout_fraction=0.25, seed=7,
+        )]
+
     def test_missing_data_file(self, tmp_path):
         assert run("train", "--data", str(tmp_path / "nope.nccd"),
                    "--out", str(tmp_path / "n.txt")) == 1
@@ -241,6 +341,19 @@ class TestExportFilter:
         assert raw.shape == (15, 15)
         assert (qf.total_bits, qf.frac_bits) == (8, 7)
         assert np.max(np.abs(raw)) == qf.raw_max  # prescaled to full range
+
+    def test_default_qformat_is_the_tap_format(self):
+        args = _build_parser().parse_args(
+            ["export-filter", "--net", "n", "--index", "0", "--out", "o"])
+        assert fb.QFormat(*args.qformat) == fb.TAP_QFORMAT
+
+    def test_fixed_export_in_given_qformat(self, net_path, tmp_path):
+        out = tmp_path / "q.txt"
+        assert run("export-filter", "--net", str(net_path), "--index", "0",
+                   "--out", str(out), "--fixed", "--qformat", "12", "10") == 0
+        raw, qf = fb.load_quantized_filter(out)
+        assert qf == fb.QFormat(12, 10)
+        assert np.max(np.abs(raw)) == qf.raw_max
 
     def test_index_out_of_range(self, net_path, tmp_path):
         assert run("export-filter", "--net", str(net_path), "--index", "9",

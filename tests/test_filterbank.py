@@ -511,6 +511,12 @@ class TestTiledScan:
         assert counts.square_roots == 64 * 64 // 25
         assert counts.square_roots == fb.op_count("ncc-std", 64, 5).square_roots
 
+    def test_non_square_filter_fails_cleanly(self):
+        frame = np.random.default_rng(96).normal(loc=100.0, scale=10.0, size=(30, 30))
+        filt = np.random.default_rng(95).normal(size=(5, 7))
+        with pytest.raises(ValueError, match=r"filter must be square, got shape \(5, 7\)"):
+            fb.tiled_std_scan(frame, filt)
+
     def test_run_start_pixels_score_exactly(self):
         rng = np.random.default_rng(98)
         frame = rng.normal(loc=50.0, scale=5.0, size=(40, 40))
