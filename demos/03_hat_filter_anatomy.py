@@ -1,4 +1,4 @@
-"""Anatomy of the center-surround hat filter and what each baseline
+"""Anatomy of the center-surround hat filter and what each dense scorer
 costs per frame.
 
 The hat is a Ricker (Mexican-hat) profile with a small central pit: the
@@ -50,23 +50,15 @@ def main():
     print("from a target outside the core becomes invisible to it.")
 
     print()
-    print("per-frame cost model, 256x256 frame, 15x15 filter:")
-    print("  method       mul      add      div   sqrt")
+    print("per-frame operation counts of the dense scorers, 256x256 frame, 15x15 filter:")
+    print("  method            mul         add      div    sqrt")
     for method in fb.OP_METHODS:
         ops = fb.op_count(method, 256, 15)
-        print(f"  {method:11s} {ops.multiplications:7d}  {ops.additions:7d}  "
-              f"{ops.divisions:6d}  {ops.square_roots:5d}")
-    print("correlation runs at pixel rate; window statistics amortize at")
-    print("patch rate (one refresh per 15*15 pixels). Only STD pays square")
-    print("roots -- the MAD forms are what a fixed-point pipeline wants.")
-
-    print()
-    rng = np.random.default_rng(81)
-    frame = rng.normal(loc=500.0, scale=40.0, size=(256, 256))
-    _, counts = fb.tiled_std_scan(frame, hat)
-    print(f"instrumented STD scan over one 256x256 frame: "
-          f"{counts.square_roots} sqrt calls "
-          f"(analytic model says {fb.op_count('ncc-std', 256, 15).square_roots})")
+        print(f"  {method:11s} {ops.multiplications:10d}  {ops.additions:10d}  "
+              f"{ops.divisions:7d}  {ops.square_roots:6d}")
+    print("every one of the 242*242 valid windows gets its own denominator:")
+    print("STD pays one square root per window, the MAD forms none (sqrt(n) is")
+    print("the side 15) but an absolute difference per pixel of every window.")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ The package is organized as a plain numpy library:
   decision weights), hand-derived gradients, and SGD-with-momentum training.
 * ``filterbank`` -- engineered detectors: Gaussian and center-surround
   ("hat") filters, cropping, Q-format quantization, a bit-exact integer
-  MAD-NCC scorer, and analytic operation counts.
+  MAD-NCC scorer, and per-frame operation counts of the dense scorers.
 * ``irdatagen``  -- synthetic infrared scene and patch-dataset generation,
   augmentation, negative subsampling, and the binary dataset format.
 * ``bench``      -- sliding-window detection, detection/truth matching,

@@ -356,7 +356,7 @@ def _check_radius(radius, name):
     """``radius`` as a float; ValueError unless it is a finite number >= 0."""
     try:
         r = float(radius)
-    except ValueError:  # unparseable text fails the check below
+    except (TypeError, ValueError):  # None, a list or text fail the check below
         r = np.nan
     if not (np.isfinite(r) and r >= 0.0):
         raise ValueError(f"{name} must be finite and >= 0, got {radius!r}")

@@ -13,8 +13,9 @@ This module provides the non-learned half of the toolkit:
   divisions truncating toward zero, output in Q(16, 10).  Because patches
   are square, sqrt(n) is just the patch side, so the entire pipeline is
   square-root free.
-* Analytic per-frame operation counts for the benchmarked scorers, and an
-  instrumented scan whose counted square roots realize the STD cost model.
+* Per-frame operation counts of the dense scorers that the benchmark runs:
+  every valid window gets its own denominator, so STD NCC takes one square
+  root per window and the MAD forms none.
 """
 
 import dataclasses
@@ -486,75 +487,55 @@ OP_METHODS = ("mad-ratio", "ncc-std", "ncc-mad", "unnorm-corr")
 
 
 def op_count(method, image_side, filter_side):
-    """Analytic per-frame operation counts for an N x N image and f x f
-    filter.  Pixel-rate work costs N^2; patch-rate work (statistics,
-    normalization) is amortized once per f^2 pixels, i.e. floor(N^2/f^2).
-    Only the STD scorer pays square roots."""
+    """Per-frame operation counts of the dense scorers for an N x N frame
+    and an f x f filter, in direct form.
+
+    Each of the W = (N - f + 1)^2 valid windows gets its own statistics
+    and its own denominator; with n = f^2, a window costs:
+
+    * correlation: n multiplications and n - 1 additions, as
+      :func:`_tap_sums` runs it (the float scorers' FFT is a software
+      stand-in and is not counted);
+    * the window mean (all but ``unnorm-corr``): a box sum of 2(f - 1)
+      additions and one division by n;
+    * ``ncc-std``, ``ncc-mad``: the numerator ``dot - mean * sum(filter)``,
+      one multiplication and one addition;
+    * ``ncc-std``: the squared pixels (one multiplication per pixel, N^2
+      per frame), their box sum, ``S2 - mean * S1`` (one multiplication
+      and one addition), its square root, and the division by it;
+    * ``ncc-mad``, ``mad-ratio``: the SAD, n absolute differences and
+      n - 1 additions.  sqrt(n) * mad = SAD / f, as sqrt(n) = f, so the
+      score is ``f * numerator / SAD``: one multiplication and one
+      division.  ``mad-ratio``'s numerator is the centre pixel's
+      deviation, one absolute difference, and its score
+      ``n * |deviation| / SAD``.
+
+    Additions include subtractions and absolute differences.  Only
+    ``ncc-std`` takes square roots, one per window.  Raises ValueError
+    for an unknown method or a filter that does not fit the frame.
+    """
     if image_side < 1 or filter_side < 1:
         raise ValueError("image and filter sides must be positive")
-    n2 = image_side * image_side
-    per_patch = n2 // (filter_side * filter_side)
-    if method == "mad-ratio":
-        return OpCount(n2, per_patch, per_patch, 0)
-    if method == "ncc-std":
-        return OpCount(n2, 2 * per_patch, per_patch, per_patch)
-    if method == "ncc-mad":
-        return OpCount(n2, 2 * per_patch, per_patch, 0)
+    if filter_side > image_side:
+        raise ValueError(f"{filter_side}x{filter_side} filter does not fit "
+                         f"a {image_side}x{image_side} frame")
+    f, n = filter_side, filter_side * filter_side
+    box, sad = 2 * (f - 1), 2 * n - 1
     if method == "unnorm-corr":
-        return OpCount(n2, per_patch, 0, 0)
-    raise ValueError(f"unknown method {method!r}; expected one of {OP_METHODS}")
-
-
-@dataclasses.dataclass
-class ScanCounts:
-    square_roots: int = 0
-
-
-def tiled_std_scan(frame, filt):
-    """STD-NCC scan that amortizes normalization at patch rate.
-
-    Walks all H*W pixels in raster order in runs of f*f consecutive
-    pixels.  Each full run refreshes the window L2-deviation (the one
-    square root) from the window anchored at the run's first pixel; the
-    rest of the run reuses it, and a trailing partial run reuses the last
-    one without a fresh refresh.  Correlation itself runs at pixel rate
-    with windows clamped inside the frame.  The counted square roots
-    therefore equal floor(H*W / f^2), matching the analytic STD cost
-    model; the filter's own normalization is offline preparation and is
-    not counted.
-
-    Returns ``(scores, ScanCounts)``.  At each run's first pixel the score
-    equals exact STD NCC of that window; elsewhere the shared denominator
-    makes it an approximation (that is the cost tradeoff being modeled).
-    A run whose window is flat by :func:`nccbank.patchmath.normalize_rows`
-    scores 0.0 throughout.
-    """
-    img = pm.as_patch(frame, "frame")
-    fnorm = pm.normalize(filt, pm.NORM_STD)  # offline filter prep, not counted
-    if fnorm.shape[0] != fnorm.shape[1]:
-        raise ValueError(f"filter must be square, got shape {fnorm.shape}")
-    f = fnorm.shape[0]
-    hh, ww = img.shape
-    if hh < f or ww < f:
-        raise ValueError(f"frame {img.shape} too small for {f}x{f} filter")
-
-    # pixel-rate correlation, windows clamped to stay inside the frame
-    corr = pm.cross_correlate_valid(img, fnorm)
-    tr = np.minimum(np.arange(hh), hh - f)
-    tc = np.minimum(np.arange(ww), ww - f)
-    corr_all = corr[tr[:, None], tc[None, :]]
-
-    # patch-rate normalization: one sqrt per full run of f*f pixels, by
-    # the row statistics every STD path shares (a flat window scores 0)
-    n_runs = (hh * ww) // (f * f)
-    r, c = np.divmod(np.arange(n_runs) * f * f, ww)
-    wins = np.lib.stride_tricks.sliding_window_view(img, (f, f))[tr[r], tc[c]]
-    den, _, valid = pm._row_stats(pm._centered(wins.reshape(n_runs, -1)), pm.NORM_STD)
-    inv = np.divide(1.0, den, out=np.zeros(n_runs), where=valid)
-
-    run_of_pixel = np.minimum(np.arange(hh * ww) // (f * f), n_runs - 1)
-    scores = corr_all.ravel() * inv[run_of_pixel]
-    return scores.reshape(hh, ww), ScanCounts(square_roots=den.size)
+        ops = (n, n - 1, 0, 0)
+    elif method == "ncc-std":
+        ops = (n + 2, n + 2 * box + 1, 2, 1)
+    elif method == "ncc-mad":
+        ops = (n + 2, n + box + sad, 2, 0)
+    elif method == "mad-ratio":
+        ops = (1, box + 1 + sad, 2, 0)
+    else:
+        raise ValueError(f"unknown method {method!r}; expected one of {OP_METHODS}")
+    windows = (image_side - f + 1) ** 2
+    mul, add, div, roots = (windows * op for op in ops)
+    if method == "ncc-std":
+        mul += image_side * image_side  # the squared pixels of the S2 box sum
+    return OpCount(mul, add, div, roots)
 
 
 def save_quantized_filter(path, raw, qformat):

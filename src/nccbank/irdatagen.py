@@ -235,6 +235,7 @@ def _place_targets(config, rng, clutter):
     dev = np.abs(clutter - pm._box_sums(np.pad(clutter, 4, mode="edge"), 9) / 81)
     ctx, core = CONTEXT_SIZE // 2, CORE_SIZE // 2
     limit = 0.15 * config.target_amplitude
+    swing = 0.3 * config.target_amplitude
     placed = []
     attempts = 0
     while len(placed) < config.target_count:
@@ -242,7 +243,11 @@ def _place_targets(config, rng, clutter):
         if attempts > 10000:
             raise RuntimeError(
                 f"cannot place {config.target_count} separated targets "
-                f"on quiet background in a {h}x{w} scene"
+                f"on quiet background in a {h}x{w} scene: placed "
+                f"{len(placed)} of {config.target_count} in 10000 draws (the "
+                f"{CONTEXT_SIZE}x{CONTEXT_SIZE} context must stay within 0.15 x "
+                f"amplitude = {limit:g} of its 9x9 local mean, and the "
+                f"{CORE_SIZE}x{CORE_SIZE} core range below 0.3 x amplitude = {swing:g})"
             )
         r = int(rng.integers(_TARGET_BORDER, h - _TARGET_BORDER))
         c = int(rng.integers(_TARGET_BORDER, w - _TARGET_BORDER))
@@ -251,7 +256,7 @@ def _place_targets(config, rng, clutter):
         # strong smooth flanks (cloud shoulders, terrace ramps) also disqualify:
         # they inflate the window's dispersion and wash out the target contrast
         window = clutter[r - core : r + core + 1, c - core : c + core + 1]
-        if window.max() - window.min() >= 0.3 * config.target_amplitude:
+        if window.max() - window.min() >= swing:
             continue
         if all(max(abs(r - tr), abs(c - tc)) >= 16 for tr, tc in placed):
             placed.append((r, c))
@@ -279,7 +284,13 @@ def _place_bad_pixels(config, truths, rng):
 
 
 def synth_scene(config):
-    """Render one scene; deterministic for a given config (seed included)."""
+    """Render one scene; deterministic for a given config (seed included).
+
+    Raises RuntimeError when 10,000 draws cannot place ``target_count``
+    separated targets on quiet background (see :func:`_place_targets`),
+    which a validated config does not rule out: a small or rough scene may
+    hold fewer.
+    """
     config.validate()
     rng = np.random.default_rng(config.rng_seed)
     h, w = config.height, config.width

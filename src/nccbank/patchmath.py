@@ -250,28 +250,15 @@ def _correlate_spectra(spectrum, filter_spectra, size, fshape):
     return out[:, : size[0] - fshape[0] + 1, : size[1] - fshape[1] + 1]
 
 
-def _correlate(image, filters):
-    """Valid-mode cross-correlation of ``image`` (H, W) with each of the
-    (N, h, w) ``filters``: an (N, H - h + 1, W - w + 1) array.
-
-    One forward FFT of the image serves every filter.  The transforms are
-    image-sized, so the circular wrap never reaches a valid output.  The
-    error of each output is a few ``eps * rms(image) * sum|filter|``
-    (times the log of the image size at worst), wherever the image's
-    energy sits.
-    """
-    size = image.shape
-    return _correlate_spectra(np.fft.rfft2(image), _filter_spectra(filters, size),
-                              size, filters.shape[1:])
-
-
 def cross_correlate_valid(image, filt):
     """Valid-mode 2-D cross-correlation (no padding, no filter flip).
 
     ``out[i, j]`` is the dot product of ``filt`` with the image window whose
     top-left corner is ``(i, j)``.  Output shape is
-    ``(H - h + 1, W - w + 1)``.  Computed through the FFT (see
-    :func:`_correlate`).
+    ``(H - h + 1, W - w + 1)``.  Computed through image-sized FFTs, so the
+    circular wrap never reaches a valid output; the error of each output
+    is a few ``eps * rms(image) * sum|filt|`` (times the log of the image
+    size at worst), wherever the image's energy sits.
     """
     img = as_patch(image, "image")
     f = as_patch(filt, "filter")
@@ -279,7 +266,9 @@ def cross_correlate_valid(image, filt):
         raise ValueError(
             f"filter {f.shape} does not fit inside image {img.shape}"
         )
-    return _correlate(img, f[None])[0]
+    size = img.shape
+    return _correlate_spectra(np.fft.rfft2(img), _filter_spectra(f[None], size),
+                              size, f.shape)[0]
 
 
 def _run(shape, k):

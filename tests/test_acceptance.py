@@ -14,7 +14,7 @@ behavior, this file checks the headline promises end to end:
     narrow/fixed hats, the Gaussian and the deviation-ratio baseline
 6.  the integer scorer tracks the float scorer in value and argmax
 7.  augmentation cardinalities (64 per positive, 4 per negative)
-8.  square-root budgets match the analytic cost model
+8.  square-root budgets: the dense scorers take what the cost model counts
 9.  the datagen -> train -> bench pipeline is byte-reproducible
 """
 
@@ -282,18 +282,48 @@ def test_augmentation_cardinalities():
     assert int(np.sum(labels < 0)) == 4 * len(negatives)
 
 
-def test_square_root_budget_matches_cost_model():
+def test_square_root_budget_matches_cost_model(monkeypatch):
     start = time.monotonic()
     for side, fsize in ((256, 15), (256, 7), (128, 9)):
-        assert fb.op_count("ncc-mad", side, fsize).square_roots == 0
-        assert fb.op_count("mad-ratio", side, fsize).square_roots == 0
-        expected = (side * side) // (fsize * fsize)
+        for method in ("ncc-mad", "mad-ratio", "unnorm-corr"):
+            assert fb.op_count(method, side, fsize).square_roots == 0
+        expected = (side - fsize + 1) ** 2  # one per valid window
         assert fb.op_count("ncc-std", side, fsize).square_roots == expected
+
+    # the dense scorers the benchmark runs, counted at np.sqrt: an array
+    # argument holds one value per window, a scalar one (the frame's rms,
+    # sqrt(n)) is taken once per frame
+    sqrt = np.sqrt
+    roots, fallback = [], []
+
+    def counting_sqrt(x, *args, **kwargs):
+        roots.append(np.size(x) if np.ndim(x) else 0)
+        return sqrt(x, *args, **kwargs)
+
+    exact_scores = bn._exact_scores
+
+    def counting_exact(rows, *args):
+        fallback.append(len(rows))
+        return exact_scores(rows, *args)
 
     rng = np.random.default_rng(81)
     frame = rng.normal(loc=500.0, scale=40.0, size=(256, 256))
-    _, counts = fb.tiled_std_scan(frame, fb.ricker_hat_grid(15))
-    assert counts.square_roots == fb.op_count("ncc-std", 256, 15).square_roots
+    for name, fsize in (("hat15-ideal", 15), ("hat7-ideal", 7),
+                        ("mad-ratio", 15), ("hat7-fixed-mad", 7)):
+        scorer = bn.resolve_method(name)  # the filter's normalization is offline
+        roots.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "sqrt", counting_sqrt)
+            patch.setattr(bn, "_exact_scores", counting_exact)
+            scorer(frame)
+        assert scorer.window == fsize
+        if name.endswith("-ideal"):
+            assert sum(roots) == fb.op_count("ncc-std", 256, fsize).square_roots, name
+        else:
+            assert sum(roots) == 0, name
+        if name.endswith("-fixed-mad"):
+            assert roots == [], name
+    assert fallback == []  # no window took the exact path's square roots
 
     assert time.monotonic() - start < 60.0
 

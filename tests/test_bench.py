@@ -478,9 +478,10 @@ class TestMatchDetections:
         assert (m.true_positives, m.false_alarms, m.false_negatives) == (0, 1, 0)
 
 
-@pytest.mark.parametrize("radius", [-2.0, -7.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("radius", [-2.0, -7.0, float("nan"), float("inf"), None, [7.0]])
 def test_bad_radius_rejected(radius):
-    # checked where each radius is used, even with nothing to suppress or match
+    # checked where each radius is used, even with nothing to suppress or
+    # match; a value float() refuses (None, a list) is a ValueError too
     flat = np.zeros((6, 6))
     scorer = bn.MadRatioScorer(window=3)
     with pytest.raises(ValueError, match="nms_radius"):

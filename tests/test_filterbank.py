@@ -485,74 +485,37 @@ class TestFixedResponse:
 
 class TestOpCount:
     def test_pinned_table(self):
-        per = 256 * 256 // (15 * 15)  # 291
-        assert per == 291
-        assert fb.op_count("mad-ratio", 256, 15) == fb.OpCount(65536, 291, 291, 0)
-        assert fb.op_count("ncc-std", 256, 15) == fb.OpCount(65536, 582, 291, 291)
-        assert fb.op_count("ncc-mad", 256, 15) == fb.OpCount(65536, 582, 291, 0)
-        assert fb.op_count("unnorm-corr", 256, 15) == fb.OpCount(65536, 291, 0, 0)
+        windows = (256 - 15 + 1) ** 2  # every valid window is scored
+        assert windows == 58564
+        assert fb.op_count("mad-ratio", 256, 15) == fb.OpCount(
+            windows, 478 * windows, 2 * windows, 0)
+        assert fb.op_count("ncc-std", 256, 15) == fb.OpCount(
+            227 * windows + 256 * 256, 282 * windows, 2 * windows, windows)
+        assert fb.op_count("ncc-mad", 256, 15) == fb.OpCount(
+            227 * windows, 702 * windows, 2 * windows, 0)
+        assert fb.op_count("unnorm-corr", 256, 15) == fb.OpCount(
+            225 * windows, 224 * windows, 0, 0)
 
     def test_spec_examples(self):
         assert fb.op_count("ncc-mad", 512, 15).square_roots == 0
-        assert fb.op_count("ncc-std", 512, 15).square_roots == 512 * 512 // (15 * 15)
+        assert fb.op_count("ncc-std", 512, 15).square_roots == 498 * 498
         assert fb.op_count("unnorm-corr", 512, 15).divisions == 0
+        # the SAD alone is 225 absolute differences per window
+        assert fb.op_count("ncc-mad", 256, 15).additions >= 225 * 58564
+
+    def test_edge_sizes(self):
+        # f = N scores one window; f = 1 has no box-sum additions
+        assert fb.op_count("ncc-std", 15, 15) == fb.OpCount(227 + 225, 282, 2, 1)
+        assert fb.op_count("unnorm-corr", 8, 1) == fb.OpCount(64, 0, 0, 0)
+        assert fb.op_count("mad-ratio", 8, 1) == fb.OpCount(64, 128, 128, 0)
+        with pytest.raises(ValueError, match="does not fit"):
+            fb.op_count("ncc-std", 10, 15)
+        with pytest.raises(ValueError, match="positive"):
+            fb.op_count("ncc-std", 0, 1)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             fb.op_count("ipi", 256, 15)
-
-
-class TestTiledScan:
-    def test_sqrt_count_matches_formula(self):
-        rng = np.random.default_rng(97)
-        frame = rng.normal(loc=100.0, scale=10.0, size=(64, 64))
-        filt = fb.ricker_hat_grid(5, fb.HatParams(2.0, 1.0, 0.0, 0.3))
-        _, counts = fb.tiled_std_scan(frame, filt)
-        assert counts.square_roots == 64 * 64 // 25
-        assert counts.square_roots == fb.op_count("ncc-std", 64, 5).square_roots
-
-    def test_non_square_filter_fails_cleanly(self):
-        frame = np.random.default_rng(96).normal(loc=100.0, scale=10.0, size=(30, 30))
-        filt = np.random.default_rng(95).normal(size=(5, 7))
-        with pytest.raises(ValueError, match=r"filter must be square, got shape \(5, 7\)"):
-            fb.tiled_std_scan(frame, filt)
-
-    def test_run_start_pixels_score_exactly(self):
-        rng = np.random.default_rng(98)
-        frame = rng.normal(loc=50.0, scale=5.0, size=(40, 40))
-        filt = fb.gaussian_grid(5, 1.0)
-        scores, counts = fb.tiled_std_scan(frame, filt)
-        assert scores.shape == frame.shape
-        f = 5
-        for run in range(counts.square_roots):
-            pos = run * f * f
-            r, c = divmod(pos, 40)
-            tr, tc = min(r, 40 - f), min(c, 40 - f)
-            window = frame[tr : tr + f, tc : tc + f]
-            exact = pm.ncc_score(window, filt, "std")
-            assert scores[r, c] == pytest.approx(exact, abs=1e-9)
-
-    def test_flat_run_window_scores_zero(self):
-        # the first run's window is the filter's shape at sigma 9e-13:
-        # sigma = ss / sqrt(24) is below SIGMA_MIN but ss is above it.  It
-        # is flat by the row statistics every STD path shares, so its run
-        # scores 0.0 (a private ss floor scored it a perfect match)
-        filt = fb.gaussian_grid(5, 1.0)
-        frame = np.random.default_rng(99).normal(loc=50.0, scale=5.0, size=(40, 40))
-        frame[:5, :5] = 9e-13 * (filt - filt.mean()) / np.std(filt, ddof=1)
-        window = frame[:5, :5]
-        ss = np.sqrt(np.sum((window - window.mean()) ** 2))
-        assert ss / np.sqrt(24) < pm.SIGMA_MIN < ss
-        assert not pm.normalize_rows(window.reshape(1, -1), pm.NORM_STD)[1][0]
-        with pytest.raises(pm.DegeneratePatchError):
-            pm.ncc_score(window, filt, "std")
-        scores, _ = fb.tiled_std_scan(frame, filt)
-        assert scores[0, 0] == 0.0
-        assert not scores[0, :25].any()
-
-    def test_frame_too_small(self):
-        with pytest.raises(ValueError):
-            fb.tiled_std_scan(np.zeros((4, 4)) + np.arange(4), fb.gaussian_grid(5, 1.0))
 
 
 class TestQuantizedFilterIO:

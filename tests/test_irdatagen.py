@@ -165,6 +165,19 @@ class TestSynth:
         gentle = steep / 2
         assert len(dg._place_targets(cfg, np.random.default_rng(0), gentle)) == 5
 
+    def test_unplaceable_targets_report_the_shortfall(self):
+        # a validated 64x64 terrain scene with room for no quiet target:
+        # the error says how many were placed and names the quiet limits
+        cfg = dg.training_scene_configs(scene_count=4, seed=1, width=64, height=64,
+                                        targets_per_scene=2)[1]
+        assert cfg.clutter_kind == dg.TERRAIN and cfg.target_amplitude == 60.0
+        with pytest.raises(RuntimeError, match=(
+                r"cannot place 2 separated targets on quiet background in a "
+                r"64x64 scene: placed 0 of 2 in 10000 draws \(the 19x19 context "
+                r"must stay within 0\.15 x amplitude = 9 of its 9x9 local mean, "
+                r"and the 15x15 core range below 0\.3 x amplitude = 18\)")):
+            dg.synth_scene(cfg)
+
     # truths and bad pixels of one scene per clutter kind, so that a change
     # of the placement rules or of their RNG draws shows; image bytes are not
     # pinned because np.exp may differ by one ulp across CPUs
