@@ -29,11 +29,23 @@ any dL/d(out), so the L1 loss is the only loss-specific code.
 """
 
 import dataclasses
+import numbers
 
 import numpy as np
 
 from nccbank import gridio
 from nccbank import patchmath as pm
+
+
+# Rows per block of _forward's products.  Multithreaded OpenBLAS touches
+# workspace in proportion to a product's row count: one (162,560 x 225)
+# (225 x 4) float32 scoring raised RSS by 37-40 MB on two threads, the
+# same rows in 2,048-row blocks by 4.6 MB.  256- and 512-row blocks changed
+# the bits of the 4-filter scores (OpenBLAS picks other kernels for small
+# products).  A 1-filter bank's blocks are matrix-vector products, which
+# OpenBLAS ran on one thread at 1,024 rows (18 ms per corpus scoring
+# instead of 10) and on two at 2,048.
+_SCORE_ROWS = 2048
 
 
 @dataclasses.dataclass
@@ -160,12 +172,20 @@ def _forward(net, pn):
     :func:`_backward` takes: the (B, N) ReLU'd scores and the bank's
     backprop stats.  Float64 rows score against the normalized bank,
     float32 rows (the corpus :func:`train` stores) against the bank
-    rounded to float32, in one float32 GEMM; the ReLU'd scores are
-    weighted in float64."""
+    rounded to float32; the ReLU'd scores are weighted in float64.
+    The rows are scored in blocks of ``_SCORE_ROWS`` into preallocated
+    outputs, so BLAS workspace and the float64 copy of the scores stay the
+    size of one block, not of the corpus."""
     fn, stats = _normalized_bank(net)
-    acts = pn @ fn.astype(pn.dtype, copy=False).T
-    np.maximum(acts, 0.0, out=acts)
-    return acts @ net.weights, (acts, stats)
+    fn_t = fn.astype(pn.dtype, copy=False).T
+    acts = np.empty((len(pn), len(fn)), dtype=pn.dtype)
+    out = np.empty(len(pn))
+    for lo in range(0, len(pn), _SCORE_ROWS):
+        rows = slice(lo, lo + _SCORE_ROWS)
+        block = np.matmul(pn[rows], fn_t, out=acts[rows])
+        np.maximum(block, 0.0, out=block)
+        np.matmul(block, net.weights, out=out[rows])
+    return out, (acts, stats)
 
 
 def _backward(net, pn, cache, g_out):
@@ -310,10 +330,13 @@ def threshold_accuracy(scores, labels, threshold):
 
 
 def _check_config(config):
-    if config.batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {config.batch_size}")
-    if config.max_epochs < 1:
-        raise ValueError(f"max_epochs must be >= 1, got {config.max_epochs}")
+    for name in ("batch_size", "max_epochs"):
+        value = getattr(config, name)
+        # numpy integers are Integral; bool is too, but is not a count
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if not 0.0 <= config.holdout_fraction < 1.0:
         raise ValueError(
             f"holdout_fraction must be in [0, 1), got {config.holdout_fraction}"
@@ -337,10 +360,11 @@ def train(net, patches, labels, config=None):
     training split into batches of ``batch_size``; each batch's float32
     rows are widened into one reused float64 buffer, so the loss, the
     gradients and the momentum step run in float64.  After each epoch
-    every row is scored once, in one float32 GEMM against the normalized
-    bank rounded to float32; holdout accuracy (training accuracy when
-    nothing is held out) uses a threshold calibrated on the training
-    split's scores.  Fully deterministic for a given seed.
+    every row is scored once, in float32 GEMMs of ``_SCORE_ROWS`` rows
+    against the normalized bank rounded to float32; holdout accuracy
+    (training accuracy when nothing is held out) uses a threshold
+    calibrated on the training split's scores.  Fully deterministic for a
+    given seed.
 
     Against the same loop over float64 rows, the stored rounding moves
     the result by far less than its tolerance: filter taps by at most

@@ -441,6 +441,22 @@ def assert_matches_oracle(negs, pool_size, seed_offset=0):
         assert tags(picked) == oracle_picks(negs, budget, seed)
 
 
+# picks per fold (dg._FOLD) by rows per fold product block (dg._FOLD_ROWS),
+# None for the default; every pool below fits in one default block, so
+# blocks of 1 and 7 rows are what runs the blocked fold's edges
+FOLD_AND_ROWS = [
+    pytest.param(fold, rows, id=str(fold) if rows is None else f"{fold}-rows{rows}")
+    for rows in (None, 1, 7) for fold in (1, 2, 7, None)
+]
+
+
+def patch_fold(monkeypatch, fold, rows):
+    if fold is not None:
+        monkeypatch.setattr(dg, "_FOLD", fold)
+    if rows is not None:
+        monkeypatch.setattr(dg, "_FOLD_ROWS", rows)
+
+
 class TestSubsample:
     def test_budget_equals_count_is_identity(self):
         rng = np.random.default_rng(40)
@@ -478,18 +494,16 @@ class TestSubsample:
         assert len(picked) == 5
         assert flat_cores(picked) == 3  # the representative plus two padded drops
 
-    @pytest.mark.parametrize("fold", [1, 2, 7, None])
+    @pytest.mark.parametrize("fold, rows", FOLD_AND_ROWS)
     @pytest.mark.parametrize("size, flat_count", [(3, 0), (40, 3), (150, 0), (600, 6)])
-    def test_matches_farthest_point_oracle(self, monkeypatch, fold, size, flat_count):
-        if fold is not None:
-            monkeypatch.setattr(dg, "_FOLD", fold)
+    def test_matches_farthest_point_oracle(self, monkeypatch, fold, rows, size, flat_count):
+        patch_fold(monkeypatch, fold, rows)
         negs = distinct_pool(size, flat_count, seed=size + flat_count)
         assert_matches_oracle(negs, size - max(flat_count - 1, 0), seed_offset=size)
 
-    @pytest.mark.parametrize("fold", [1, 2, 7, None])
-    def test_exact_ties_break_toward_lower_index(self, monkeypatch, fold):
-        if fold is not None:
-            monkeypatch.setattr(dg, "_FOLD", fold)
+    @pytest.mark.parametrize("fold, rows", FOLD_AND_ROWS)
+    def test_exact_ties_break_toward_lower_index(self, monkeypatch, fold, rows):
+        patch_fold(monkeypatch, fold, rows)
         negs = quadrupole_pool(300, seed=46)
         assert_matches_oracle(negs, len(negs))
 

@@ -424,40 +424,41 @@ class TestTrain:
         assert peak < 1.5 * patches.nbytes
 
     def test_corpus_normalized_once(self, monkeypatch):
-        calls = []
-        real = pm._normalize_full
-
-        def counting(rows, mode, out=None, buf=None):
-            calls.append(np.shape(rows)[0])
-            return real(rows, mode, out, buf)
-
-        monkeypatch.setattr(pm, "_normalize_full", counting)
-        rng = np.random.default_rng(85)
-        patches, labels = toy_dataset(rng, count=60)
-        net = nn.init_network(3, filter_size=5, seed=14)
-        cfg = nn.TrainConfig(batch_size=8, max_epochs=2, seed=15)
-        hist = nn.train(net, patches, labels, cfg)
-        # the corpus once, then the 3-filter bank once per batch step (for
-        # both the forward and the backward pass) and once per epoch's
-        # scoring of the corpus
-        steps = -(-hist.train_size // 8)
-        assert calls == [60] + [3] * (2 * (steps + 1))
+        assert_corpus_normalized_once(monkeypatch)
 
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 0), ("max_epochs", 0), ("holdout_fraction", 1.0),
         ("holdout_fraction", 1.5), ("holdout_fraction", -0.1),
         ("holdout_fraction", float("nan")), ("learning_rate", float("nan")),
         ("momentum", float("inf")), ("weight_decay", float("-inf")),
+        ("batch_size", 2.5), ("batch_size", True), ("max_epochs", 2.0),
     ])
-    def test_config_validation(self, field, value):
+    def test_config_validation(self, monkeypatch, field, value):
         rng = np.random.default_rng(86)
         patches, labels = toy_dataset(rng, count=20)
         net = nn.init_network(1, filter_size=5, seed=0)
         before = net.filters.copy()
         cfg = nn.TrainConfig(**{field: value})
+
+        def never(*args):
+            raise AssertionError("the corpus was normalized before the config was checked")
+
+        monkeypatch.setattr(pm, "_normalize_blocks", never)
         with pytest.raises(ValueError, match=field):
             nn.train(net, patches, labels, cfg)
         assert np.array_equal(net.filters, before)
+
+    def test_numpy_integer_config_accepted(self):
+        rng = np.random.default_rng(86)
+        patches, labels = toy_dataset(rng, count=20)
+        runs = []
+        for batch_size, max_epochs in ((4, 2), (np.int64(4), np.int32(2))):
+            net = nn.init_network(1, filter_size=5, seed=0)
+            cfg = nn.TrainConfig(batch_size=batch_size, max_epochs=max_epochs, seed=1)
+            runs.append((net, nn.train(net, patches, labels, cfg)))
+        (net, hist), (ref_net, ref_hist) = runs
+        assert net.filters.tobytes() == ref_net.filters.tobytes()
+        assert hist == ref_hist
 
     def test_shape_and_label_validation(self):
         net = nn.init_network(1, filter_size=5, seed=0)
@@ -496,6 +497,107 @@ def calibration_cases(draw):
     classes = draw(st.sampled_from([(-1.0, 1.0), (1.0,), (-1.0,)]))
     labels = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
     return np.array(scores), np.array(labels)
+
+
+def assert_corpus_normalized_once(monkeypatch):
+    """``train`` normalizes its corpus once and the bank once per
+    ``_forward`` call, however many row blocks that call scores."""
+    calls = []
+    real = pm._normalize_full
+
+    def counting(rows, mode, out=None, buf=None):
+        calls.append(np.shape(rows)[0])
+        return real(rows, mode, out, buf)
+
+    monkeypatch.setattr(pm, "_normalize_full", counting)
+    rng = np.random.default_rng(85)
+    patches, labels = toy_dataset(rng, count=60)
+    net = nn.init_network(3, filter_size=5, seed=14)
+    cfg = nn.TrainConfig(batch_size=8, max_epochs=2, seed=15)
+    hist = nn.train(net, patches, labels, cfg)
+    # the corpus once, then the 3-filter bank once per batch step (for
+    # both the forward and the backward pass) and once per epoch's
+    # scoring of the corpus
+    steps = -(-hist.train_size // 8)
+    assert calls == [60] + [3] * (2 * (steps + 1))
+
+
+def score_tolerance(net, pn):
+    """Per row, a bound on the gap between two ``_forward`` outputs for the
+    normalized rows ``pn`` whose dot products were summed in different
+    orders.  A dot product of n terms, summed in any order, is within
+    gamma_n * sum|terms| of its exact value, gamma_n = n*u / (1 - n*u) with
+    u = eps/2 in the rows' precision (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 3.1), so two orders differ by
+    about n * eps * sum|terms| at most; this allows twice that.  The ReLU
+    does not widen a gap, the weights scale it by |w_j|, and the float64
+    weighting adds (N + 1) float64 units."""
+    fn = nn.normalized_filters(net).astype(pn.dtype)
+    terms = (np.abs(pn) @ np.abs(fn).T).astype(float)   # sum|terms| per score
+    gap = 2 * pn.shape[1] * np.finfo(pn.dtype).eps * terms
+    return (gap + (len(fn) + 1) * np.finfo(float).eps * terms) @ np.abs(net.weights)
+
+
+class TestBlockedScoring:
+    """``_forward`` over more rows than one ``nn._SCORE_ROWS`` block scores
+    the rows block by block; each block's scores may differ from one
+    product's in summation order only."""
+
+    @pytest.mark.parametrize("block", [1, 7, 16])
+    @pytest.mark.parametrize("mode", pm.NORM_MODES)
+    def test_forward_batch_matches_one_call(self, monkeypatch, block, mode):
+        rng = np.random.default_rng(90)
+        patches, _ = toy_dataset(rng, count=45)  # 45 % 7 = 3, 45 % 16 = 13
+        patches[5] = 2.0  # flat: invalid unless mode is none
+        net = nn.init_network(4, filter_size=5, norm_mode=mode, seed=21)
+        whole, valid = nn.forward_batch(net, patches)
+        monkeypatch.setattr(nn, "_SCORE_ROWS", block)
+        blocked, blocked_valid = nn.forward_batch(net, patches)
+        pn, _ = pm.normalize_rows(patches.reshape(45, -1), mode)
+        assert np.array_equal(blocked_valid, valid)
+        assert valid[5] == (mode == pm.NORM_NONE)
+        assert np.all(np.abs(blocked - whole) <= score_tolerance(net, pn))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_epoch_scores_match_one_call(self, monkeypatch, block):
+        # every batch fits in one block, so only the epoch scoring differs
+        scored = []
+        real = nn._forward
+
+        def spying(net, pn):
+            out, cache = real(net, pn)
+            if pn.dtype == np.float32:
+                scored.append((out, score_tolerance(net, pn)))
+            return out, cache
+
+        monkeypatch.setattr(nn, "_forward", spying)
+        rng = np.random.default_rng(91)
+        patches, labels = toy_dataset(rng, count=52)
+        cfg = nn.TrainConfig(batch_size=block, max_epochs=3, seed=22)
+        runs = []
+        for rows in (10 ** 9, block):
+            monkeypatch.setattr(nn, "_SCORE_ROWS", rows)
+            net = nn.init_network(3, filter_size=5, seed=23)
+            scored.clear()
+            nn.train(net, patches, labels, cfg)
+            runs.append((net, list(scored)))
+        (ref_net, ref_scored), (net, blocked_scored) = runs
+        assert net.filters.tobytes() == ref_net.filters.tobytes()
+        assert net.weights.tobytes() == ref_net.weights.tobytes()
+        assert len(blocked_scored) == len(ref_scored) == 3
+        for (out, tol), (ref_out, _) in zip(blocked_scored, ref_scored):
+            assert out.shape == (52,)
+            assert np.all(np.abs(out - ref_out) <= tol)
+
+    def test_empty_batch(self, monkeypatch):
+        monkeypatch.setattr(nn, "_SCORE_ROWS", 7)
+        net = nn.init_network(4, filter_size=5, seed=24)
+        outs, valid = nn.forward_batch(net, np.ones((0, 5, 5)))
+        assert outs.shape == valid.shape == (0,)
+
+    def test_bank_normalized_once_per_blocked_forward(self, monkeypatch):
+        monkeypatch.setattr(nn, "_SCORE_ROWS", 7)
+        assert_corpus_normalized_once(monkeypatch)
 
 
 class TestThresholdCalibration:
