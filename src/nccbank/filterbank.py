@@ -299,7 +299,7 @@ def _check_u16(pixels, what):
         raise ValueError("pixels must fit in 16-bit unsigned")
 
 
-def mad_ncc_fixed_score(patch, filt, qformat=None):
+def mad_ncc_fixed_score(patch, filt, qformat):
     """Score one integer patch against quantized taps, bit-exactly.
 
     Pipeline (all integer, no square root anywhere):
@@ -424,7 +424,7 @@ def _tap_sums(x, t, means, check):
     return pm._valid(xt, x.shape, k), prod_over
 
 
-def mad_ncc_fixed_response(frame, filt, qformat=None):
+def mad_ncc_fixed_response(frame, filt, qformat):
     """Valid-mode response map of the fixed-point scorer over a frame.
 
     Bit-identical to calling :func:`mad_ncc_fixed_score` at every window

@@ -22,9 +22,11 @@ batch can be pulled through the bank's Jacobians in one call: upstream
 gradients are accumulated in normalized-filter space first, and each step
 normalizes the bank once for both the forward and the backward pass.
 
-One forward over normalized patch rows, ``_forward``, serves the training
-step, the per-epoch scoring and :func:`forward_batch`; ``_backward`` takes
-any dL/d(out), so the L1 loss is the only loss-specific code.
+Every batch step of :func:`train` is ``_l1_step``: ``_forward`` over the
+batch's normalized patch rows, the mean L1 loss and its dL/d(out), and
+``_backward``, which takes any dL/d(out), so ``_l1_step`` is the only
+loss-specific code.  The same ``_forward`` scores every row after each
+epoch.
 :func:`forward` keeps its single-patch form as the reference.
 """
 
@@ -203,51 +205,11 @@ def _backward(net, pn, cache, g_out):
     )
 
 
-def _patch_rows(net, patches):
-    """``patches`` checked to be (B, k, k) for the bank's filter size k and
-    returned as a (B, k*k) float matrix, float32 kept as it is (see
-    :func:`nccbank.patchmath.normalize_rows`); B may be 0."""
-    arr = pm._float_rows(patches)
-    k = net.filter_size
-    if arr.ndim != 3 or arr.shape[1:] != (k, k):
-        raise ValueError(f"patches must be (B, {k}, {k}), got {arr.shape}")
-    return arr.reshape(arr.shape[0], k * k)
-
-
-def forward_batch(net, patches):
-    """Score a stack of patches (B, k, k).
-
-    Returns ``(outputs, valid)``; degenerate patches get output 0.0 and
-    ``valid=False`` rather than raising.  Non-finite patches raise
-    ValueError (see :func:`nccbank.patchmath.normalize_rows`).
-    """
-    pn, valid = pm.normalize_rows(_patch_rows(net, patches), net.norm_mode)
-    out, _ = _forward(net, pn)
-    out[~valid] = 0.0
-    return out, valid
-
-
-def loss_and_gradients(net, patches, labels):
-    """Mean L1 loss and its gradients over one batch.
-
-    ``patches`` is (B, k, k) with B >= 1, ``labels`` (B,) of +/-1.
-    Gradients are averaged over the batch.  Degenerate patches are
-    rejected here; the training loop filters them out beforehand.
-    """
-    rows = _patch_rows(net, patches)
-    y = np.asarray(labels, dtype=float)
-    if y.shape != (rows.shape[0],) or y.size == 0:
-        raise ValueError("patches (B, k, k) and labels (B,) must align, B >= 1")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValueError("labels must be +1 or -1")
-    pn, valid = pm.normalize_rows(rows, net.norm_mode)
-    if not np.all(valid):
-        raise pm.DegeneratePatchError("batch contains flat patches")
-    return _loss_and_gradients_rows(net, pn, y)
-
-
-def _loss_and_gradients_rows(net, pn, y):
-    """:func:`loss_and_gradients` over normalized patch rows ``pn``."""
+def _l1_step(net, pn, y):
+    """Mean L1 loss of the normalized patch rows ``pn`` (B, k*k), B >= 1,
+    against their labels ``y`` (B,) of +/-1, and its gradients averaged
+    over the batch: :func:`_forward`, dL/d(out), :func:`_backward`.  The
+    only loss-specific code of the training step."""
     out, cache = _forward(net, pn)
     diff = out - y
     # np.add.reduce and the divide by B are how np.mean computes the mean
@@ -375,7 +337,11 @@ def train(net, patches, labels, config=None):
     if config is None:
         config = TrainConfig()
     _check_config(config)
-    rows = _patch_rows(net, patches)
+    rows = pm._float_rows(patches)
+    k = net.filter_size
+    if rows.ndim != 3 or rows.shape[1:] != (k, k):
+        raise ValueError(f"patches must be (S, {k}, {k}), got {rows.shape}")
+    rows = rows.reshape(rows.shape[0], k * k)
     y = np.asarray(labels, dtype=float)
     if y.shape != (rows.shape[0],) or y.size < 2:
         raise ValueError("need (S, k, k) patches and (S,) labels, S >= 2")
@@ -414,7 +380,7 @@ def train(net, patches, labels, config=None):
             batch = order[lo : lo + config.batch_size]
             batch_rows = wide[: batch.size]
             batch_rows[...] = pn[batch]
-            loss, grads = _loss_and_gradients_rows(net, batch_rows, y[batch])
+            loss, grads = _l1_step(net, batch_rows, y[batch])
             net.filters, f_velocity = momentum_step(
                 net.filters, grads.filters, f_velocity, *hyper)
             net.weights, w_velocity = momentum_step(

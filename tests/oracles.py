@@ -391,8 +391,8 @@ def _per_batch_train(nn, net, patches, labels, config, dtype):
     scores its rows against the normalized bank rounded to ``dtype``.
 
     ``nn`` is the nccnet module; only its public functions are used
-    (``forward_batch`` to find flat patches, ``normalized_filters``,
-    ``momentum_step`` and the threshold calls) with
+    (``normalized_filters``, ``momentum_step`` and the threshold calls)
+    with :func:`two_pass_normalize_rows` to find flat patches,
     :func:`two_pass_loss_and_gradients` per batch, and the same split,
     shuffles and history as ``nn.train``.  Trains ``net`` in place;
     returns the history.
@@ -400,7 +400,7 @@ def _per_batch_train(nn, net, patches, labels, config, dtype):
     arr = np.asarray(patches, dtype=float)
     y = np.asarray(labels, dtype=float)
     mode = net.norm_mode
-    _, valid = nn.forward_batch(net, arr)
+    valid = two_pass_normalize_rows(arr.reshape(len(arr), -1), mode)[1]
     keep = np.flatnonzero(valid)
 
     def normalized(idx):

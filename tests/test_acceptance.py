@@ -107,17 +107,19 @@ def test_analytic_gradients_match_finite_differences():
             labels = np.where(rng.random(20) < 0.5, 1.0, -1.0)
             if not _margin_ok(net, patches, labels):
                 continue
+            # the rows and the L1 step of nn.train's batch step
+            pn, _ = pm.normalize_rows(patches.reshape(20, -1), mode)
 
-            _, grads = nn.loss_and_gradients(net, patches, labels)
+            _, grads = nn._l1_step(net, pn, labels)
 
             def loss_of_filters(taps):
                 trial = nn.NccNetwork(taps.reshape(2, 15, 15), weights.copy(), mode)
-                loss, _ = nn.loss_and_gradients(trial, patches, labels)
+                loss, _ = nn._l1_step(trial, pn, labels)
                 return loss
 
             def loss_of_weights(w):
                 trial = nn.NccNetwork(filters.copy(), w.ravel(), mode)
-                loss, _ = nn.loss_and_gradients(trial, patches, labels)
+                loss, _ = nn._l1_step(trial, pn, labels)
                 return loss
 
             fd_f = oracles.fd_gradient(

@@ -477,6 +477,11 @@ class TestMatchDetections:
         m = bn.match_detections([D(1, 1)], [])
         assert (m.true_positives, m.false_alarms, m.false_negatives) == (0, 1, 0)
 
+    @pytest.mark.parametrize("truths", [[(1, 2, 3)], [1, 2], [[[1, 2]]]])
+    def test_truths_not_t_by_2_rejected(self, truths):
+        with pytest.raises(ValueError, match=r"truths must be \(T, 2\)"):
+            bn.match_detections([D(1, 1)], truths)
+
 
 @pytest.mark.parametrize("radius", [-2.0, -7.0, float("nan"), float("inf"), None, [7.0]])
 def test_bad_radius_rejected(radius):
@@ -625,6 +630,10 @@ class TestRocCurve:
         with pytest.raises(ValueError):
             bn.roc_curve([], np.array([0.5]))
 
+    def test_no_thresholds_raises(self):
+        with pytest.raises(ValueError, match="no thresholds"):
+            bn.roc_curve([([D(1, 1)], [(1, 1)])], [])
+
     def test_default_thresholds(self):
         scored = [([D(1, 1, 0.25), D(2, 9, 0.75)], [(1, 1)])]
         t = bn.default_thresholds(scored, count=5)
@@ -633,6 +642,8 @@ class TestRocCurve:
         assert bn.default_thresholds([([], [(1, 1)])]).tolist() == [0.0]
         one = [([D(1, 1, 0.4), D(5, 5, 0.4)], [(1, 1)])]
         assert bn.default_thresholds(one).tolist() == [0.4]
+        with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+            bn.default_thresholds(scored, count=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("first", [True, False])

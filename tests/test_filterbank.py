@@ -70,6 +70,10 @@ class TestHat:
             fb.HatParams(support_halfwidth=-1.0)
         with pytest.raises(ValueError):
             fb.HatParams(pit_radius=0.0)
+        with pytest.raises(ValueError, match="ricker_sigma must be > 0"):
+            fb.HatParams(ricker_sigma=0.0)
+        with pytest.raises(ValueError, match="pit_depth must be >= 0"):
+            fb.HatParams(pit_depth=-0.1)
         with pytest.raises(ValueError):
             fb.ricker_hat_grid(8)
 
@@ -93,6 +97,11 @@ class TestFitHat:
         with pytest.raises(pm.DegeneratePatchError):
             fb.fit_hat(np.full((15, 15), 2.0))
 
+    @pytest.mark.parametrize("shape", [(15, 13), (14, 14)])
+    def test_non_square_or_even_target_rejected(self, shape):
+        with pytest.raises(ValueError, match="target must be square with odd side"):
+            fb.fit_hat(np.ones(shape))
+
 
 class TestCrop:
     def test_fifteen_to_nine_is_three_px_trim(self):
@@ -113,6 +122,8 @@ class TestCrop:
             fb.crop_grid(g, 8)
         with pytest.raises(ValueError):
             fb.crop_grid(g, 17)
+        with pytest.raises(ValueError, match=r"filter must be square, got \(15, 13\)"):
+            fb.crop_grid(np.zeros((15, 13)), 9)
 
 
 class TestQuantize:
@@ -260,8 +271,12 @@ class TestFixedScore:
             )
         with pytest.raises(ValueError):
             fb.mad_ncc_fixed_score(self.PATCH, self.TAPS.astype(float), self.Q)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             fb.mad_ncc_fixed_score(self.PATCH, self.TAPS)
+        with pytest.raises(ValueError, match="qformat is required"):
+            fb.mad_ncc_fixed_score(self.PATCH, self.TAPS, None)
+        with pytest.raises(ValueError, match=r"patch \(3, 3\) must match square taps"):
+            fb.mad_ncc_fixed_score(np.ones((3, 3), dtype=np.uint16), self.TAPS, self.Q)
 
 
 @st.composite
@@ -402,6 +417,34 @@ class TestFixedResponse:
         want = fb.mad_ncc_fixed_score(frame[1:, 1:], taps, q)
         assert raw[1, 1] == want.raw and not degenerate[1, 1]
         assert degenerate.sum() == 3
+
+    @pytest.mark.parametrize("stage", [0, 1, 3])
+    def test_first_overflow_stage_matches_scalar(self, stage):
+        # one wide window that overflows exactly one stage (the product
+        # stage has its own tests above); both paths raise its message
+        if stage == 0:
+            # 257 * 257 * 0xFFFF = 4.33e9 >= 2**32
+            patch = np.full((257, 257), 0xFFFF, dtype=np.uint16)
+            taps, q = np.zeros((257, 257), dtype=np.int64), fb.TAP_QFORMAT
+        elif stage == 1:
+            # a quarter of the pixels bright: sum 2.88e9 < 2**32 <= sad 4.31e9
+            patch = np.zeros((419, 419), dtype=np.uint16)
+            patch.ravel()[: 419 * 419 // 4] = 0xFFFF
+            taps, q = np.zeros((419, 419), dtype=np.int64), fb.TAP_QFORMAT
+        else:
+            # mean 1000 and deviations +-1, so every product fits 32 bits,
+            # but the taps follow the signs: acc = 66049 * (2**31 - 1) >= 2**47
+            patch = np.full((257, 257), 999, dtype=np.uint16)
+            patch.ravel()[::2] = 1001
+            taps = np.where(patch > 1000, 1, -1) * ((1 << 31) - 1)
+            q = fb.QFormat(32, 0)
+        message = fb._STAGE_OVERFLOWS[stage]
+        with pytest.raises(OverflowError) as info:
+            fb.mad_ncc_fixed_score(patch, taps, q)
+        assert str(info.value) == message
+        with pytest.raises(OverflowError) as info:
+            fb.mad_ncc_fixed_response(patch, taps, q)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_wide_window_output_does_not_wrap(self, sign):

@@ -124,6 +124,9 @@ class TestSynth:
         for amplitude in (0.0, -5.0):
             with pytest.raises(ValueError, match="target_amplitude must be > 0"):
                 dg.synth_scene(quiet_config(target_amplitude=amplitude))
+        for field in ("clutter_strength", "target_count", "noise_sigma"):
+            with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+                dg.synth_scene(quiet_config(**{field: -1}))
 
     def test_psf_at_limit_fits_target_border(self):
         # truths sit >= 10 px from the edge; the stamp reaches ceil(4 sigma)
@@ -218,6 +221,13 @@ class TestExtract:
         assert np.all(samples["label"] == -1)
         assert np.all(samples["flags"] == 1)
 
+    @pytest.mark.parametrize("truth", [(8, 30), (30, 55), (63, 63)])
+    def test_truth_at_the_border_rejected(self, truth):
+        # a truth needs its whole 19x19 context inside the frame
+        scene = dg.Scene(image=np.zeros((64, 64)), truths=[truth], bad_pixels=[])
+        with pytest.raises(ValueError, match="too close to the border"):
+            dg.extract_samples(scene)
+
     def test_one_positive_per_truth_centered(self):
         scene = dg.synth_scene(
             quiet_config(width=96, height=96, target_count=3, noise_sigma=1.0)
@@ -287,6 +297,13 @@ class TestAugment:
     def test_shift_set_has_16_without_identity(self):
         assert len(dg.SHIFTS) == 16
         assert (0, 0) not in dg.SHIFTS
+
+    def test_shifted_core_validation(self):
+        with pytest.raises(ValueError, match="context must be 19x19"):
+            dg.shifted_core(np.zeros((15, 15)), 0, 0)
+        for dr, dc in ((3, 0), (0, -3)):
+            with pytest.raises(ValueError, match="exceeds the 2-pixel margin"):
+                dg.shifted_core(np.zeros((19, 19)), dr, dc)
 
     def test_rotation_shift_group_identity(self):
         rng = np.random.default_rng(30)
@@ -592,6 +609,10 @@ class TestDatasetIO:
         with pytest.raises(dg.TruncatedFileError):
             dg.read_dataset(bad)
 
+        bad.write_bytes(blob[:6] + struct.pack("<HH", 13, 19) + blob[10:])
+        with pytest.raises(dg.CorruptHeaderError, match="unsupported patch geometry 13/19"):
+            dg.read_dataset(bad)
+
     def test_zero_count_header_rejected(self, tmp_path):
         # write_dataset refuses an empty set, so a count of 0 is corrupt
         path = tmp_path / "empty.nccd"
@@ -702,6 +723,8 @@ class TestFramesIO:
          r"truths.csv: truth \(-40, 9999\) lies outside frame_0000.txt \(64x64\)"),
         ("frame,row,col\nframe_0000.txt,5,6\nframe_0000.txt,63,64\n",
          r"truths.csv: truth \(63, 64\) lies outside frame_0000.txt \(64x64\)"),
+        ("frame,row,col\nframe_0001.txt,5,6\n",
+         "truths.csv references unknown frame 'frame_0001.txt'"),
     ])
     def test_malformed_truths_rejected(self, tmp_path, text, message):
         scenes = [dg.synth_scene(quiet_config(target_count=1, noise_sigma=1.0))]
@@ -774,6 +797,11 @@ class TestTrainingSetRecipe:
         assert patches.dtype == np.float32
         assert np.array_equal(patches, want_p)
         assert np.array_equal(labels, want_l)
+
+    def test_empty_class_rejected(self):
+        # a target-free 64x64 scene gives negatives only
+        with pytest.raises(ValueError, match="scenes produced an empty class"):
+            dg.build_training_set([quiet_config(noise_sigma=1.0)])
 
     def test_augmented_arrays_rejects_empty(self):
         with pytest.raises(ValueError):

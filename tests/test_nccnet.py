@@ -74,32 +74,33 @@ class TestForward:
         rng = np.random.default_rng(50)
         net = nn.init_network(3, filter_size=5, seed=1)
         patches = rng.normal(size=(12, 5, 5))
-        outs, valid = nn.forward_batch(net, patches)
+        pn, valid = pm.normalize_rows(patches.reshape(12, -1), net.norm_mode)
+        outs, _ = nn._forward(net, pn)
         assert valid.all()
         for i in range(12):
             assert outs[i] == pytest.approx(nn.forward(net, patches[i]), abs=1e-12)
 
-    def test_batch_flags_flat_patches(self):
-        net = nn.init_network(2, filter_size=4, seed=2)
-        patches = np.stack([np.full((4, 4), 9.0), np.arange(16.0).reshape(4, 4)])
-        outs, valid = nn.forward_batch(net, patches)
-        assert not valid[0] and valid[1]
-        assert outs[0] == 0.0
-
     def test_batch_rejects_non_finite_patches(self):
+        # through train, the one caller that takes a stack of raw patches;
+        # a float32 stack is scanned after its block is widened
         net = nn.init_network(2, filter_size=4, seed=2)
-        patches = np.random.default_rng(51).normal(size=(5, 4, 4))
+        patches = np.random.default_rng(51).normal(size=(5, 4, 4)).astype(np.float32)
         patches[3, 1, 2] = np.inf
+        labels = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
         with pytest.raises(ValueError, match="row 3 contains non-finite values"):
-            nn.forward_batch(net, patches)
+            nn.train(net, patches, labels)
 
     def test_batch_shape_checked(self):
         net = nn.init_network(2, filter_size=5, seed=2)
         with pytest.raises(ValueError, match=re.escape(
-                "patches must be (B, 5, 5), got (2, 3, 3)")):
-            nn.forward_batch(net, np.ones((2, 3, 3)))
-        outs, valid = nn.forward_batch(net, np.ones((0, 5, 5)))
-        assert outs.shape == (0,) and valid.shape == (0,)
+                "patches must be (S, 5, 5), got (2, 3, 3)")):
+            nn.train(net, np.ones((2, 3, 3)), np.ones(2))
+        with pytest.raises(ValueError, match=re.escape(
+                "patches must be (S, 5, 5), got (25,)")):
+            nn.train(net, np.ones(25), np.ones(25))
+        for count in (0, 1):
+            with pytest.raises(ValueError, match="S >= 2"):
+                nn.train(net, np.ones((count, 5, 5)), np.ones(count))
 
     def test_forward_raises_on_flat(self):
         net = nn.init_network(1, filter_size=4, seed=3)
@@ -114,8 +115,7 @@ class TestForward:
         net.filters[0] = 0.5
         net.filters[1, 0, 0] = bad
         patches = np.random.default_rng(5).normal(size=(2, 5, 5))
-        calls = [lambda: nn.forward_batch(net, patches),
-                 lambda: bn.NetworkScorer(net), lambda: nn.normalized_filters(net)]
+        calls = [lambda: bn.NetworkScorer(net), lambda: nn.normalized_filters(net)]
         for call in calls:
             with pytest.raises(ValueError) as info:
                 call()
@@ -141,19 +141,21 @@ class TestGradients:
             labels = np.where(rng.random(6) < 0.5, 1.0, -1.0)
             if not margin_ok(net, patches, labels):
                 continue
+            # the rows train takes its step on
+            pn, _ = pm.normalize_rows(patches.reshape(6, -1), mode)
 
-            _, grads = nn.loss_and_gradients(net, patches, labels)
+            _, grads = nn._l1_step(net, pn, labels)
 
             def loss_of_filters(taps_flat):
                 trial = nn.NccNetwork(
                     taps_flat.reshape(2, 4, 4), weights.copy(), mode
                 )
-                loss, _ = nn.loss_and_gradients(trial, patches, labels)
+                loss, _ = nn._l1_step(trial, pn, labels)
                 return loss
 
             def loss_of_weights(w):
                 trial = nn.NccNetwork(filters.copy(), w.ravel(), mode)
-                loss, _ = nn.loss_and_gradients(trial, patches, labels)
+                loss, _ = nn._l1_step(trial, pn, labels)
                 return loss
 
             fd_f = oracles.fd_gradient(
@@ -214,30 +216,11 @@ class TestGradients:
             weights=np.array([0.5]),
             norm_mode="std",
         )
-        loss, grads = nn.loss_and_gradients(net, P22[None], np.array([1.0]))
+        pn, _ = pm.normalize_rows(P22.reshape(1, -1), net.norm_mode)
+        loss, grads = nn._l1_step(net, pn, np.array([1.0]))
         assert loss == pytest.approx(1.0)
         np.testing.assert_array_equal(grads.filters, 0.0)
         np.testing.assert_array_equal(grads.weights, 0.0)
-
-    def test_label_validation(self):
-        net = nn.init_network(1, filter_size=3, seed=0)
-        with pytest.raises(ValueError):
-            nn.loss_and_gradients(net, np.ones((1, 3, 3)), np.array([0.5]))
-
-    def test_shape_validation(self):
-        net = nn.init_network(1, filter_size=5, seed=0)
-        with pytest.raises(ValueError, match=re.escape(
-                "patches must be (B, 5, 5), got (2, 3, 3)")):
-            nn.loss_and_gradients(net, np.ones((2, 3, 3)), np.ones(2))
-        with pytest.raises(ValueError, match="B >= 1"):
-            nn.loss_and_gradients(net, np.ones((0, 5, 5)), np.ones(0))
-        with pytest.raises(ValueError, match="must align"):
-            nn.loss_and_gradients(net, np.ones((2, 5, 5)), np.ones(3))
-
-    def test_degenerate_patch_rejected(self):
-        net = nn.init_network(1, filter_size=3, seed=0)
-        with pytest.raises(pm.DegeneratePatchError):
-            nn.loss_and_gradients(net, np.zeros((1, 3, 3)), np.array([1.0]))
 
     @pytest.mark.parametrize("mode", pm.NORM_MODES)
     @pytest.mark.parametrize("num_filters", [1, 4])
@@ -249,7 +232,7 @@ class TestGradients:
         net = nn.init_network(num_filters, filter_size=5, norm_mode=mode, seed=18)
         net.weights = rng.normal(size=num_filters)  # both signs of g_scores
         pn, _ = pm.normalize_rows(patches.reshape(37, -1), mode)
-        loss, grads = nn._loss_and_gradients_rows(net, pn, labels)
+        loss, grads = nn._l1_step(net, pn, labels)
         want = oracles.two_pass_loss_and_gradients(
             net.filters, net.weights, mode, pn, labels)
         assert loss == want[0]
@@ -466,6 +449,10 @@ class TestTrain:
             nn.train(net, np.zeros((4, 3, 3)), np.array([1.0, -1.0, 1.0, -1.0]))
         with pytest.raises(ValueError):
             nn.train(net, np.zeros((2, 5, 5)), np.array([1.0, 2.0]))
+        # two of three patches are flat
+        patches = np.stack([np.full((5, 5), 3.0), np.eye(5), np.zeros((5, 5))])
+        with pytest.raises(ValueError, match="fewer than 2 usable patches"):
+            nn.train(net, patches, np.array([1.0, -1.0, 1.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_patches_rejected(self, bad):
@@ -550,11 +537,10 @@ class TestBlockedScoring:
         patches, _ = toy_dataset(rng, count=45)  # 45 % 7 = 3, 45 % 16 = 13
         patches[5] = 2.0  # flat: invalid unless mode is none
         net = nn.init_network(4, filter_size=5, norm_mode=mode, seed=21)
-        whole, valid = nn.forward_batch(net, patches)
+        pn, valid = pm.normalize_rows(patches.reshape(45, -1), mode)
+        whole, _ = nn._forward(net, pn)
         monkeypatch.setattr(nn, "_SCORE_ROWS", block)
-        blocked, blocked_valid = nn.forward_batch(net, patches)
-        pn, _ = pm.normalize_rows(patches.reshape(45, -1), mode)
-        assert np.array_equal(blocked_valid, valid)
+        blocked, _ = nn._forward(net, pn)
         assert valid[5] == (mode == pm.NORM_NONE)
         assert np.all(np.abs(blocked - whole) <= score_tolerance(net, pn))
 
@@ -592,8 +578,8 @@ class TestBlockedScoring:
     def test_empty_batch(self, monkeypatch):
         monkeypatch.setattr(nn, "_SCORE_ROWS", 7)
         net = nn.init_network(4, filter_size=5, seed=24)
-        outs, valid = nn.forward_batch(net, np.ones((0, 5, 5)))
-        assert outs.shape == valid.shape == (0,)
+        outs, (acts, _) = nn._forward(net, np.ones((0, 25)))
+        assert outs.shape == (0,) and acts.shape == (0, 4)
 
     def test_bank_normalized_once_per_blocked_forward(self, monkeypatch):
         monkeypatch.setattr(nn, "_SCORE_ROWS", 7)
@@ -693,6 +679,19 @@ class TestInitAndSimilarity:
         with pytest.raises(ValueError, match="num_filters must be >= 1"):
             nn.init_network(0, filter_size=5)
 
+    @pytest.mark.parametrize("filters, weights, mode, message", [
+        (np.ones((3, 3)), np.ones(1), "std", "filters must be (N, k, k), got (3, 3)"),
+        (np.ones((0, 3, 3)), np.ones(0), "std", "bad filter bank shape (0, 3, 3)"),
+        (np.ones((1, 3, 4)), np.ones(1), "std", "bad filter bank shape (1, 3, 4)"),
+        (np.ones((1, 1, 1)), np.ones(1), "std", "bad filter bank shape (1, 1, 1)"),
+        (np.ones((2, 3, 3)), np.ones(3), "std",
+         "weights shape (3,) does not match 2 filters"),
+        (np.ones((1, 3, 3)), np.ones(1), "l2", "unknown normalization mode 'l2'"),
+    ], ids=["2-d", "no-filters", "non-square", "1x1", "weights", "mode"])
+    def test_bad_network_rejected(self, filters, weights, mode, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            nn.NccNetwork(filters, weights, mode)
+
     def test_init_deterministic(self):
         a = nn.init_network(2, filter_size=7, seed=13)
         b = nn.init_network(2, filter_size=7, seed=13)
@@ -765,6 +764,15 @@ class TestNetworkIO:
          "filter 1 has shape (3, 3), filter 0 has (2, 2)"),
         (HEAD + "filters 3\n2 2\n1 2\n3 4\n2 2\n5 6\n7 8\n2 1\n1\n2\nweights 1 1 1\n",
          "filter 2 has shape (2, 1), filter 0 has (2, 2)"),
+        (HEAD + "filters 1\n", "truncated nccnet file"),
+        (HEAD + "filter 1\n2 2\n1 2\n3 4\nweights 1.0\n", "bad filters line: 'filter 1'"),
+        (HEAD + "filters 1 2\n2 2\n1 2\n3 4\nweights 1.0\n",
+         "bad filters line: 'filters 1 2'"),
+        (HEAD + "filters 0\n2 2\n1 2\n3 4\nweights 1.0\n",
+         "filter count must be positive"),
+        (HEAD + "filters 2\n2 2\n1 2\n3 4\n", "missing grid for filter 1"),
+        (HEAD + "filters 1\n2\n1 2\n3 4\nweights 1.0\n",
+         "bad grid header for filter 0: '2'"),
     ]
 
     @pytest.mark.parametrize("text, message", MALFORMED,
