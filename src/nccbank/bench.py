@@ -600,13 +600,6 @@ GAUSS_METHODS = {
 HAT_IDEAL_METHODS = {"hat15-ideal": 15, "hat9-ideal": 9, "hat7-ideal": 7}
 HAT_FIXED_METHODS = {"hat9-fixed-mad": 9, "hat7-fixed-mad": 7, "hat5-fixed-mad": 5}
 
-BUILTIN_METHODS = (
-    tuple(GAUSS_METHODS)
-    + ("mad-ratio",)
-    + tuple(HAT_IDEAL_METHODS)
-    + tuple(HAT_FIXED_METHODS)
-)
-
 
 def resolve_method(name):
     """Turn a method name into a scorer.

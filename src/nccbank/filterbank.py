@@ -540,45 +540,26 @@ def op_count(method, image_side, filter_side):
 
 def save_quantized_filter(path, raw, qformat):
     """Quantized filter file: text header with the Q-format, then the
-    integer taps in the grid layout.  Taps that :func:`load_quantized_filter`
+    integer taps as one grid block.  Taps that :func:`load_quantized_filter`
     would refuse raise ValueError before anything is written."""
     taps = _fixed_taps(raw, qformat)
     if np.any(taps < qformat.raw_min) or np.any(taps > qformat.raw_max):
         raise ValueError("taps exceed the declared Q-format range")
-    lines = [
-        "qfilter 1",
-        f"qformat {qformat.total_bits} {qformat.frac_bits}",
-        f"{taps.shape[0]} {taps.shape[1]}",
-    ]
-    for row in taps.tolist():
-        lines.append(" ".join(str(v) for v in row))
-    gridio.write_text("\n".join(lines) + "\n", path)
+    header = f"qfilter 1\nqformat {qformat.total_bits} {qformat.frac_bits}\n"
+    gridio.write_text(header + gridio._format_block(taps), path)
 
 
 def load_quantized_filter(path):
     """Read a quantized filter file; returns ``(raw int array, QFormat)``."""
-    lines = [ln for ln in gridio.read_text(path).splitlines() if ln.strip()]
+    lines = gridio._lines(gridio.read_text(path))
     if len(lines) < 4 or lines[0].split() != ["qfilter", "1"]:
         raise ValueError("not a version-1 quantized filter file")
-    tok = lines[1].split()
-    if len(tok) != 3 or tok[0] != "qformat":
-        raise ValueError(f"bad qformat line: {lines[1]!r}")
-    qformat = QFormat(*gridio._numbers(tok[1:], f"bad qformat line: {lines[1]!r}"))
-    dims = lines[2].split()
-    if len(dims) != 2:
-        raise ValueError(f"bad dimensions line: {lines[2]!r}")
-    rows, cols = gridio._numbers(dims, f"bad dimensions line: {lines[2]!r}")
-    if rows != cols:
-        raise ValueError(f"tap block must be square, got {rows}x{cols}")
-    if len(lines) - 3 != rows:
-        raise ValueError(f"expected {rows} tap rows, found {len(lines) - 3}")
-    taps = []
-    for r in range(rows):
-        toks = lines[3 + r].split()
-        if len(toks) != cols:
-            raise ValueError(f"row {r}: expected {cols} taps, found {len(toks)}")
-        taps.append(gridio._numbers(toks, f"row {r}: unparseable tap"))
-    taps = np.array(taps, dtype=object)
+    qformat = QFormat(*gridio._field(lines[1], "qformat", 2, int))
+    taps, used = gridio._parse_block(lines[2:], int)
+    if 2 + used != len(lines):
+        raise ValueError(f"expected {used - 1} data lines, found {len(lines) - 3}")
+    if taps.shape[0] != taps.shape[1]:
+        raise ValueError("tap block must be square, got {}x{}".format(*taps.shape))
     if np.any(taps < qformat.raw_min) or np.any(taps > qformat.raw_max):
         raise ValueError("taps exceed the declared Q-format range")
     return taps.astype(np.int32), qformat

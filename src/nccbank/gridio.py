@@ -1,15 +1,20 @@
-"""Plain-text storage for 2-D float grids.
+"""Plain-text storage for 2-D grids, and the grid block every text
+format of the package shares.
 
-Format: one header line ``<rows> <cols>``, then ``rows`` lines of ``cols``
-decimal reals separated by single spaces.  Values are written with
-``repr(float)``, which round-trips IEEE doubles exactly, so
-``read_grid(write_grid(g))`` reproduces ``g`` bit for bit.  Values must
-be finite: NaN and infinities are rejected on write and on read.
+A grid block is a header line ``<rows> <cols>`` (both >= 1), then ``rows``
+lines of ``cols`` values separated by single spaces, each written with
+``repr``, which round-trips IEEE doubles exactly: ``read_grid(write_grid(g))``
+reproduces ``g`` bit for bit.  Float values must be finite; NaN and
+infinities are rejected on write and on read.  A grid file is one float
+block; a network file (``nccnet``) is keyed lines, N float blocks and a
+``weights`` line; a quantized filter file (``filterbank``) is keyed lines
+and one integer block.  All three are read through :func:`_lines`,
+:func:`_field` and :func:`_parse_block`, and written through
+:func:`_format_block`.
 
 :func:`read_text` and :func:`write_text` are the path-or-handle text I/O
-shared by the grid, network and quantized-filter files, ``_numbers`` the
-token converter their parsers share; ``_read_csv`` is the one
-header-checked reader of the frame-folder and report CSVs.
+of those files; ``_read_csv`` is the one header-checked reader of the
+frame-folder and report CSVs.
 """
 
 import csv
@@ -23,19 +28,6 @@ def _check_finite(arr):
         raise ValueError("grid contains non-finite values")
 
 
-def format_grid(grid):
-    """Render a 2-D float array in the text grid format."""
-    arr = np.asarray(grid, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"grid must be 2-D, got shape {arr.shape}")
-    _check_finite(arr)
-    rows, cols = arr.shape
-    lines = [f"{rows} {cols}"]
-    for r in range(rows):
-        lines.append(" ".join(repr(v) for v in arr[r].tolist()))
-    return "\n".join(lines) + "\n"
-
-
 def _numbers(tokens, message, kind=int):
     """``tokens`` converted by ``kind``; ValueError(message) if one fails."""
     try:
@@ -44,27 +36,78 @@ def _numbers(tokens, message, kind=int):
         raise ValueError(message) from exc
 
 
-def parse_grid(text):
-    """Parse the text grid format back into a float64 array."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def _lines(text):
+    """The non-blank lines of ``text``."""
+    return [ln for ln in text.splitlines() if ln.strip()]
+
+
+def _field(line, key, count, kind):
+    """The ``count`` values after ``key`` on a keyed line such as
+    ``qformat 8 7``, converted by ``kind``; else ValueError("bad <key>
+    line: ...")."""
+    tokens = line.split()
+    bad = f"bad {key} line: {line!r}"
+    if len(tokens) != count + 1 or tokens[0] != key:
+        raise ValueError(bad)
+    return _numbers(tokens[1:], bad, kind)
+
+
+def _parse_block(lines, kind):
+    """The grid block at the start of ``lines`` and the number of lines it
+    used.  Its values are converted by ``kind``: a finite float64 array for
+    ``float``, else an object array (``int`` values stay Python ints for
+    the caller's range check).  A bad header, a missing or short row or a
+    value ``kind`` rejects raises ValueError naming the header or row."""
     if not lines:
-        raise ValueError("empty grid text")
+        raise ValueError("missing grid header")
+    bad = f"bad grid header: {lines[0]!r}"
     header = lines[0].split()
     if len(header) != 2:
-        raise ValueError(f"bad grid header: {lines[0]!r}")
-    rows, cols = _numbers(header, f"bad grid header: {lines[0]!r}")
+        raise ValueError(bad)
+    rows, cols = _numbers(header, bad)
     if rows < 1 or cols < 1:
-        raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
-    if len(lines) - 1 != rows:
+        raise ValueError(bad)
+    if len(lines) - 1 < rows:
         raise ValueError(f"expected {rows} data lines, found {len(lines) - 1}")
-    out = np.empty((rows, cols), dtype=float)
+    dtype = float if kind is float else object
+    values = []
     for r in range(rows):
-        toks = lines[r + 1].split()
-        if len(toks) != cols:
-            raise ValueError(f"row {r}: expected {cols} values, found {len(toks)}")
-        out[r] = _numbers(toks, f"row {r}: unparseable value", float)
-    _check_finite(out)
-    return out
+        tokens = lines[1 + r].split()
+        if len(tokens) != cols:
+            raise ValueError(f"row {r}: expected {cols} values, found {len(tokens)}")
+        # an array per row, so each row's Python values are freed as it ends
+        values.append(np.array(_numbers(tokens, f"row {r}: unparseable value", kind),
+                               dtype=dtype))
+    block = np.stack(values)
+    if kind is float:
+        _check_finite(block)
+    return block, 1 + rows
+
+
+def _format_block(arr):
+    """The 2-D numeric array ``arr`` as a grid block, ending in a newline;
+    ValueError if a value is not finite."""
+    _check_finite(arr)
+    # row by row, so only one row's Python values are alive at a time
+    rows = [" ".join(map(repr, row.tolist())) for row in arr]
+    return "\n".join([f"{arr.shape[0]} {arr.shape[1]}", *rows]) + "\n"
+
+
+def format_grid(grid):
+    """Render a 2-D float array in the text grid format."""
+    arr = np.asarray(grid, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError(f"grid must be 2-D, got shape {arr.shape}")
+    return _format_block(arr)
+
+
+def parse_grid(text):
+    """Parse the text grid format back into a float64 array."""
+    lines = _lines(text)
+    grid, used = _parse_block(lines, float)
+    if used != len(lines):
+        raise ValueError(f"expected {used - 1} data lines, found {len(lines) - 1}")
+    return grid
 
 
 def write_text(text, path):

@@ -59,19 +59,7 @@ _TARGET_BORDER = 10  # truth centers keep this many px from the frame edge
 
 
 class DatasetFormatError(ValueError):
-    """Base class for dataset file problems."""
-
-
-class CorruptHeaderError(DatasetFormatError):
-    pass
-
-
-class VersionMismatchError(DatasetFormatError):
-    pass
-
-
-class TruncatedFileError(DatasetFormatError):
-    pass
+    """A malformed dataset file or sample record."""
 
 
 @dataclasses.dataclass
@@ -536,29 +524,30 @@ def read_dataset(path):
     """Read a dataset file written by :func:`write_dataset` into a
     ``SAMPLE_DTYPE`` array.
 
-    Raises CorruptHeaderError / VersionMismatchError / TruncatedFileError,
-    or DatasetFormatError for a bad label, unknown flag bits or a
-    non-finite context; never returns a partial result.
+    Raises DatasetFormatError for a bad magic, version or geometry, a
+    zero count, a payload shorter or longer than the count, a bad label,
+    unknown flag bits or a non-finite context; never returns a partial
+    result.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 4 or blob[:4] != DATASET_MAGIC:
-        raise CorruptHeaderError("bad magic; not a dataset file")
+        raise DatasetFormatError("bad magic; not a dataset file")
     if len(blob) < 18:
-        raise TruncatedFileError("header cut short")
+        raise DatasetFormatError("header cut short")
     version, core, ctx, count = struct.unpack("<HHHQ", blob[4:18])
     if version != DATASET_VERSION:
-        raise VersionMismatchError(f"unsupported dataset version {version}")
+        raise DatasetFormatError(f"unsupported dataset version {version}")
     if core != CORE_SIZE or ctx != CONTEXT_SIZE or core > ctx:
-        raise CorruptHeaderError(f"unsupported patch geometry {core}/{ctx}")
+        raise DatasetFormatError(f"unsupported patch geometry {core}/{ctx}")
     if count == 0:
-        raise CorruptHeaderError("sample_count 0; a dataset holds at least one sample")
+        raise DatasetFormatError("sample_count 0; a dataset holds at least one sample")
     want = count * SAMPLE_DTYPE.itemsize
     payload = len(blob) - 18
     if payload < want:
-        raise TruncatedFileError(f"expected {want} record bytes, found {payload}")
+        raise DatasetFormatError(f"expected {want} record bytes, found {payload}")
     if payload > want:
-        raise CorruptHeaderError("payload larger than the declared count")
+        raise DatasetFormatError("payload larger than the declared count")
     samples = np.frombuffer(blob, dtype=SAMPLE_DTYPE, offset=18).copy()
     _check_samples(samples)
     return samples

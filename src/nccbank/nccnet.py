@@ -426,61 +426,42 @@ def save_network(net, path):
     """Write a network to a text file; exact float round-trip."""
     if not np.all(np.isfinite(net.weights)):
         raise ValueError("non-finite weight")
-    lines = [
-        "nccnet 1",
-        f"norm_mode {net.norm_mode}",
-        f"filters {net.num_filters}",
-    ]
-    for i in range(net.num_filters):
-        lines.append(gridio.format_grid(net.filters[i]).rstrip("\n"))
-    lines.append("weights " + " ".join(repr(v) for v in net.weights.tolist()))
-    gridio.write_text("\n".join(lines) + "\n", path)
+    text = "".join([
+        f"nccnet 1\nnorm_mode {net.norm_mode}\nfilters {net.num_filters}\n",
+        *map(gridio._format_block, net.filters),
+        "weights " + " ".join(map(repr, net.weights.tolist())) + "\n",
+    ])
+    gridio.write_text(text, path)
 
 
 def load_network(path):
     """Read a network written by :func:`save_network`."""
-    lines = [ln for ln in gridio.read_text(path).splitlines() if ln.strip()]
+    lines = gridio._lines(gridio.read_text(path))
     if not lines or lines[0].split() != ["nccnet", "1"]:
         raise ValueError("not a version-1 nccnet file")
     if len(lines) < 4:
         raise ValueError("truncated nccnet file")
-    tok = lines[1].split()
-    if len(tok) != 2 or tok[0] != "norm_mode" or tok[1] not in pm.NORM_MODES:
+    (mode,) = gridio._field(lines[1], "norm_mode", 1, str)
+    if mode not in pm.NORM_MODES:
         raise ValueError(f"bad norm_mode line: {lines[1]!r}")
-    mode = tok[1]
-    tok = lines[2].split()
-    bad = f"bad filters line: {lines[2]!r}"
-    if len(tok) != 2 or tok[0] != "filters":
-        raise ValueError(bad)
-    (count,) = gridio._numbers(tok[1:], bad)
+    (count,) = gridio._field(lines[2], "filters", 1, int)
     if count < 1:
         raise ValueError("filter count must be positive")
     pos = 3
     grids = []
     for i in range(count):
-        if pos >= len(lines):
-            raise ValueError(f"missing grid for filter {i}")
-        dims = lines[pos].split()
-        bad = f"bad grid header for filter {i}: {lines[pos]!r}"
-        if len(dims) != 2:
-            raise ValueError(bad)
-        rows, _ = gridio._numbers(dims, bad)
-        if rows < 1:
-            raise ValueError(bad)
-        block = "\n".join(lines[pos : pos + 1 + rows])
-        grid = gridio.parse_grid(block)
+        try:
+            grid, used = gridio._parse_block(lines[pos:], float)
+        except ValueError as exc:
+            raise ValueError(f"filter {i}: {exc}") from None
         if grids and grid.shape != grids[0].shape:
             raise ValueError(f"filter {i} has shape {grid.shape}, "
                              f"filter 0 has {grids[0].shape}")
         grids.append(grid)
-        pos += 1 + rows
-    if pos >= len(lines) or not lines[pos].startswith("weights"):
+        pos += used
+    if pos == len(lines):
         raise ValueError("missing weights line")
-    wtok = lines[pos].split()[1:]
-    if len(wtok) != count:
-        raise ValueError(f"expected {count} weights, found {len(wtok)}")
-    weights = np.array(gridio._numbers(wtok, f"bad weights line: {lines[pos]!r}",
-                                       float))
+    weights = np.array(gridio._field(lines[pos], "weights", count, float))
     if not np.all(np.isfinite(weights)):
         raise ValueError("non-finite weight")
     return NccNetwork(filters=np.stack(grids), weights=weights, norm_mode=mode)

@@ -674,7 +674,9 @@ class TestResolveMethod:
             "hat7-fixed-mad": (bn.FixedMadScorer, 7),
             "hat5-fixed-mad": (bn.FixedMadScorer, 5),
         }
-        assert set(bn.BUILTIN_METHODS) == set(expect)
+        builtins = {*bn.GAUSS_METHODS, *bn.HAT_IDEAL_METHODS, *bn.HAT_FIXED_METHODS,
+                    "mad-ratio"}
+        assert builtins == set(expect)
         for name, (cls, window) in expect.items():
             scorer = bn.resolve_method(name)
             assert isinstance(scorer, cls)

@@ -579,24 +579,38 @@ class TestQuantizedFilterIO:
         assert q == fb.QFormat(4, 2)
         np.testing.assert_array_equal(back, taps)
 
+    def test_golden_text(self):
+        # save_quantized_filter's exact text, recorded before the grid
+        # block was shared
+        golden = "qfilter 1\nqformat 8 7\n3 3\n-128 5 127\n0 -1 64\n3 -7 0\n"
+        taps = np.array([[-128, 5, 127], [0, -1, 64], [3, -7, 0]], dtype=np.int32)
+        buf = io.StringIO()
+        fb.save_quantized_filter(buf, taps, fb.TAP_QFORMAT)
+        assert buf.getvalue() == golden
+        back, q = fb.load_quantized_filter(io.StringIO(golden))
+        assert q == fb.TAP_QFORMAT
+        assert back.dtype == np.int32
+        np.testing.assert_array_equal(back, taps)
+
     MALFORMED = [
         ("", "not a version-1 quantized filter file"),
         ("qfilter 2\nqformat 8 7\n1 1\n5\n", "not a version-1"),
         ("qfilter 1\nqformat 8\n1 1\n5\n", "bad qformat line"),
-        ("qfilter 1\nqformat 8 7\n2 1\n5\n", "must be square, got 2x1"),
+        ("qfilter 1\nqformat 8 7\n2 1\n5\n", "expected 2 data lines, found 1"),
         ("qfilter 1\nqformat 8 7\n1 1\n500\n", "exceed the declared Q-format"),
-        ("qfilter 1\nqformat 8 7\n1 2\n5\n", "must be square, got 1x2"),
+        ("qfilter 1\nqformat 8 7\n1 2\n5\n", "row 0: expected 2 values, found 1"),
         ("qfilter 1\nqformat 8 x\n1 1\n5\n", "bad qformat line"),
         ("qfilter 1\nqformat 8.0 7\n1 1\n5\n", "bad qformat line"),
         ("qfilter 1\nqformat 40 7\n1 1\n5\n", "total_bits must be in"),
-        ("qfilter 1\nqformat 8 7\n1 x\n5\n", "bad dimensions line"),
-        ("qfilter 1\nqformat 8 7\n1 1 1\n5\n", "bad dimensions line"),
+        ("qfilter 1\nqformat 8 7\n1 x\n5\n", "bad grid header: '1 x'"),
+        ("qfilter 1\nqformat 8 7\n1 1 1\n5\n", "bad grid header: '1 1 1'"),
         ("qfilter 1\nqformat 8 7\n3 4\n1 2 3 4\n1 2 3 4\n1 2 3 4\n",
          "must be square, got 3x4"),
-        ("qfilter 1\nqformat 8 7\n2 2\n5 5\n", "expected 2 tap rows, found 1"),
-        ("qfilter 1\nqformat 8 7\n2 2\n5 5\n5\n", "row 1: expected 2 taps"),
-        ("qfilter 1\nqformat 8 7\n1 1\nx\n", "row 0: unparseable tap"),
-        ("qfilter 1\nqformat 8 7\n1 1\n5.0\n", "row 0: unparseable tap"),
+        ("qfilter 1\nqformat 8 7\n2 2\n5 5\n", "expected 2 data lines, found 1"),
+        ("qfilter 1\nqformat 8 7\n2 2\n5 5\n5\n", "row 1: expected 2 values, found 1"),
+        ("qfilter 1\nqformat 8 7\n1 1\n5\n5\n", "expected 1 data lines, found 2"),
+        ("qfilter 1\nqformat 8 7\n1 1\nx\n", "row 0: unparseable value"),
+        ("qfilter 1\nqformat 8 7\n1 1\n5.0\n", "row 0: unparseable value"),
         ("qfilter 1\nqformat 8 7\n1 1\n99999999999999999999\n",
          "exceed the declared Q-format"),
     ]

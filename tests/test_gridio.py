@@ -29,6 +29,15 @@ def test_header_matches_shape():
     assert len(text.splitlines()) == 4
 
 
+def test_golden_text():
+    # format_grid's exact text, recorded before the grid block was shared
+    g = np.array([[0.1, -0.0, 1e-300], [1e300, 2.0, -3.5]])
+    golden = "2 3\n0.1 -0.0 1e-300\n1e+300 2.0 -3.5\n"
+    assert gridio.format_grid(g) == golden
+    back = gridio.parse_grid(golden)
+    assert np.array_equal(back, g) and np.signbit(back[0, 1])
+
+
 def test_file_roundtrip(tmp_path):
     g = np.arange(12, dtype=float).reshape(3, 4) / 7.0
     path = tmp_path / "g.txt"
@@ -44,22 +53,23 @@ def test_stream_roundtrip():
     assert np.array_equal(gridio.read_grid(buf), g)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "2\n1 2\n3 4\n",
-        "2 2\n1 2\n",
-        "2 2\n1 2 3\n4 5\n",
-        "2 2\n1 x\n3 4\n",
-        "0 4\n",
-        "a b\n1 2\n",
-        "1 3\nnan inf -inf\n",
-        "2 1\n1\n-inf\n",
-    ],
-)
-def test_malformed_rejected(text):
-    with pytest.raises(ValueError):
+MALFORMED = [
+    ("", "missing grid header"),
+    ("2\n1 2\n3 4\n", "bad grid header: '2'"),
+    ("2 2\n1 2\n", "expected 2 data lines, found 1"),
+    ("2 2\n1 2\n3 4\n5 6\n", "expected 2 data lines, found 3"),
+    ("2 2\n1 2 3\n4 5\n", "row 0: expected 2 values, found 3"),
+    ("2 2\n1 x\n3 4\n", "row 0: unparseable value"),
+    ("0 4\n", "bad grid header: '0 4'"),
+    ("a b\n1 2\n", "bad grid header: 'a b'"),
+    ("1 3\nnan inf -inf\n", "grid contains non-finite values"),
+    ("2 1\n1\n-inf\n", "grid contains non-finite values"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED, ids=[text for text, _ in MALFORMED])
+def test_malformed_rejected(text, message):
+    with pytest.raises(ValueError, match=message):
         gridio.parse_grid(text)
 
 

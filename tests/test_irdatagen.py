@@ -590,27 +590,30 @@ class TestDatasetIO:
 
         bad = tmp_path / "bad.nccd"
         bad.write_bytes(b"XXXX" + blob[4:])
-        with pytest.raises(dg.CorruptHeaderError):
+        with pytest.raises(dg.DatasetFormatError, match="bad magic; not a dataset file"):
             dg.read_dataset(bad)
 
         bad.write_bytes(blob[:4] + b"\x02\x00" + blob[6:])
-        with pytest.raises(dg.VersionMismatchError):
+        with pytest.raises(dg.DatasetFormatError, match="unsupported dataset version 2"):
             dg.read_dataset(bad)
 
         bad.write_bytes(blob[:-10])
-        with pytest.raises(dg.TruncatedFileError):
+        want = 5 * dg.SAMPLE_DTYPE.itemsize
+        with pytest.raises(dg.DatasetFormatError,
+                           match=f"expected {want} record bytes, found {want - 10}"):
             dg.read_dataset(bad)
 
         bad.write_bytes(blob + b"\x00" * 8)
-        with pytest.raises(dg.CorruptHeaderError):
+        with pytest.raises(dg.DatasetFormatError,
+                           match="payload larger than the declared count"):
             dg.read_dataset(bad)
 
         bad.write_bytes(blob[:12])
-        with pytest.raises(dg.TruncatedFileError):
+        with pytest.raises(dg.DatasetFormatError, match="header cut short"):
             dg.read_dataset(bad)
 
         bad.write_bytes(blob[:6] + struct.pack("<HH", 13, 19) + blob[10:])
-        with pytest.raises(dg.CorruptHeaderError, match="unsupported patch geometry 13/19"):
+        with pytest.raises(dg.DatasetFormatError, match="unsupported patch geometry 13/19"):
             dg.read_dataset(bad)
 
     def test_zero_count_header_rejected(self, tmp_path):
@@ -618,7 +621,7 @@ class TestDatasetIO:
         path = tmp_path / "empty.nccd"
         path.write_bytes(b"NCCD" + struct.pack("<HHHQ", 1, 15, 19, 0))
         assert path.stat().st_size == 18
-        with pytest.raises(dg.CorruptHeaderError, match="sample_count 0"):
+        with pytest.raises(dg.DatasetFormatError, match="sample_count 0"):
             dg.read_dataset(path)
 
     def test_bad_label_rejected(self, tmp_path):

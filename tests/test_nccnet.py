@@ -736,6 +736,23 @@ class TestNetworkIO:
         back = nn.load_network(path)
         assert np.array_equal(back.filters, net.filters)
 
+    # save_network's exact text, recorded before the grid block was shared
+    GOLDEN = ("nccnet 1\nnorm_mode mad\nfilters 2\n"
+              "2 2\n0.5 -1.25\n1e-07 3.0\n"
+              "2 2\n0.1 0.2\n-0.3 25000000000.0\n"
+              "weights 0.75 -0.3333333333333333\n")
+
+    def test_golden_text(self):
+        filters = np.array([[[0.5, -1.25], [1e-7, 3.0]], [[0.1, 0.2], [-0.3, 2.5e10]]])
+        net = nn.NccNetwork(filters, np.array([0.75, -1.0 / 3.0]), "mad")
+        buf = io.StringIO()
+        nn.save_network(net, buf)
+        assert buf.getvalue() == self.GOLDEN
+        back = nn.load_network(io.StringIO(self.GOLDEN))
+        assert back.norm_mode == "mad"
+        assert np.array_equal(back.filters, filters)
+        assert np.array_equal(back.weights, net.weights)
+
     HEAD = "nccnet 1\nnorm_mode std\n"
     MALFORMED = [
         ("", "not a version-1 nccnet file"),
@@ -744,22 +761,23 @@ class TestNetworkIO:
         ("nccnet 1\nnorm_mode l2\nfilters 1\n2 2\n1 2\n3 4\nweights 1.0\n",
          "bad norm_mode line: 'norm_mode l2'"),
         (HEAD + "filters 2\n2 2\n1 2\n3 4\nweights 1.0\n",
-         "bad grid header for filter 1: 'weights 1.0'"),
+         "filter 1: bad grid header: 'weights 1.0'"),
         (HEAD + "filters 1\n2 2\n1 2\n3 4\nweights 1.0 2.0\n",
-         "expected 1 weights, found 2"),
+         "bad weights line: 'weights 1.0 2.0'"),
         (HEAD + "filters 1\n2 2\n1 2\n3 4\n", "missing weights line"),
-        (HEAD + "filters 1\n2 2\n1 nan\n3 4\nweights 1.0\n", "non-finite values"),
+        (HEAD + "filters 1\n2 2\n1 nan\n3 4\nweights 1.0\n",
+         "filter 0: grid contains non-finite values"),
         (HEAD + "filters 1\n2 2\n1 2\n3 4\nweights inf\n", "non-finite weight"),
         (HEAD + "filters x\n2 2\n1 2\n3 4\nweights 1.0\n",
          "bad filters line: 'filters x'"),
         (HEAD + "filters 1\nfive 5\n1 2\n3 4\nweights 1.0\n",
-         "bad grid header for filter 0: 'five 5'"),
+         "filter 0: bad grid header: 'five 5'"),
         (HEAD + "filters 1\n2 2\n1 2\n3 4\nweights abc\n",
          "bad weights line: 'weights abc'"),
         (HEAD + "filters 1\n-1 2\n1 2\n3 4\nweights 1.0\n",
-         "bad grid header for filter 0: '-1 2'"),
+         "filter 0: bad grid header: '-1 2'"),
         (HEAD + "filters 1\n0 2\n1 2\n3 4\nweights 1.0\n",
-         "bad grid header for filter 0: '0 2'"),
+         "filter 0: bad grid header: '0 2'"),
         (HEAD + "filters 2\n2 2\n1 2\n3 4\n3 3\n1 2 3\n4 5 6\n7 8 9\nweights 1.0 1.0\n",
          "filter 1 has shape (3, 3), filter 0 has (2, 2)"),
         (HEAD + "filters 3\n2 2\n1 2\n3 4\n2 2\n5 6\n7 8\n2 1\n1\n2\nweights 1 1 1\n",
@@ -770,9 +788,9 @@ class TestNetworkIO:
          "bad filters line: 'filters 1 2'"),
         (HEAD + "filters 0\n2 2\n1 2\n3 4\nweights 1.0\n",
          "filter count must be positive"),
-        (HEAD + "filters 2\n2 2\n1 2\n3 4\n", "missing grid for filter 1"),
+        (HEAD + "filters 2\n2 2\n1 2\n3 4\n", "filter 1: missing grid header"),
         (HEAD + "filters 1\n2\n1 2\n3 4\nweights 1.0\n",
-         "bad grid header for filter 0: '2'"),
+         "filter 0: bad grid header: '2'"),
     ]
 
     @pytest.mark.parametrize("text, message", MALFORMED,

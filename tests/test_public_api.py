@@ -1,10 +1,11 @@
 """Every public name of the library has a caller outside the tests.
 
-A module-level ``def`` or ``class`` in ``src/nccbank`` whose name does not
-start with an underscore is public.  It must be referenced by the library
-itself, a demo, perfbench or the console script in ``pyproject.toml``;
-otherwise it is an API that no pipeline uses and should be deleted (the
-tests alone do not keep a name alive).
+A module-level ``def``, ``class`` or assigned constant in ``src/nccbank``
+whose name does not start with an underscore is public.  It must be loaded
+by the library itself, a demo or perfbench, or be the console script in
+``pyproject.toml``; otherwise it is an API that no pipeline uses and should
+be deleted (the tests alone do not keep a name alive, and neither does a
+constant's own assignment).
 """
 
 import ast
@@ -33,34 +34,46 @@ def _script_targets():
 
 
 def referenced_names():
-    """Every ``Name``, ``Attribute`` and import alias in the callers."""
+    """Every loaded ``Name`` and ``Attribute`` and every import alias (an
+    import loads the name from its module) in the callers."""
     names = _script_targets()
     for folder in CALLERS:
         for path in sorted(folder.glob("*.py")):
             for node in ast.walk(_parse(path)):
-                if isinstance(node, ast.Name):
+                loaded = isinstance(getattr(node, "ctx", None), ast.Load)
+                if isinstance(node, ast.Name) and loaded:
                     names.add(node.id)
-                elif isinstance(node, ast.Attribute):
+                elif isinstance(node, ast.Attribute) and loaded:
                     names.add(node.attr)
                 elif isinstance(node, ast.alias):
                     names.add(node.name.split(".")[-1])
     return names
 
 
+def _defined_names(node):
+    """Names a module-level statement defines: a def or class, or the
+    plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return []
+
+
 def public_definitions():
-    """(module, name) of every module-level public def and class."""
+    """(module, name) of every module-level public def, class and constant."""
     defs = []
     for path in sorted(LIBRARY.glob("*.py")):
         for node in _parse(path).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defs.append((path.stem, node.name))
+            defs += [(path.stem, name) for name in _defined_names(node)
+                     if not name.startswith("_")]
     return defs
 
 
 def test_scan_sees_both_sides():
     # an empty scan of the library would pass the test below vacuously
-    assert ("nccnet", "train") in public_definitions()
+    assert {("nccnet", "train"), ("filterbank", "TAP_QFORMAT")} <= set(
+        public_definitions())
     assert {"train", "main"} <= referenced_names()
 
 
