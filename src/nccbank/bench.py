@@ -3,6 +3,8 @@
 Every method is wrapped as a *scorer*: a callable mapping a frame to a
 valid-mode response map (one score per fully-inside window position,
 degenerate windows scoring 0.0) plus ``name`` and ``window`` attributes.
+:func:`resolve_method` reads method names by one grammar, and in
+:func:`run_benchmark` the scorers it made share each frame's statistics.
 Detection is local maxima of the response followed by greedy non-maximum
 suppression; detections are matched one-to-one to ground truth by
 ascending distance, and ROC curves aggregate hits over all truths against
@@ -50,16 +52,17 @@ _EPS = np.finfo(float).eps
 
 class _FrameWindows:
     """The window statistics of one frame, each computed on first use and
-    then kept for every built-in scorer that scores the frame.
+    then kept for every scorer that scores the frame.
 
-    :func:`run_benchmark` makes one per frame and hands it to the built-in
-    scorers in place of the frame, so a statistic is computed once per
-    frame and charged to the first scorer that reads it; its items are
-    freed with it, when the next frame gets a new one.  Only what
-    depends on the frame alone is kept: each scorer still bounds its own
-    error from its own filters, so whether a window takes the exact path
-    stays decided per scorer.  Every item is computed by the same
-    operations as a lone scorer computes it, so sharing changes no bit.
+    :func:`run_benchmark` makes one per frame and hands it, in place of
+    the frame, to the scorers it resolved from method names, so a statistic
+    is computed once per frame and charged to the first scorer that reads
+    it; its items are freed with it, when the next frame gets a new one.
+    Only what depends on the frame alone is kept: each scorer still bounds
+    its own error from its own filters, so whether a window takes the
+    exact path stays decided per scorer.  Every item is computed by the
+    same operations as a lone scorer computes it, so sharing changes no
+    bit.
     """
 
     def __init__(self, frame):
@@ -309,12 +312,6 @@ class FixedMadScorer:
         return scores
 
 
-# Scorers that take a _FrameWindows in place of a frame; run_benchmark
-# hands one only to these exact types, never to a subclass or a user's
-# scorer, whose __call__ may expect an array.
-_SHARING_SCORERS = (NccFilterScorer, NetworkScorer, MadRatioScorer, FixedMadScorer)
-
-
 # ---------------------------------------------------------------------------
 # detection
 
@@ -353,9 +350,10 @@ def _local_maxima(response):
 
 
 def _check_radius(radius, name):
-    """``radius`` as a float; ValueError unless it is a finite number >= 0."""
+    """``radius`` (text is read by ``gridio._number``) as a float;
+    ValueError unless it is a finite number >= 0."""
     try:
-        r = float(radius)
+        r = gridio._number(radius, float) if isinstance(radius, str) else float(radius)
     except (TypeError, ValueError):  # None, a list or text fail the check below
         r = np.nan
     if not (np.isfinite(r) and r >= 0.0):
@@ -592,44 +590,47 @@ def roc_curve(scored_frames, thresholds, match_radius=DEFAULT_MATCH_RADIUS,
 # method registry
 
 
-GAUSS_METHODS = {
-    "gauss-0.5": 0.5,
-    "gauss-1.2": 1.2,
-    "gauss-2.0": 2.0,
-}
+GAUSS_METHODS = {"gauss-0.5": 0.5, "gauss-1.2": 1.2, "gauss-2.0": 2.0}
+# The ideal hats of the benchmark reference; resolve_method takes any odd size.
 HAT_IDEAL_METHODS = {"hat15-ideal": 15, "hat9-ideal": 9, "hat7-ideal": 7}
-HAT_FIXED_METHODS = {"hat9-fixed-mad": 9, "hat7-fixed-mad": 7, "hat5-fixed-mad": 5}
+
+
+def _hat(size):
+    return fb.crop_grid(fb.ricker_hat_grid(15), int(size))
+
+
+# The method grammar: per family, the pattern a whole name must match and
+# the scorer made of the match's groups.  The patterns are disjoint and
+# spell each scorer one way (a hat's size is an odd 3..15 with no leading
+# zero), so each scorer has one name and one dump file.
+_FAMILIES = [
+    (r"hat([3579]|1[135])-ideal", lambda k: NccFilterScorer(_hat(k), pm.NORM_STD)),
+    (r"hat([3579]|1[135])-fixed-mad", lambda k: FixedMadScorer(fb.prepare_fixed_taps(_hat(k)))),
+    ("(" + "|".join(map(re.escape, GAUSS_METHODS)) + ")",
+     lambda key: NccFilterScorer(fb.gaussian_grid(15, GAUSS_METHODS[key]), pm.NORM_STD)),
+    (r"mad-ratio", MadRatioScorer),
+    (r"net:(.*)", lambda path: NetworkScorer(nn.load_network(path))),
+    (r"filter:(.*)", lambda path: NccFilterScorer(gridio.read_grid(path), pm.NORM_STD)),
+    (r"qfilter:(.*)", lambda path: FixedMadScorer(*fb.load_quantized_filter(path))),
+]
 
 
 def resolve_method(name):
-    """Turn a method name into a scorer.
+    """The scorer, named ``name``, that the grammar above reads in ``name``.
 
-    Built-ins cover the Gaussian matched filters, the MAD deviation ratio,
-    and the hat family (ideal float and cropped fixed-point variants).
+    ``hat<k>-ideal`` (STD NCC) and ``hat<k>-fixed-mad`` (integer MAD path)
+    crop the 15 x 15 Ricker hat to any odd k from 3 to 15; ``gauss-<sigma>``
+    are the Gaussian matched filters of ``GAUSS_METHODS`` (STD NCC).
     ``net:<path>``, ``filter:<path>`` and ``qfilter:<path>`` load trained
     networks, plain filter grids (STD NCC) and quantized integer filters.
+    Any other name raises ValueError.
     """
-    if name in GAUSS_METHODS:
-        return NccFilterScorer(
-            fb.gaussian_grid(15, GAUSS_METHODS[name]), pm.NORM_STD, name=name
-        )
-    if name == "mad-ratio":
-        return MadRatioScorer(name=name)
-    if name in HAT_IDEAL_METHODS:
-        size = HAT_IDEAL_METHODS[name]
-        grid = fb.crop_grid(fb.ricker_hat_grid(15), size)
-        return NccFilterScorer(grid, pm.NORM_STD, name=name)
-    if name in HAT_FIXED_METHODS:
-        size = HAT_FIXED_METHODS[name]
-        grid = fb.crop_grid(fb.ricker_hat_grid(15), size)
-        return FixedMadScorer(fb.prepare_fixed_taps(grid), name=name)
-    if name.startswith("net:"):
-        return NetworkScorer(nn.load_network(name[4:]), name=name)
-    if name.startswith("filter:"):
-        return NccFilterScorer(gridio.read_grid(name[7:]), pm.NORM_STD, name=name)
-    if name.startswith("qfilter:"):
-        raw, qf = fb.load_quantized_filter(name[8:])
-        return FixedMadScorer(raw, qformat=qf, name=name)
+    for pattern, make in _FAMILIES:
+        match = re.fullmatch(pattern, name, re.DOTALL)
+        if match:
+            scorer = make(*match.groups())
+            scorer.name = name
+            return scorer
     raise ValueError(f"unknown method {name!r}")
 
 
@@ -681,15 +682,15 @@ def run_benchmark(frames, truths, methods, config=None):
     radii and threshold count are checked, before the first frame is
     scored.
 
-    Frames are the outer loop and methods the inner one.  The built-in
-    scorers of one frame share its window statistics (the centred frame
-    and its spectrum, box sums, STD and MAD denominators, the u16 frame):
-    each is computed once, by the first scorer that reads it, and kept
-    until the frame's last method has scored it.  A method's
+    Frames are the outer loop and methods the inner one.  The scorers
+    resolved from names share each frame's window statistics (the centred
+    frame and its spectrum, box sums, STD and MAD denominators, the u16
+    frame): each is computed once, by the first scorer that reads it, and
+    kept until the frame's last method has scored it.  A method's
     ``ms_per_frame`` is the sum of its own scoring and detection times
     over the frames, divided by their count, so a shared statistic is
-    charged to the first method that reads it.  A scorer object of another
-    type is called with the float frame.
+    charged to the first method that reads it.  A scorer object passed in
+    is called with the float frame, whatever its class.
     """
     cfg = config or BenchConfig()
     _check_radius(cfg.nms_radius, "nms_radius")
@@ -703,17 +704,17 @@ def run_benchmark(frames, truths, methods, config=None):
         )
     if not frames:
         raise ValueError("no frames")
+    methods = list(methods)
     scorers = [resolve_method(m) if isinstance(m, str) else m for m in methods]
     _dump_files([scorer.name for scorer in scorers])
-    shares = [type(scorer) in _SHARING_SCORERS for scorer in scorers]
     per_method = [[] for _ in scorers]
     elapsed = [0.0] * len(scorers)
     for frame in frames:
         windows = _FrameWindows(frame)
-        for m, scorer in enumerate(scorers):
+        for m, (method, scorer) in enumerate(zip(methods, scorers)):
             start = time.perf_counter()
             per_method[m].append(detect_candidates(
-                windows if shares[m] else frame, scorer, cfg.nms_radius))
+                windows if isinstance(method, str) else frame, scorer, cfg.nms_radius))
             elapsed[m] += time.perf_counter() - start
     results = []
     for scorer, per_frame, spent in zip(scorers, per_method, elapsed):
@@ -797,7 +798,7 @@ def _finite(what):
     """A converter of text to a float that raises ValueError, naming
     ``what``, unless the float is finite."""
     def convert(text):
-        value = float(text)
+        value = gridio._number(text, float)
         if not np.isfinite(value):
             raise ValueError(f"{what} must be finite, got {text!r}")
         return value
@@ -807,8 +808,9 @@ def _finite(what):
 
 def _check_count(text, name):
     """Decimal ``text`` as an int; ValueError unless it is >= 1."""
-    if not (text.isdecimal() and int(text) >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {text!r}")
+    bad = f"{name} must be an integer >= 1, got {text!r}"
+    if gridio._numbers([text], bad)[0] < 1:
+        raise ValueError(bad)
     return int(text)
 
 
@@ -844,7 +846,7 @@ def read_benchmark_scores(out_dir):
     frame_count = meta["frame_count"]
 
     def frame(text):
-        fi = int(text)
+        fi = gridio._number(text)
         if not 0 <= fi < frame_count:
             raise ValueError(f"frame {fi} outside [0, {frame_count})")
         return fi
@@ -865,7 +867,8 @@ def read_benchmark_scores(out_dir):
                             ["method", "auc", "ms_per_frame"], (str, str, str))
     per_method = {
         name: by_frame(os.path.join("detections", _safe_filename(name) + ".csv"),
-                       ["frame", "row", "col", "score"], (int, int, _finite("score")),
+                       ["frame", "row", "col", "score"],
+                       (gridio._number, gridio._number, _finite("score")),
                        Detection)
         for name, *_ in aucs
     }

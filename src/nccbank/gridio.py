@@ -14,11 +14,13 @@ and one integer block.  All three are read through :func:`_lines`,
 
 :func:`read_text` and :func:`write_text` are the path-or-handle text I/O
 of those files; ``_read_csv`` is the one header-checked reader of the
-frame-folder and report CSVs.
+frame-folder and report CSVs.  Every number of every file is read by
+:func:`_number`, which takes only the ASCII spelling the writers use.
 """
 
 import csv
 import os
+import re
 
 import numpy as np
 
@@ -28,12 +30,35 @@ def _check_finite(arr):
         raise ValueError("grid contains non-finite values")
 
 
+# The characters a number the package reads may hold: ASCII digits and
+# "-", and for floats ".", an exponent with its sign, and the letters of
+# inf and nan (refused later as non-finite).  int() and float() check the
+# rest of the spelling; alone they would also take "_" digit groups,
+# non-ASCII digits, a leading "+" and blanks.
+_SYNTAX = {
+    int: re.compile(r"[-0-9]*"),
+    float: re.compile(r"[-.0-9eEinfa]*(?:[eE]\+[-.0-9eEinfa]*)*"),
+}
+
+
 def _numbers(tokens, message, kind=int):
-    """``tokens`` converted by ``kind``; ValueError(message) if one fails."""
+    """``tokens`` converted by ``kind`` (int or float); ValueError(message)
+    unless :data:`_SYNTAX` allows every character and ``kind`` reads every
+    token."""
     try:
-        return [kind(t) for t in tokens]
-    except ValueError as exc:
-        raise ValueError(message) from exc
+        # one match over all the tokens' characters at once; it passes where
+        # a token's own match fails only for a token ending in "e" before
+        # one starting with "+", and kind refuses a token ending in "e"
+        if _SYNTAX[kind].fullmatch("".join(tokens)):
+            return list(map(kind, tokens))
+    except ValueError:
+        pass
+    raise ValueError(message)
+
+
+def _number(text, kind=int):
+    """One token ``text``, converted as :func:`_numbers` converts it."""
+    return _numbers([text], f"invalid literal for {kind.__name__}: {text!r}", kind)[0]
 
 
 def _lines(text):
@@ -49,7 +74,7 @@ def _field(line, key, count, kind):
     bad = f"bad {key} line: {line!r}"
     if len(tokens) != count + 1 or tokens[0] != key:
         raise ValueError(bad)
-    return _numbers(tokens[1:], bad, kind)
+    return tokens[1:] if kind is str else _numbers(tokens[1:], bad, kind)
 
 
 def _parse_block(lines, kind):

@@ -604,7 +604,7 @@ def read_frames(dirpath):
     csv_path = d / "truths.csv"
     if csv_path.exists():
         for name, row, col in gridio._read_csv(
-            csv_path, ["frame", "row", "col"], (str, int, int)
+            csv_path, ["frame", "row", "col"], (str, gridio._number, gridio._number)
         ):
             if name not in shapes:
                 raise ValueError(f"truths.csv references unknown frame {name!r}")

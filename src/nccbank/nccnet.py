@@ -464,4 +464,6 @@ def load_network(path):
     weights = np.array(gridio._field(lines[pos], "weights", count, float))
     if not np.all(np.isfinite(weights)):
         raise ValueError("non-finite weight")
+    if pos + 1 != len(lines):
+        raise ValueError(f"unexpected line after weights: {lines[pos + 1]!r}")
     return NccNetwork(filters=np.stack(grids), weights=weights, norm_mode=mode)

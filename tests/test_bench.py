@@ -159,6 +159,27 @@ class TestNccFilterScorer:
         with pytest.raises(ValueError, match="filter must be square"):
             bn.NccFilterScorer(np.arange(15.0).reshape(5, 3))
 
+    @pytest.mark.parametrize("k", [7, 9, 15])
+    @pytest.mark.parametrize("base, height", [(1000.0, 1300.0), (0.0, 1.0), (-5.0, 1e6)])
+    def test_isolated_spike_scores_in_closed_form(self, k, base, height):
+        # a spike on a flat k x k window (n = k*k) correlates with the
+        # normalized filter's centre tap f_c alone: sqrt(n / (n - 1)) * f_c
+        # under STD, and sqrt(n) / 2 * n / (n - 1) * f_c under MAD, which
+        # grows as sqrt(n): the cropped hat's spike outscores a target
+        hat = fb.crop_grid(fb.ricker_hat_grid(15), k)
+        n = k * k
+        frame = np.full((k + 4, k + 6), base)
+        frame[k // 2 + 3, k // 2 + 2] += height
+        score = {}
+        for mode, gain in [(pm.NORM_STD, np.sqrt(n / (n - 1))),
+                           (pm.NORM_MAD, np.sqrt(n) / 2 * n / (n - 1))]:
+            f_c = pm.normalize(hat, mode)[k // 2, k // 2]
+            score[mode] = float(bn.NccFilterScorer(hat, mode)(frame)[3, 2])
+            assert score[mode] == pytest.approx(gain * f_c, rel=0, abs=1e-12)
+        if k == 15:
+            assert round(score[pm.NORM_STD], 4) == 0.2115
+            assert round(score[pm.NORM_MAD], 4) == 2.1437
+
 
 class TestMadRatioScorer:
     def test_matches_direct_window_math(self):
@@ -674,9 +695,7 @@ class TestResolveMethod:
             "hat7-fixed-mad": (bn.FixedMadScorer, 7),
             "hat5-fixed-mad": (bn.FixedMadScorer, 5),
         }
-        builtins = {*bn.GAUSS_METHODS, *bn.HAT_IDEAL_METHODS, *bn.HAT_FIXED_METHODS,
-                    "mad-ratio"}
-        assert builtins == set(expect)
+        assert {*bn.GAUSS_METHODS, *bn.HAT_IDEAL_METHODS} <= set(expect)
         for name, (cls, window) in expect.items():
             scorer = bn.resolve_method(name)
             assert isinstance(scorer, cls)
@@ -690,6 +709,31 @@ class TestResolveMethod:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             bn.resolve_method("sobel")
+
+    @pytest.mark.parametrize("k", range(3, 16, 2))
+    def test_every_odd_hat_resolves_to_the_cropped_hat(self, k):
+        # each variant's bits equal its class built directly from the crop
+        grid = fb.crop_grid(fb.ricker_hat_grid(15), k)
+        frame = textured_frame(24, 26, seed=k)
+        frame[9:12, 10:13] += 300.0
+        for name, direct in [
+            (f"hat{k}-ideal", bn.NccFilterScorer(grid, pm.NORM_STD)),
+            (f"hat{k}-fixed-mad", bn.FixedMadScorer(fb.prepare_fixed_taps(grid))),
+        ]:
+            scorer = bn.resolve_method(name)
+            assert type(scorer) is type(direct)
+            assert (scorer.name, scorer.window) == (name, k)
+            assert np.array_equal(scorer(frame), direct(frame)), name
+
+    @pytest.mark.parametrize("name", [
+        "hat07-ideal", "hat009-fixed-mad", "hat8-ideal", "hat14-fixed-mad",
+        "hat17-ideal", "hat1-ideal", "hat-ideal", "hat9", "hat9-fixed", "hat9-ideal+",
+        "gauss-1.20", "gauss-1", "gauss-3.0", "mad-ratio9", "Mad-ratio", " hat9-ideal",
+        "hat9-ideal\n", "tophat5", "", "net", "file:x.grid",
+    ])
+    def test_malformed_names_refused(self, name):
+        with pytest.raises(ValueError, match="unknown method"):
+            bn.resolve_method(name)
 
     def test_file_backed_methods(self, tmp_path):
         net = nn.init_network(num_filters=1, filter_size=5,
@@ -770,12 +814,19 @@ class TestSharedWindows:
 
     @staticmethod
     def methods(tmp_path):
-        net = nn.init_network(num_filters=3, filter_size=15, norm_mode=pm.NORM_STD, seed=2)
-        nn.save_network(net, tmp_path / "bank.nccnet")
+        # named banks share the STD, MAD and none statistics; the scorer
+        # objects below them are handed the plain frame
+        banks = []
+        for mode, count, size in [(pm.NORM_STD, 3, 15), (pm.NORM_MAD, 2, 15),
+                                  (pm.NORM_NONE, 2, 9)]:
+            net = nn.init_network(num_filters=count, filter_size=size, norm_mode=mode,
+                                  seed=2)
+            nn.save_network(net, tmp_path / f"bank-{mode}.nccnet")
+            banks.append(f"net:{tmp_path / f'bank-{mode}.nccnet'}")
         hat = fb.ricker_hat_grid(15)
         return [
-            "hat15-ideal", "gauss-1.2", f"net:{tmp_path / 'bank.nccnet'}", "mad-ratio",
-            "hat7-ideal", "hat7-fixed-mad", "hat5-fixed-mad",
+            "hat15-ideal", "gauss-1.2", *banks, "mad-ratio",
+            "hat7-ideal", "hat7-fixed-mad", "hat5-fixed-mad", "hat9-fixed-mad",
             bn.NccFilterScorer(hat, pm.NORM_MAD, name="hat15-mad"),
             bn.NccFilterScorer(fb.gaussian_grid(15, 1.2), pm.NORM_NONE, name="gauss-none"),
             IdentityScorer(),
@@ -818,16 +869,21 @@ class TestSharedWindows:
                 [[(d.row, d.col, d.score) for d in c] for c in b.frame_candidates]
 
     def test_scorer_objects_get_plain_frames(self):
+        # sharing is decided by how a method was given, not by its class
         frames, truths = self.frames()
-        seen = []
 
-        class Recording(bn.NccFilterScorer):
-            def __call__(self, frame):
-                seen.append(type(frame))
-                return super().__call__(frame)
+        class Subclass(bn.NccFilterScorer):
+            pass
 
-        bn.run_benchmark(frames, truths, ["gauss-1.2", Recording(fb.gaussian_grid(9, 1.0))])
-        assert seen == [np.ndarray] * len(frames)
+        grid = fb.gaussian_grid(9, 1.0)
+        methods = ["gauss-1.2", bn.NccFilterScorer(grid, name="given"),
+                   Subclass(grid, name="subclass")]
+        with mock.patch.object(bn.NccFilterScorer, "__call__", autospec=True,
+                               side_effect=bn.NccFilterScorer.__call__) as spy:
+            bn.run_benchmark(frames, truths, methods)
+        seen = [(scorer.name, type(frame)) for (scorer, frame), _ in spy.call_args_list]
+        assert seen == [("gauss-1.2", bn._FrameWindows), ("given", np.ndarray),
+                        ("subclass", np.ndarray)] * len(frames)
 
 
 def dir_bytes(root):
@@ -965,7 +1021,25 @@ class TestReadBenchmarkScores:
         with pytest.raises(ValueError, match=f"meta.csv: missing {key}"):
             bn.read_benchmark_scores(report_dir)
 
-    @pytest.mark.parametrize("count", ["-3", "0", "x"])
+    @pytest.mark.parametrize("name, row, message", [
+        ("truths.csv", "0,1_0,5", "invalid literal"),
+        ("truths.csv", "0,5,\u0665", "invalid literal"),
+        ("truths.csv", "0_0,5,5", "invalid literal"),
+        ("detections/mad-ratio.csv", "0,5,5,1_0.5", "invalid literal"),
+        ("detections/mad-ratio.csv", "1_0,5,5,1.0", "invalid literal"),
+        ("detections/mad-ratio.csv", "0,\u0665,5,1.0", "invalid literal"),
+        ("meta.csv", "nms_radius,7_0.0", "nms_radius must be finite and >= 0, got '7_0.0'"),
+    ])
+    def test_number_spellings_python_alone_would_read(self, report_dir, name, row, message):
+        path = report_dir / name
+        text = path.read_text()
+        if name == "meta.csv":
+            text = text.replace("nms_radius,7.0\n", "")
+        path.write_text(text + row + "\n")
+        with pytest.raises(ValueError, match=f"{path.name}: .*{message}"):
+            bn.read_benchmark_scores(report_dir)
+
+    @pytest.mark.parametrize("count", ["-3", "0", "x", "1_0", "\u0661\u0662", "+4", " 4"])
     def test_bad_frame_count(self, report_dir, count):
         meta = report_dir / "meta.csv"
         meta.write_text(meta.read_text().replace("frame_count,4", f"frame_count,{count}"))

@@ -611,6 +611,10 @@ class TestQuantizedFilterIO:
         ("qfilter 1\nqformat 8 7\n1 1\n5\n5\n", "expected 1 data lines, found 2"),
         ("qfilter 1\nqformat 8 7\n1 1\nx\n", "row 0: unparseable value"),
         ("qfilter 1\nqformat 8 7\n1 1\n5.0\n", "row 0: unparseable value"),
+        ("qfilter 1\nqformat 8 7\n1 1\n1_27\n", "row 0: unparseable value"),
+        ("qfilter 1\nqformat 8 7\n1 1\n+5\n", "row 0: unparseable value"),
+        ("qfilter 1\nqformat 8 7\n1 1\n\u0665\n", "row 0: unparseable value"),
+        ("qfilter 1\nqformat 8 7_0\n1 1\n5\n", "bad qformat line"),
         ("qfilter 1\nqformat 8 7\n1 1\n99999999999999999999\n",
          "exceed the declared Q-format"),
     ]

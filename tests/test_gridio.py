@@ -64,6 +64,15 @@ MALFORMED = [
     ("a b\n1 2\n", "bad grid header: 'a b'"),
     ("1 3\nnan inf -inf\n", "grid contains non-finite values"),
     ("2 1\n1\n-inf\n", "grid contains non-finite values"),
+    # int() and float() alone would read these as 10, 25.5, 12 and 3
+    ("1 2\n1_0 2_5.5\n", "row 0: unparseable value"),
+    ("1 1\n1e1_0\n", "row 0: unparseable value"),
+    ("1 1\n\u0661\u0662\n", "row 0: unparseable value"),
+    ("1 1\n+3\n", "row 0: unparseable value"),
+    ("1 2\n1e +5\n", "row 0: unparseable value"),
+    ("1 2\n1 Infinity\n", "row 0: unparseable value"),
+    ("1_0 1\n1\n", "bad grid header: '1_0 1'"),
+    ("\u0661 1\n1\n", "bad grid header"),
 ]
 
 
@@ -71,6 +80,26 @@ MALFORMED = [
 def test_malformed_rejected(text, message):
     with pytest.raises(ValueError, match=message):
         gridio.parse_grid(text)
+
+
+@pytest.mark.parametrize("text, kind, value", [
+    ("0", int, 0), ("-12", int, -12), ("007", int, 7), ("1.0", float, 1.0),
+    ("-0.0", float, -0.0), ("1e-05", float, 1e-05), ("1.5e+300", float, 1.5e300),
+    (".5", float, 0.5), ("5.", float, 5.0), ("12", float, 12.0), ("-inf", float, -np.inf),
+])
+def test_number_reads_what_repr_writes(text, kind, value):
+    got = gridio._number(text, kind)
+    assert type(got) is kind and got == value and repr(kind(repr(got))) == repr(got)
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("1_0", int), ("1_0.5", float), ("\u0661\u0662", int), ("\uff11", float), ("+1", int),
+    (" 1", int), ("1 ", float), ("1.5", int), ("0x10", int), ("", int), ("", float),
+    ("e5", float), ("1e", float), ("Infinity", float), ("inf", int),
+])
+def test_number_refuses_other_spellings(text, kind):
+    with pytest.raises(ValueError, match="invalid literal"):
+        gridio._number(text, kind)
 
 
 def test_non_2d_rejected():

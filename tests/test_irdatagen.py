@@ -722,6 +722,9 @@ class TestFramesIO:
          "truths.csv: line 2: expected 3 fields, found 2"),
         ("frame,row,col\nframe_0000.txt,5,6\nframe_0000.txt,5,x\n",
          "truths.csv: line 3: invalid literal"),
+        ("frame,row,col\nframe_0000.txt,1_0,2_0\n", "truths.csv: line 2: invalid literal"),
+        ("frame,row,col\nframe_0000.txt,\u0661,5\n", "truths.csv: line 2: invalid literal"),
+        ("frame,row,col\nframe_0000.txt,5, 6\n", "truths.csv: line 2: invalid literal"),
         ("frame,row,col\nframe_0000.txt,-40,9999\n",
          r"truths.csv: truth \(-40, 9999\) lies outside frame_0000.txt \(64x64\)"),
         ("frame,row,col\nframe_0000.txt,5,6\nframe_0000.txt,63,64\n",

@@ -791,6 +791,15 @@ class TestNetworkIO:
         (HEAD + "filters 2\n2 2\n1 2\n3 4\n", "filter 1: missing grid header"),
         (HEAD + "filters 1\n2\n1 2\n3 4\nweights 1.0\n",
          "filter 0: bad grid header: '2'"),
+        (HEAD + "filters 1\n2 2\n1 2\n3 4\nweights 1.0\njunk line\n3 3\n",
+         "unexpected line after weights: 'junk line'"),
+        (HEAD + "filters 1\n2 2\n1 2\n3 4\nweights 1.0\nweights 1.0\n",
+         "unexpected line after weights: 'weights 1.0'"),
+        (HEAD + "filters 1\n2 2\n1 2\n3 4\nweights 1_0\n", "bad weights line: 'weights 1_0'"),
+        (HEAD + "filters 1_0\n2 2\n1 2\n3 4\nweights 1.0\n",
+         "bad filters line: 'filters 1_0'"),
+        (HEAD + "filters 1\n2 2\n1 2_0\n3 4\nweights 1.0\n",
+         "filter 0: row 0: unparseable value"),
     ]
 
     @pytest.mark.parametrize("text, message", MALFORMED,
