@@ -2,9 +2,10 @@
 
 Every method is wrapped as a *scorer*: a callable mapping a frame to a
 valid-mode response map (one score per fully-inside window position,
-degenerate windows scoring 0.0) plus ``name`` and ``window`` attributes.
-:func:`resolve_method` reads method names by one grammar, and in
-:func:`run_benchmark` the scorers it made share each frame's statistics.
+degenerate windows scoring 0.0) with a ``window`` attribute.
+:func:`resolve_method` makes and names scorers from method names by one
+grammar; :func:`run_benchmark` takes names only, and shares each frame's
+statistics among its scorers.
 Detection is local maxima of the response followed by greedy non-maximum
 suppression; detections are matched one-to-one to ground truth by
 ascending distance, and ROC curves aggregate hits over all truths against
@@ -55,14 +56,13 @@ class _FrameWindows:
     then kept for every scorer that scores the frame.
 
     :func:`run_benchmark` makes one per frame and hands it, in place of
-    the frame, to the scorers it resolved from method names, so a statistic
-    is computed once per frame and charged to the first scorer that reads
-    it; its items are freed with it, when the next frame gets a new one.
-    Only what depends on the frame alone is kept: each scorer still bounds
-    its own error from its own filters, so whether a window takes the
-    exact path stays decided per scorer.  Every item is computed by the
-    same operations as a lone scorer computes it, so sharing changes no
-    bit.
+    the frame, to every scorer, so a statistic is computed once per frame
+    and charged to the first scorer that reads it; its items are freed
+    with it, when the next frame gets a new one.  Only what depends on
+    the frame alone is kept: each scorer still bounds its own error from
+    its own filters, so whether a window takes the exact path stays
+    decided per scorer.  Every item is computed by the same operations as
+    a lone scorer computes it, so sharing changes no bit.
     """
 
     def __init__(self, frame):
@@ -108,43 +108,33 @@ class _FrameWindows:
         return self._get(("rms", mode == pm.NORM_NONE), make)
 
     def sums(self, k):
-        """``(mu, a1)`` of every k x k window of :meth:`centred`: its mean
-        and its sum of absolute values.  The window sums are kept only
-        until :meth:`std` has read them."""
+        """``(s1, mu, a1)`` of every k x k window of :meth:`centred`: its
+        sum, its mean and its sum of absolute values."""
         def make():
             x = self.centred(pm.NORM_STD)
-            s1 = self._memo["s1", k] = pm._box_sums(x, k)
-            return s1 / (k * k), pm._box_sums(np.abs(x), k)
+            s1 = pm._box_sums(x, k)
+            return s1, s1 / (k * k), pm._box_sums(np.abs(x), k)
 
         return self._get(("sums", k), make)
 
-    def std(self, k):
-        """``(den, cancel)`` of every k x k window: the STD denominator from
-        box sums and the relative error of its cancellation ``S2 - S1^2 /
-        n``, by the factor ``S2 / den^2``."""
+    def norm(self, mode, k):
+        """``(den, stat, rel)`` of every k x k window, ``mode`` STD or MAD:
+        the score denominator, the std or mad, and the relative error of
+        ``den``: for STD its cancellation in ``S2 - S1^2 / n``, by ``S2 /
+        den^2``; for MAD the rounding of the sad from its pixels and mean."""
         def make():
-            x = self.centred(pm.NORM_STD)
-            mu, _ = self.sums(k)
-            s1 = self._memo.pop(("s1", k))
+            x = self.centred(mode)
+            s1, mu, a1 = self.sums(k)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                s2 = pm._box_sums(x * x, k)
-                den = np.sqrt(np.maximum(s2 - s1 * mu, 0.0))
-                return den, 4 * k * _EPS * s2 / (den * den)
-
-        return self._get((pm.NORM_STD, k), make)
-
-    def mad(self, k):
-        """``(stat, spread)`` of every k x k window: the mad and the
-        relative error of the window's sad from the rounding of its pixels
-        and its mean."""
-        def make():
-            x = self.centred(pm.NORM_MAD)
-            mu, a1 = self.sums(k)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                if mode == pm.NORM_STD:
+                    s2 = pm._box_sums(x * x, k)
+                    den = np.sqrt(np.maximum(s2 - s1 * mu, 0.0))
+                    return den, den / np.sqrt(k * k - 1), 4 * k * _EPS * s2 / (den * den)
                 sad = pm._sad(x, mu, k)
-                return sad / (k * k), (2 * k + 1) * _EPS * a1 / sad
+                stat = sad / (k * k)
+                return np.sqrt(k * k) * stat, stat, (2 * k + 1) * _EPS * a1 / sad
 
-        return self._get((pm.NORM_MAD, k), make)
+        return self._get((mode, k), make)
 
     def u16(self, k):
         """The frame on the u16 pixel range of the fixed-point scorers."""
@@ -177,14 +167,14 @@ def _window_scores(frame, k, mode, mat, spectra=None):
     pixels (plain dots for ``none``).
 
     The dots are FFT correlations of the centred frame, less the window
-    mean times each row's sum; the STD denominator comes from box sums,
-    the MAD one from one |x - mean| pass per window offset.  Every window
-    gets a bound on its score's error, from the frame's energy and its own
-    magnitude, spread and (STD) cancellation; where the bound exceeds
-    ``_SCORE_RTOL * max(1, |score|)`` or cannot tell the flat flag, the
-    window is recomputed exactly as :func:`_exact_scores`.  ``spectra``, a
-    dict, keeps the rows' conjugate spectra for the last frame shape
-    scored, so a scorer transforms its filters once per shape.
+    mean times each row's sum, over :meth:`_FrameWindows.norm`'s
+    denominator.  Every window gets a bound on its score's error, from the
+    frame's energy, its own magnitude and the denominator's own error;
+    where the bound exceeds ``_SCORE_RTOL * max(1, |score|)`` or cannot
+    tell the std or mad from its flat floor, the window is recomputed
+    exactly as :func:`_exact_scores`.  ``spectra``, a dict, keeps the
+    rows' conjugate spectra for the last frame shape scored, so a scorer
+    transforms its filters once per shape.
     """
     windows = _frame_windows(frame)
     f = windows.frame(k)
@@ -201,30 +191,25 @@ def _window_scores(frame, k, mode, mat, spectra=None):
     if mode == pm.NORM_NONE:
         fast = err <= _SCORE_RTOL * np.maximum(1.0, np.abs(dots).min(axis=0))
     else:
-        mu, a1 = windows.sums(k)
+        _, mu, a1 = windows.sums(k)
         sums = mat.sum(axis=1)
         for row, total in zip(dots, sums):  # one (h, w) temporary at a time
             row -= mu * total
         # plus the rounding of x and of the window mean, through the filter;
-        # the bound is built in place, err first, then rel = err / den + ...
-        rel = _EPS * a1
-        rel *= np.abs(mat).max() / 2 + 2 * k * np.abs(sums).max() / n
-        rel += err
+        # the bound is built in place: err first, then err / den + rel
+        bound = _EPS * a1
+        bound *= np.abs(mat).max() / 2 + 2 * k * np.abs(sums).max() / n
+        bound += err
+        den, stat, rel = windows.norm(mode, k)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if mode == pm.NORM_STD:
-                den, cancel = windows.std(k)
-                stat, floor = den / np.sqrt(n - 1), pm.SIGMA_MIN
-                rel /= den
-                rel += cancel
-            else:
-                stat, spread = windows.mad(k)
-                den, floor = np.sqrt(n) * stat, pm.MAD_MIN
-                rel /= den
-                rel += spread
-                rel += (n + 1) * _EPS
-            low = 1.0 - rel
+            bound /= den
+            bound += rel
+            if mode == pm.NORM_MAD:
+                bound += (n + 1) * _EPS
+            low = 1.0 - bound
             low *= stat
-            fast = (rel <= _SCORE_RTOL) & (low > floor)
+            floor = pm.SIGMA_MIN if mode == pm.NORM_STD else pm.MAD_MIN
+            fast = (bound <= _SCORE_RTOL) & (low > floor)
             # every window off the fast path is recomputed below
             dots /= den
     rows, cols = np.nonzero(~fast)
@@ -242,13 +227,12 @@ class NccFilterScorer:
     filter itself; ``none`` degrades to plain (unnormalized) correlation.
     """
 
-    def __init__(self, grid, mode=pm.NORM_STD, name=None):
+    def __init__(self, grid, mode=pm.NORM_STD):
         g = pm.as_patch(grid, "filter")
         if g.shape[0] != g.shape[1]:
             raise ValueError(f"filter must be square, got shape {g.shape}")
         self.window = g.shape[0]
         self.mode = mode
-        self.name = name or f"nccfilter-{self.window}-{mode}"
         if mode != pm.NORM_NONE:
             g = pm.normalize(g, mode)
         self._mat = g.reshape(1, -1).copy()
@@ -262,11 +246,10 @@ class NetworkScorer:
     """Response of a trained filter bank at every window; the bank is
     normalized once, here, so a flat filter raises DegeneratePatchError."""
 
-    def __init__(self, net, name=None):
+    def __init__(self, net):
         self.net = net
         self.window = net.filter_size
         self.mode = net.norm_mode
-        self.name = name or f"net-{net.num_filters}x{net.filter_size}-{net.norm_mode}"
         self._bank = nn.normalized_filters(net)
         self._spectra = {}
 
@@ -280,12 +263,11 @@ class MadRatioScorer:
     the absolute MAD-NCC response of a centre impulse of height k, as the
     window denominator is ``sqrt(k*k) * mad`` and ``sqrt(k*k) == k``."""
 
-    def __init__(self, window=15, name=None):
+    def __init__(self, window=15):
         if window % 2 == 0 or window < 3:
             raise ValueError(f"window must be odd and >= 3, got {window}")
         self.window = window
         self.mode = pm.NORM_MAD
-        self.name = name or "mad-ratio"
         self._mat = np.zeros((1, window * window))
         self._mat[0, window * window // 2] = window
         self._spectra = {}
@@ -298,11 +280,10 @@ class MadRatioScorer:
 class FixedMadScorer:
     """Integer MAD-NCC pipeline; scores are the fixed outputs as floats."""
 
-    def __init__(self, raw_taps, qformat=fb.TAP_QFORMAT, name=None):
+    def __init__(self, raw_taps, qformat=fb.TAP_QFORMAT):
         self.raw = fb._fixed_taps(raw_taps, qformat)
         self.qformat = qformat
         self.window = self.raw.shape[0]
-        self.name = name or f"fixed-mad-{self.window}"
 
     def __call__(self, frame):
         u16 = _frame_windows(frame).u16(self.window)
@@ -623,8 +604,10 @@ def resolve_method(name):
     are the Gaussian matched filters of ``GAUSS_METHODS`` (STD NCC).
     ``net:<path>``, ``filter:<path>`` and ``qfilter:<path>`` load trained
     networks, plain filter grids (STD NCC) and quantized integer filters.
-    Any other name raises ValueError.
+    Any other name, or a name that is not a string, raises ValueError.
     """
+    if not isinstance(name, str):
+        raise ValueError(f"unknown method {name!r}: a method is given by its name")
     for pattern, make in _FAMILIES:
         match = re.fullmatch(pattern, name, re.DOTALL)
         if match:
@@ -673,29 +656,38 @@ def _sweep(name, per_frame, truths, cfg, ms_per_frame=None):
     )
 
 
+def _check_config(cfg):
+    """ValueError unless ``cfg``'s radii are finite numbers >= 0 and its
+    threshold count an integer >= 1; text and bools are refused."""
+    for name in ("nms_radius", "match_radius"):
+        radius = getattr(cfg, name)
+        if isinstance(radius, (str, bool)):
+            raise ValueError(f"{name} must be a number, got {radius!r}")
+        _check_radius(radius, name)
+    count = cfg.threshold_count
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ValueError(f"threshold_count must be an integer >= 1, got {count!r}")
+    _check_count(str(count), "threshold_count")
+
+
 def run_benchmark(frames, truths, methods, config=None):
     """Score every frame with every method and sweep a ROC per method.
 
-    ``methods`` entries are either name strings (see
-    :func:`resolve_method`) or ready-made scorer objects.  Every method is
-    resolved, and checked for a dump file of its own, and the config's
-    radii and threshold count are checked, before the first frame is
-    scored.
+    ``methods`` are names (see :func:`resolve_method`).  Every method is
+    resolved, and checked for a dump file of its own, and the config is
+    checked by :func:`_check_config`, before the first frame is scored.
 
-    Frames are the outer loop and methods the inner one.  The scorers
-    resolved from names share each frame's window statistics (the centred
-    frame and its spectrum, box sums, STD and MAD denominators, the u16
-    frame): each is computed once, by the first scorer that reads it, and
-    kept until the frame's last method has scored it.  A method's
-    ``ms_per_frame`` is the sum of its own scoring and detection times
-    over the frames, divided by their count, so a shared statistic is
-    charged to the first method that reads it.  A scorer object passed in
-    is called with the float frame, whatever its class.
+    Frames are the outer loop and methods the inner one.  Every scorer is
+    handed the frame's :class:`_FrameWindows`, so all share its window
+    statistics (the centred frame and its spectrum, box sums, the STD and
+    MAD denominators, the u16 frame): each is computed once, by the first
+    scorer that reads it, and kept until the frame's last method has
+    scored it.  A method's ``ms_per_frame`` is the sum of its own scoring
+    and detection times over the frames, divided by their count, so a
+    shared statistic is charged to the first method that reads it.
     """
     cfg = config or BenchConfig()
-    _check_radius(cfg.nms_radius, "nms_radius")
-    _check_radius(cfg.match_radius, "match_radius")
-    _check_count(str(cfg.threshold_count), "threshold_count")
+    _check_config(cfg)
     frames = [np.asarray(f, dtype=float) for f in frames]
     truth_arrays = [_as_truths(t) for t in truths]
     if len(frames) != len(truth_arrays):
@@ -704,17 +696,15 @@ def run_benchmark(frames, truths, methods, config=None):
         )
     if not frames:
         raise ValueError("no frames")
-    methods = list(methods)
-    scorers = [resolve_method(m) if isinstance(m, str) else m for m in methods]
+    scorers = [resolve_method(m) for m in methods]
     _dump_files([scorer.name for scorer in scorers])
     per_method = [[] for _ in scorers]
     elapsed = [0.0] * len(scorers)
     for frame in frames:
         windows = _FrameWindows(frame)
-        for m, (method, scorer) in enumerate(zip(methods, scorers)):
+        for m, scorer in enumerate(scorers):
             start = time.perf_counter()
-            per_method[m].append(detect_candidates(
-                windows if isinstance(method, str) else frame, scorer, cfg.nms_radius))
+            per_method[m].append(detect_candidates(windows, scorer, cfg.nms_radius))
             elapsed[m] += time.perf_counter() - start
     results = []
     for scorer, per_frame, spent in zip(scorers, per_method, elapsed):

@@ -521,7 +521,7 @@ def test_bad_radius_rejected(radius):
     for field in ("nms_radius", "match_radius"):
         cfg = bn.BenchConfig(include_timing=False, **{field: radius})
         with pytest.raises(ValueError, match=field):
-            bn.run_benchmark([flat], [[(3, 3)]], [scorer], cfg)
+            bn.run_benchmark([flat], [[(3, 3)]], ["mad-ratio"], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -800,11 +800,27 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             bn.run_benchmark([], [], ["mad-ratio"])
 
-    def test_scorer_objects_accepted(self):
+    @pytest.mark.parametrize("field, value", [
+        ("threshold_count", "5"), ("threshold_count", 5.0), ("threshold_count", True),
+        ("nms_radius", "2"), ("nms_radius", True), ("match_radius", "2"),
+        ("match_radius", False),
+    ])
+    def test_config_types_checked_before_scoring(self, field, value):
+        # text is parsed only from meta.csv; a config takes numbers
         frames, truths = tiny_benchmark()
-        scorer = bn.NccFilterScorer(fb.gaussian_grid(9, 1.2), name="custom-9")
-        report = bn.run_benchmark(frames, truths, [scorer])
-        assert report.results[0].name == "custom-9"
+        cfg = bn.BenchConfig(include_timing=False, **{field: value})
+        with mock.patch.object(bn.MadRatioScorer, "__call__") as call:
+            with pytest.raises(ValueError, match=field):
+                bn.run_benchmark(frames, truths, ["mad-ratio"], cfg)
+        call.assert_not_called()
+
+    def test_scorer_objects_refused_before_scoring(self):
+        frames, truths = tiny_benchmark()
+        scorer = bn.resolve_method("gauss-1.2")
+        with mock.patch.object(bn.NccFilterScorer, "__call__") as call:
+            with pytest.raises(ValueError, match="unknown method"):
+                bn.run_benchmark(frames, truths, ["gauss-1.2", scorer])
+        call.assert_not_called()
 
 
 class TestSharedWindows:
@@ -814,8 +830,7 @@ class TestSharedWindows:
 
     @staticmethod
     def methods(tmp_path):
-        # named banks share the STD, MAD and none statistics; the scorer
-        # objects below them are handed the plain frame
+        # the banks cover the STD, MAD and none statistics
         banks = []
         for mode, count, size in [(pm.NORM_STD, 3, 15), (pm.NORM_MAD, 2, 15),
                                   (pm.NORM_NONE, 2, 9)]:
@@ -823,13 +838,9 @@ class TestSharedWindows:
                                   seed=2)
             nn.save_network(net, tmp_path / f"bank-{mode}.nccnet")
             banks.append(f"net:{tmp_path / f'bank-{mode}.nccnet'}")
-        hat = fb.ricker_hat_grid(15)
         return [
             "hat15-ideal", "gauss-1.2", *banks, "mad-ratio",
             "hat7-ideal", "hat7-fixed-mad", "hat5-fixed-mad", "hat9-fixed-mad",
-            bn.NccFilterScorer(hat, pm.NORM_MAD, name="hat15-mad"),
-            bn.NccFilterScorer(fb.gaussian_grid(15, 1.2), pm.NORM_NONE, name="gauss-none"),
-            IdentityScorer(),
         ]
 
     @staticmethod
@@ -840,10 +851,6 @@ class TestSharedWindows:
         raised[:, 36:] += 5000.0
         return frames + [raised], truths + [truths[0]]
 
-    @staticmethod
-    def fresh(method):
-        return bn.resolve_method(method) if isinstance(method, str) else method
-
     def test_candidates_equal_per_method_detection(self, tmp_path):
         methods = self.methods(tmp_path)
         frames, truths = self.frames()
@@ -851,7 +858,7 @@ class TestSharedWindows:
             report = bn.run_benchmark(frames, truths, methods)
         assert pm.NORM_STD in [call.args[1] for call in exact.call_args_list]
         for method, result in zip(methods, report.results):
-            scorer = self.fresh(method)
+            scorer = bn.resolve_method(method)
             want = [[(d.row, d.col, d.score) for d in bn.detect_candidates(f, scorer)]
                     for f in frames]
             got = [[(d.row, d.col, d.score) for d in c] for c in result.frame_candidates]
@@ -868,22 +875,37 @@ class TestSharedWindows:
             assert [[(d.row, d.col, d.score) for d in c] for c in a.frame_candidates] == \
                 [[(d.row, d.col, d.score) for d in c] for c in b.frame_candidates]
 
-    def test_scorer_objects_get_plain_frames(self):
-        # sharing is decided by how a method was given, not by its class
+    def test_each_statistic_computed_once_per_frame(self, tmp_path):
+        # the box sums of x, |x| and x^2 and the sad each run once per
+        # window size, whichever scorer reads them first
+        banks = []
+        for mode in (pm.NORM_STD, pm.NORM_MAD):
+            net = nn.init_network(num_filters=2, filter_size=7, norm_mode=mode, seed=2)
+            nn.save_network(net, tmp_path / f"bank-{mode}.nccnet")
+            banks.append(f"net:{tmp_path / f'bank-{mode}.nccnet'}")
         frames, truths = self.frames()
+        frame = frames[0]
+        x = frame - frame.mean()
+        kinds = {"x": x, "|x|": np.abs(x), "x^2": x * x}
+        calls = []
+        real_box_sums, real_sad = pm._box_sums, pm._sad
 
-        class Subclass(bn.NccFilterScorer):
-            pass
+        def box_sums(a, k, reduce=np.add):
+            if reduce is np.add:  # not NMS's 3 x 3 max and min
+                kind = next(kind for kind, want in kinds.items()
+                            if a.shape == want.shape and np.array_equal(a, want))
+                calls.append((kind, k))
+            return real_box_sums(a, k, reduce)
 
-        grid = fb.gaussian_grid(9, 1.0)
-        methods = ["gauss-1.2", bn.NccFilterScorer(grid, name="given"),
-                   Subclass(grid, name="subclass")]
-        with mock.patch.object(bn.NccFilterScorer, "__call__", autospec=True,
-                               side_effect=bn.NccFilterScorer.__call__) as spy:
-            bn.run_benchmark(frames, truths, methods)
-        seen = [(scorer.name, type(frame)) for (scorer, frame), _ in spy.call_args_list]
-        assert seen == [("gauss-1.2", bn._FrameWindows), ("given", np.ndarray),
-                        ("subclass", np.ndarray)] * len(frames)
+        def sad(x, mu, k):
+            calls.append(("sad", k))
+            return real_sad(x, mu, k)
+
+        with mock.patch.object(pm, "_box_sums", box_sums), mock.patch.object(pm, "_sad", sad):
+            bn.run_benchmark([frame], [truths[0]],
+                             ["hat15-ideal", "gauss-1.2", "mad-ratio", *banks])
+        want = [(kind, k) for k in (15, 7) for kind in ("x", "|x|", "x^2", "sad")]
+        assert sorted(calls) == sorted(want)
 
 
 def dir_bytes(root):
@@ -1070,8 +1092,7 @@ class TestAffineInvariance:
     def test_unnormalized_method_breaks(self):
         frame, _ = self.seeded_frame()
         warped = 1.7 * frame + 250.0
-        scorer = bn.NccFilterScorer(fb.gaussian_grid(15, 1.2) - 0.2,
-                                    pm.NORM_NONE, name="raw-corr")
+        scorer = bn.NccFilterScorer(fb.gaussian_grid(15, 1.2) - 0.2, pm.NORM_NONE)
         a = bn.detect_candidates(frame, scorer)
         b = bn.detect_candidates(warped, scorer)
         assert [d.score for d in a] != [d.score for d in b]
