@@ -331,15 +331,23 @@ def _local_maxima(response):
 
 
 def _check_radius(radius, name):
-    """``radius`` (text is read by ``gridio._number``) as a float;
-    ValueError unless it is a finite number >= 0."""
+    """``radius`` as a float; ValueError unless it is a finite number >=
+    0.  Text and bools are refused: text is read only from meta.csv."""
     try:
-        r = gridio._number(radius, float) if isinstance(radius, str) else float(radius)
-    except (TypeError, ValueError):  # None, a list or text fail the check below
+        r = np.nan if isinstance(radius, (str, bool, np.bool_)) else float(radius)
+    except (TypeError, ValueError):  # None or a list fail the check below
         r = np.nan
     if not (np.isfinite(r) and r >= 0.0):
         raise ValueError(f"{name} must be finite and >= 0, got {radius!r}")
     return r
+
+
+def _check_count(count, name):
+    """``count`` as an int; ValueError unless it is an integer >= 1 (not a
+    bool, a float or text)."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    return int(count)
 
 
 def detect_candidates(frame, scorer, nms_radius=DEFAULT_NMS_RADIUS):
@@ -410,20 +418,23 @@ class MatchResult:
 
 
 def _as_truths(truths):
+    """``truths`` as a (T, 2) float array; ValueError for another shape or
+    a NaN or infinite coordinate, which no detection could ever hit."""
     t = np.asarray(truths, dtype=float)
     if t.size == 0:
         return np.zeros((0, 2))
     if t.ndim != 2 or t.shape[1] != 2:
         raise ValueError(f"truths must be (T, 2), got shape {t.shape}")
+    bad = ~np.isfinite(t).all(axis=1)
+    if bad.any():
+        raise ValueError(f"truths must be finite, got {tuple(t[bad][0].tolist())}")
     return t
 
 
 def _match_pairs(dets, truths, match_radius):
     """Ascending (distance, det index, truth index) over every detection
-    within ``match_radius`` of a truth; greedy matching walks this list.
-    Raises ValueError for a negative or non-finite ``match_radius``, with
-    or without truths."""
-    match_radius = _check_radius(match_radius, "match_radius")
+    within ``match_radius`` (a checked float) of a truth; greedy matching
+    walks this list."""
     rc = np.array([(d.row, d.col) for d in dets], dtype=float).reshape(-1, 2)
     dist = np.hypot(rc[:, :1] - truths[:, 0], rc[:, 1:] - truths[:, 1])
     di, ti = np.nonzero(dist <= match_radius)
@@ -452,11 +463,13 @@ def match_detections(detections, truths, match_radius=DEFAULT_MATCH_RADIUS):
     unclaimed truth claims the nearest one; ties break on detection index
     then truth index.  Every unmatched detection is a false alarm, every
     unmatched truth a missed detection, so two detections near one truth
-    count one hit plus one false alarm.
+    count one hit plus one false alarm.  Raises ValueError for a negative
+    or non-finite ``match_radius``, with or without truths.
     """
+    radius = _check_radius(match_radius, "match_radius")
     t = _as_truths(truths)
     dets = list(detections)
-    matches = _greedy_matches(_match_pairs(dets, t, match_radius), [True] * len(dets))
+    matches = _greedy_matches(_match_pairs(dets, t, radius), [True] * len(dets))
     tp = len(matches)
     return MatchResult(
         true_positives=tp,
@@ -472,22 +485,19 @@ def match_detections(detections, truths, match_radius=DEFAULT_MATCH_RADIUS):
 
 @dataclass(frozen=True)
 class RocCurve:
-    method: str
     thresholds: np.ndarray  # strictly decreasing
     hit_rates: np.ndarray  # non-decreasing along the sweep
     fa_per_frame: np.ndarray  # non-decreasing along the sweep
     auc: float
-    frame_count: int
-    truth_count: int
 
 
 def default_thresholds(scored_frames, count=DEFAULT_THRESHOLD_COUNT):
     """Evenly spaced descending sweep between min and max candidate score.
 
-    Raises ValueError for a NaN or infinite candidate score, wherever it
-    sits: the sweep has no finite ends to space between."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    Raises ValueError unless ``count`` is an integer >= 1, and for a NaN
+    or infinite candidate score, wherever it sits: the sweep has no finite
+    ends to space between."""
+    count = _check_count(count, "count")
     scores = np.array([d.score for cands, _ in scored_frames for d in cands],
                       dtype=float)
     if not scores.size:
@@ -510,8 +520,7 @@ def _auc_from_points(hit, fa):
     return float(np.trapezoid(hit[order], fa[order]) / famax)
 
 
-def roc_curve(scored_frames, thresholds, match_radius=DEFAULT_MATCH_RADIUS,
-              method="unknown"):
+def roc_curve(scored_frames, thresholds, match_radius=DEFAULT_MATCH_RADIUS):
     """Sweep thresholds over pre-scored frames.
 
     ``scored_frames`` is a list of ``(candidates, truths)`` pairs where
@@ -521,9 +530,11 @@ def roc_curve(scored_frames, thresholds, match_radius=DEFAULT_MATCH_RADIUS,
     positives over all truths while false alarms average per frame.  The
     area under the curve integrates hit rate over false alarms per frame,
     normalized by the largest false-alarm rate the sweep reached (the
-    abscissa has no natural upper bound).  A NaN threshold raises
-    ValueError; +-inf are allowed.
+    abscissa has no natural upper bound).  ``match_radius`` is checked
+    once, as :func:`match_detections` checks it.  A NaN threshold, or a
+    NaN or infinite truth, raises ValueError; +-inf thresholds are allowed.
     """
+    radius = _check_radius(match_radius, "match_radius")
     frames = [(list(cands), _as_truths(truths)) for cands, truths in scored_frames]
     if not frames:
         raise ValueError("no frames to sweep")
@@ -546,7 +557,7 @@ def roc_curve(scored_frames, thresholds, match_radius=DEFAULT_MATCH_RADIUS,
     dets = np.zeros(thr.size, dtype=int)
     for cands, t in frames:
         scores = np.array([d.score for d in cands])
-        pairs = _match_pairs(cands, t, match_radius)
+        pairs = _match_pairs(cands, t, radius)
         # the count of scores above each threshold, NaN scores never above
         ranked = np.sort(scores[~np.isnan(scores)])
         dets += ranked.size - np.searchsorted(ranked, thr, side="right")
@@ -556,15 +567,8 @@ def roc_curve(scored_frames, thresholds, match_radius=DEFAULT_MATCH_RADIUS,
         tp += frame_tp
     hits = tp / total_truths
     fas = (dets - tp) / len(frames)
-    return RocCurve(
-        method=method,
-        thresholds=thr,
-        hit_rates=hits,
-        fa_per_frame=fas,
-        auc=_auc_from_points(hits, fas),
-        frame_count=len(frames),
-        truth_count=total_truths,
-    )
+    return RocCurve(thresholds=thr, hit_rates=hits, fa_per_frame=fas,
+                    auc=_auc_from_points(hits, fas))
 
 
 # ---------------------------------------------------------------------------
@@ -621,12 +625,22 @@ def resolve_method(name):
 # benchmark driver
 
 
-@dataclass
+@dataclass(frozen=True)
 class BenchConfig:
+    """The settings of a benchmark pass, checked when the config is built
+    (``dataclasses.replace`` included): ValueError unless both radii are
+    finite numbers >= 0 and ``threshold_count`` an integer >= 1.  Text and
+    bools are refused; text is read only from meta.csv.  Frozen, so a
+    checked config stays checked."""
     nms_radius: float = DEFAULT_NMS_RADIUS
     match_radius: float = DEFAULT_MATCH_RADIUS
     threshold_count: int = DEFAULT_THRESHOLD_COUNT
     include_timing: bool = True
+
+    def __post_init__(self):
+        _check_radius(self.nms_radius, "nms_radius")
+        _check_radius(self.match_radius, "match_radius")
+        _check_count(self.threshold_count, "threshold_count")
 
 
 @dataclass
@@ -640,8 +654,7 @@ class MethodResult:
 @dataclass
 class BenchReport:
     results: list
-    truths: list  # per-frame (T, 2) arrays
-    frame_count: int
+    truths: list  # per-frame (T, 2) arrays; their count is the frame count
     config: BenchConfig
 
 
@@ -649,33 +662,21 @@ def _sweep(name, per_frame, truths, cfg, ms_per_frame=None):
     """ROC sweep of one method's per-frame candidates, as its result."""
     scored = list(zip(per_frame, truths))
     thresholds = default_thresholds(scored, cfg.threshold_count)
-    curve = roc_curve(scored, thresholds, match_radius=cfg.match_radius, method=name)
+    curve = roc_curve(scored, thresholds, match_radius=cfg.match_radius)
     return MethodResult(
         name=name, curve=curve, ms_per_frame=ms_per_frame,
         frame_candidates=per_frame,
     )
 
 
-def _check_config(cfg):
-    """ValueError unless ``cfg``'s radii are finite numbers >= 0 and its
-    threshold count an integer >= 1; text and bools are refused."""
-    for name in ("nms_radius", "match_radius"):
-        radius = getattr(cfg, name)
-        if isinstance(radius, (str, bool)):
-            raise ValueError(f"{name} must be a number, got {radius!r}")
-        _check_radius(radius, name)
-    count = cfg.threshold_count
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-        raise ValueError(f"threshold_count must be an integer >= 1, got {count!r}")
-    _check_count(str(count), "threshold_count")
-
-
 def run_benchmark(frames, truths, methods, config=None):
     """Score every frame with every method and sweep a ROC per method.
 
-    ``methods`` are names (see :func:`resolve_method`).  Every method is
-    resolved, and checked for a dump file of its own, and the config is
-    checked by :func:`_check_config`, before the first frame is scored.
+    ``methods`` are names (see :func:`resolve_method`); ``config`` is a
+    :class:`BenchConfig` (checked when it was built), or None for the
+    defaults.  Any other config, a NaN or infinite truth, or a truth
+    outside its frame raises ValueError, and every method is resolved and
+    checked for a dump file of its own, before the first frame is scored.
 
     Frames are the outer loop and methods the inner one.  Every scorer is
     handed the frame's :class:`_FrameWindows`, so all share its window
@@ -686,8 +687,9 @@ def run_benchmark(frames, truths, methods, config=None):
     and detection times over the frames, divided by their count, so a
     shared statistic is charged to the first method that reads it.
     """
-    cfg = config or BenchConfig()
-    _check_config(cfg)
+    cfg = BenchConfig() if config is None else config
+    if not isinstance(cfg, BenchConfig):
+        raise ValueError(f"config must be a BenchConfig, got {config!r}")
     frames = [np.asarray(f, dtype=float) for f in frames]
     truth_arrays = [_as_truths(t) for t in truths]
     if len(frames) != len(truth_arrays):
@@ -696,6 +698,14 @@ def run_benchmark(frames, truths, methods, config=None):
         )
     if not frames:
         raise ValueError("no frames")
+    for i, (f, t) in enumerate(zip(frames, truth_arrays)):
+        if f.ndim != 2:  # refused when the frame is scored
+            continue
+        (h, w), (rows, cols) = f.shape, t.T
+        outside = ~((0 <= rows) & (rows < h) & (0 <= cols) & (cols < w))
+        if outside.any():
+            row, col = t[outside][0].tolist()
+            raise ValueError(f"truth ({row}, {col}) lies outside frame {i} ({h}x{w})")
     scorers = [resolve_method(m) for m in methods]
     _dump_files([scorer.name for scorer in scorers])
     per_method = [[] for _ in scorers]
@@ -710,12 +720,7 @@ def run_benchmark(frames, truths, methods, config=None):
     for scorer, per_frame, spent in zip(scorers, per_method, elapsed):
         ms = 1000.0 * spent / len(frames) if cfg.include_timing else None
         results.append(_sweep(scorer.name, per_frame, truth_arrays, cfg, ms))
-    return BenchReport(
-        results=results,
-        truths=truth_arrays,
-        frame_count=len(frames),
-        config=cfg,
-    )
+    return BenchReport(results=results, truths=truth_arrays, config=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +777,7 @@ def write_benchmark_report(report, out_dir):
                ([fi, int(row), int(col)]
                 for fi, t in enumerate(report.truths) for row, col in t))
     _write_csv(os.path.join(out_dir, "meta.csv"), ["key", "value"], [
-        ["frame_count", report.frame_count],
+        ["frame_count", len(report.truths)],
         ["nms_radius", repr(float(cfg.nms_radius))],
         ["match_radius", repr(float(cfg.match_radius))],
         ["threshold_count", cfg.threshold_count],
@@ -796,44 +801,39 @@ def _finite(what):
     return convert
 
 
-def _check_count(text, name):
-    """Decimal ``text`` as an int; ValueError unless it is >= 1."""
-    bad = f"{name} must be an integer >= 1, got {text!r}"
-    if gridio._numbers([text], bad)[0] < 1:
-        raise ValueError(bad)
-    return int(text)
-
-
-_META_CHECKS = {
-    "frame_count": _check_count,
-    "nms_radius": _check_radius,
-    "match_radius": _check_radius,
-    "threshold_count": _check_count,
-}
+# meta.csv's keys, each with the type its text is read as
+_META_KINDS = {"frame_count": int, "nms_radius": float, "match_radius": float,
+               "threshold_count": int}
 
 
 def read_benchmark_scores(out_dir):
     """Load a written report's inputs back for a ROC re-sweep.
 
-    Returns ``(per_method, truths, meta)`` where ``per_method`` maps each
-    method name (from auc.csv order) to per-frame candidate lists and
-    ``meta`` maps each meta.csv key to its value: ``frame_count`` and
-    ``threshold_count`` as ints >= 1, the two radii as finite floats
-    >= 0.  A missing or malformed meta value, a truth or detection row
-    whose frame is outside ``[0, frame_count)``, or a NaN or infinite
-    truth coordinate or detection score, raises ValueError naming the
-    file (and the line).
+    Returns ``(per_method, truths, config)`` where ``per_method`` maps each
+    method name (from auc.csv order) to per-frame candidate lists, and
+    ``config`` is the :class:`BenchConfig` of meta.csv's radii and
+    threshold count, with ``include_timing=False``; ``len(truths)`` is
+    meta.csv's ``frame_count``.  A missing or malformed meta value (a
+    count not an integer >= 1, a radius not a finite number >= 0), a
+    truth or detection row whose frame is outside ``[0, frame_count)``, or
+    a NaN or infinite truth coordinate or detection score, raises
+    ValueError naming the file (and the line).
     """
     meta_path = os.path.join(out_dir, "meta.csv")
     text = dict(gridio._read_csv(meta_path, ["key", "value"], (str, str)))
-    missing = [key for key in _META_CHECKS if key not in text]
+    missing = [key for key in _META_KINDS if key not in text]
     if missing:
         raise ValueError(f"{meta_path}: missing {', '.join(missing)}")
     try:
-        meta = {key: check(text[key], key) for key, check in _META_CHECKS.items()}
+        meta = {}
+        for key, kind in _META_KINDS.items():
+            rule = "an integer >= 1" if kind is int else "finite and >= 0"
+            bad = f"{key} must be {rule}, got {text[key]!r}"
+            meta[key] = gridio._numbers([text[key]], bad, kind)[0]
+        frame_count = _check_count(meta.pop("frame_count"), "frame_count")
+        config = BenchConfig(include_timing=False, **meta)
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None
-    frame_count = meta["frame_count"]
 
     def frame(text):
         fi = gridio._number(text)
@@ -862,22 +862,16 @@ def read_benchmark_scores(out_dir):
                        Detection)
         for name, *_ in aucs
     }
-    return per_method, truths, meta
+    return per_method, truths, config
 
 
 def resweep_roc(out_dir, dest_dir):
-    """Recompute roc.csv/auc.csv from a stored report's detection dumps."""
-    per_method, truths, meta = read_benchmark_scores(out_dir)
-    cfg = BenchConfig(
-        nms_radius=meta["nms_radius"],
-        match_radius=meta["match_radius"],
-        threshold_count=meta["threshold_count"],
-        include_timing=False,
-    )
+    """Recompute roc.csv/auc.csv from a stored report's detection dumps,
+    with the config :func:`read_benchmark_scores` reads from its meta.csv,
+    and write the whole report to ``dest_dir``."""
+    per_method, truths, cfg = read_benchmark_scores(out_dir)
     results = [_sweep(name, per_frame, truths, cfg)
                for name, per_frame in per_method.items()]
-    report = BenchReport(
-        results=results, truths=truths, frame_count=len(truths), config=cfg
-    )
+    report = BenchReport(results=results, truths=truths, config=cfg)
     write_benchmark_report(report, dest_dir)
     return report

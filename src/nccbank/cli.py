@@ -240,16 +240,16 @@ def _cmd_detect(args):
 
 
 def _cmd_bench(args):
-    frames, truths = dg.read_frames(args.data)
-    methods = [m for m in args.methods.split(",") if m]
-    if not methods:
-        raise ValueError("no methods given")
     cfg = bn.BenchConfig(
         nms_radius=args.nms_radius,
         match_radius=args.match_radius,
         threshold_count=args.thresholds,
         include_timing=not args.no_timing,
     )
+    methods = [m for m in args.methods.split(",") if m]
+    if not methods:
+        raise ValueError("no methods given")
+    frames, truths = dg.read_frames(args.data)
     report = bn.run_benchmark(frames, truths, methods, cfg)
     bn.write_benchmark_report(report, args.out_dir)
     for r in report.results:

@@ -504,10 +504,12 @@ class TestMatchDetections:
             bn.match_detections([D(1, 1)], truths)
 
 
-@pytest.mark.parametrize("radius", [-2.0, -7.0, float("nan"), float("inf"), None, [7.0]])
+@pytest.mark.parametrize("radius", [-2.0, -7.0, float("nan"), float("inf"), None, [7.0],
+                                    "2", True])
 def test_bad_radius_rejected(radius):
     # checked where each radius is used, even with nothing to suppress or
-    # match; a value float() refuses (None, a list) is a ValueError too
+    # match; a value float() refuses (None, a list) is a ValueError too, and
+    # so are text and bools: text is read only from meta.csv
     flat = np.zeros((6, 6))
     scorer = bn.MadRatioScorer(window=3)
     with pytest.raises(ValueError, match="nms_radius"):
@@ -519,9 +521,9 @@ def test_bad_radius_rejected(radius):
     with pytest.raises(ValueError, match="match_radius"):
         bn.roc_curve([([D(1, 1)], [(1, 1)])], [0.5], match_radius=radius)
     for field in ("nms_radius", "match_radius"):
-        cfg = bn.BenchConfig(include_timing=False, **{field: radius})
         with pytest.raises(ValueError, match=field):
-            bn.run_benchmark([flat], [[(3, 3)]], ["mad-ratio"], cfg)
+            bn.run_benchmark([flat], [[(3, 3)]], ["mad-ratio"],
+                             bn.BenchConfig(include_timing=False, **{field: radius}))
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +665,7 @@ class TestRocCurve:
         assert bn.default_thresholds([([], [(1, 1)])]).tolist() == [0.0]
         one = [([D(1, 1, 0.4), D(5, 5, 0.4)], [(1, 1)])]
         assert bn.default_thresholds(one).tolist() == [0.4]
-        with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="count must be an integer >= 1, got 0"):
             bn.default_thresholds(scored, count=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -780,7 +782,7 @@ class TestRunBenchmark:
     def test_structure_and_ranges(self):
         frames, truths = tiny_benchmark()
         report = bn.run_benchmark(frames, truths, ["gauss-1.2", "mad-ratio"])
-        assert report.frame_count == 4
+        assert len(report.truths) == 4
         assert [r.name for r in report.results] == ["gauss-1.2", "mad-ratio"]
         for r in report.results:
             assert 0.0 <= r.curve.auc <= 1.0
@@ -808,11 +810,57 @@ class TestRunBenchmark:
     def test_config_types_checked_before_scoring(self, field, value):
         # text is parsed only from meta.csv; a config takes numbers
         frames, truths = tiny_benchmark()
-        cfg = bn.BenchConfig(include_timing=False, **{field: value})
         with mock.patch.object(bn.MadRatioScorer, "__call__") as call:
             with pytest.raises(ValueError, match=field):
-                bn.run_benchmark(frames, truths, ["mad-ratio"], cfg)
+                bn.run_benchmark(frames, truths, ["mad-ratio"],
+                                 bn.BenchConfig(include_timing=False, **{field: value}))
         call.assert_not_called()
+
+    @pytest.mark.parametrize("config", [
+        {"nms_radius": 7.0}, dataclasses.make_dataclass(
+            "Settings", ["nms_radius", "match_radius", "threshold_count",
+                         "include_timing"])(7.0, 2.0, 8, False),
+    ], ids=["dict", "look-alike"])
+    def test_config_must_be_a_bench_config(self, config):
+        frames, truths = tiny_benchmark()
+        with mock.patch.object(bn.MadRatioScorer, "__call__") as call:
+            with pytest.raises(ValueError, match="config must be a BenchConfig"):
+                bn.run_benchmark(frames, truths, ["mad-ratio"], config)
+        call.assert_not_called()
+
+    def test_config_is_frozen_and_replace_is_checked(self):
+        cfg = bn.BenchConfig(include_timing=False)
+        for field in ("nms_radius", "match_radius", "threshold_count", "include_timing"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, field, 1)
+        assert cfg == bn.BenchConfig(include_timing=False)
+        assert dataclasses.replace(cfg, nms_radius=3.0).nms_radius == 3.0
+        for field, value in [("nms_radius", -1.0), ("match_radius", float("nan")),
+                             ("threshold_count", 0), ("threshold_count", "8")]:
+            with pytest.raises(ValueError, match=field):
+                dataclasses.replace(cfg, **{field: value})
+
+    @pytest.mark.parametrize("truth, message", [
+        ((np.nan, 5), r"truths must be finite, got \(nan, 5.0\)"),
+        ((5, np.inf), r"truths must be finite, got \(5.0, inf\)"),
+        ((500, -7), r"truth \(500.0, -7.0\) lies outside frame 1 \(40x40\)"),
+        ((40, 5), r"truth \(40.0, 5.0\) lies outside frame 1 \(40x40\)"),
+        ((5, -1), r"truth \(5.0, -1.0\) lies outside frame 1 \(40x40\)"),
+    ], ids=["nan-row", "inf-col", "far-outside", "row-at-height", "col-minus-1"])
+    def test_bad_truths_refused_before_scoring(self, truth, message):
+        # a NaN truth counted in the hit rate's denominator and no detection
+        # could hit it; a truth outside its frame could never be hit either
+        frames = [textured_frame(40, 40, seed=s) for s in (1, 2)]
+        truths = [[(20, 20)], [(39, 0), truth]]
+        with mock.patch.object(bn.MadRatioScorer, "__call__") as call:
+            with pytest.raises(ValueError, match=message):
+                bn.run_benchmark(frames, truths, ["mad-ratio"])
+        call.assert_not_called()
+        if not np.isfinite(truth).all():
+            with pytest.raises(ValueError, match=message):
+                bn.match_detections([D(1, 1)], [truth])
+            with pytest.raises(ValueError, match=message):
+                bn.roc_curve([([D(1, 1)], [(1, 1), truth])], [0.5])
 
     def test_scorer_objects_refused_before_scoring(self):
         frames, truths = tiny_benchmark()
@@ -982,6 +1030,18 @@ class TestReadBenchmarkScores:
         report = bn.run_benchmark(frames, truths, ["mad-ratio"], cfg)
         bn.write_benchmark_report(report, tmp_path)
         return tmp_path
+
+    @pytest.mark.parametrize("timing", [True, False])
+    def test_config_round_trips(self, tmp_path, timing):
+        frames, truths = tiny_benchmark()
+        cfg = bn.BenchConfig(nms_radius=3.5, match_radius=1.25, threshold_count=17,
+                             include_timing=timing)
+        report = bn.run_benchmark(frames, truths, ["mad-ratio"], cfg)
+        bn.write_benchmark_report(report, tmp_path)
+        _, truths_back, config = bn.read_benchmark_scores(tmp_path)
+        assert config == dataclasses.replace(cfg, include_timing=False)
+        assert len(truths_back) == len(frames)
+        assert bn.resweep_roc(tmp_path, tmp_path / "again").config == config
 
     @pytest.mark.parametrize("frame", ["4", "99", "-1"])
     def test_truth_frame_out_of_range(self, report_dir, frame):

@@ -555,13 +555,13 @@ class TestBenchAndRoc:
         ("meta.csv", lambda t: t.replace("frame_count,4\n", ""),
          "meta.csv: missing frame_count"),
         ("meta.csv", lambda t: t.replace("frame_count,4", "frame_count,-3"),
-         "meta.csv: frame_count must be an integer >= 1, got '-3'"),
+         "meta.csv: frame_count must be an integer >= 1, got -3\n"),
         ("meta.csv", lambda t: t.replace("threshold_count,8", "threshold_count,abc"),
          "meta.csv: threshold_count must be an integer >= 1, got 'abc'"),
         ("meta.csv", lambda t: t.replace("nms_radius,7.0", "nms_radius,x"),
          "meta.csv: nms_radius must be finite and >= 0, got 'x'"),
         ("meta.csv", lambda t: t.replace("match_radius,2.0", "match_radius,-1"),
-         "meta.csv: match_radius must be finite and >= 0, got '-1'"),
+         "meta.csv: match_radius must be finite and >= 0, got -1.0\n"),
     ], ids=["truth-99", "truth-minus-1", "detection-7", "meta-no-frame-count",
             "meta-frame-count-minus-3", "meta-threshold-count-abc",
             "meta-nms-radius-x", "meta-match-radius-minus-1"])
@@ -616,7 +616,9 @@ class TestBenchAndRoc:
         assert scored == []
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--thresholds", "0", "threshold_count must be an integer >= 1, got '0'"),
+        # the id names the message before counts were checked as numbers
+        pytest.param("--thresholds", "0", "threshold_count must be an integer >= 1, got 0\n",
+                     id="--thresholds-0-threshold_count must be an integer >= 1, got '0'"),
         ("--match-radius", "nan", "match_radius must be finite and >= 0"),
         ("--match-radius", "-1", "match_radius must be finite and >= 0"),
         ("--nms-radius", "inf", "nms_radius must be finite and >= 0"),
@@ -641,6 +643,16 @@ class TestBenchAndRoc:
         assert run("bench", "--data", str(tmp_path / "missing"),
                    "--methods", "mad-ratio",
                    "--out-dir", str(tmp_path / "r")) == 1
+
+    def test_flags_checked_before_frames_are_read(self, tmp_path, capsys, monkeypatch):
+        # a bad flag fails without reading the frame folder, even a missing one
+        read = []
+        monkeypatch.setattr(dg, "read_frames", lambda *args: read.append(args))
+        assert run("bench", "--data", str(tmp_path / "nowhere"), "--methods", "mad-ratio",
+                   "--thresholds", "0", "--out-dir", str(tmp_path / "r")) == 1
+        assert "error: threshold_count must be an integer >= 1, got 0\n" in \
+            capsys.readouterr().err
+        assert read == []
 
 
 @pytest.mark.skipif(shutil.which("nccbank") is None,
