@@ -330,26 +330,6 @@ def _local_maxima(response):
     return (r >= window3(-np.inf, np.maximum)) & (r > window3(np.inf, np.fmin))
 
 
-def _check_radius(radius, name):
-    """``radius`` as a float; ValueError unless it is a finite number >=
-    0.  Text and bools are refused: text is read only from meta.csv."""
-    try:
-        r = np.nan if isinstance(radius, (str, bool, np.bool_)) else float(radius)
-    except (TypeError, ValueError):  # None or a list fail the check below
-        r = np.nan
-    if not (np.isfinite(r) and r >= 0.0):
-        raise ValueError(f"{name} must be finite and >= 0, got {radius!r}")
-    return r
-
-
-def _check_count(count, name):
-    """``count`` as an int; ValueError unless it is an integer >= 1 (not a
-    bool, a float or text)."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
-    return int(count)
-
-
 def detect_candidates(frame, scorer, nms_radius=DEFAULT_NMS_RADIUS):
     """All NMS-surviving local maxima with their scores, threshold-free.
 
@@ -357,7 +337,7 @@ def detect_candidates(frame, scorer, nms_radius=DEFAULT_NMS_RADIUS):
     descending score with (row, col) tie-breaks; deterministic.  Raises
     ValueError for a negative or non-finite ``nms_radius``.
     """
-    radius = _check_radius(nms_radius, "nms_radius")
+    radius = pm._real(nms_radius, "nms_radius", 0.0)
     if not isinstance(frame, _FrameWindows):
         frame = np.asarray(frame, dtype=float)
     response = np.asarray(scorer(frame), dtype=float)
@@ -394,11 +374,11 @@ def sliding_detect(frame, scorer, threshold, nms_radius=DEFAULT_NMS_RADIUS):
     """Detections = NMS-surviving local maxima with score > threshold.
 
     Thresholding after suppression equals suppressing the thresholded set:
-    greedy NMS only ever suppresses downward in score order.  A NaN
-    ``threshold`` raises ValueError; +-inf are allowed.
+    greedy NMS only ever suppresses downward in score order.  A NaN,
+    text or bool ``threshold`` raises ValueError; +-inf are allowed.
     """
-    if np.isnan(threshold):
-        raise ValueError("threshold must not be NaN")
+    if np.isnan(pm._float(threshold)):
+        raise ValueError(f"threshold must not be NaN and must be a number, got {threshold!r}")
     return [
         d for d in detect_candidates(frame, scorer, nms_radius)
         if d.score > threshold
@@ -466,7 +446,7 @@ def match_detections(detections, truths, match_radius=DEFAULT_MATCH_RADIUS):
     count one hit plus one false alarm.  Raises ValueError for a negative
     or non-finite ``match_radius``, with or without truths.
     """
-    radius = _check_radius(match_radius, "match_radius")
+    radius = pm._real(match_radius, "match_radius", 0.0)
     t = _as_truths(truths)
     dets = list(detections)
     matches = _greedy_matches(_match_pairs(dets, t, radius), [True] * len(dets))
@@ -497,7 +477,7 @@ def default_thresholds(scored_frames, count=DEFAULT_THRESHOLD_COUNT):
     Raises ValueError unless ``count`` is an integer >= 1, and for a NaN
     or infinite candidate score, wherever it sits: the sweep has no finite
     ends to space between."""
-    count = _check_count(count, "count")
+    count = pm._count(count, "count")
     scores = np.array([d.score for cands, _ in scored_frames for d in cands],
                       dtype=float)
     if not scores.size:
@@ -534,7 +514,7 @@ def roc_curve(scored_frames, thresholds, match_radius=DEFAULT_MATCH_RADIUS):
     once, as :func:`match_detections` checks it.  A NaN threshold, or a
     NaN or infinite truth, raises ValueError; +-inf thresholds are allowed.
     """
-    radius = _check_radius(match_radius, "match_radius")
+    radius = pm._real(match_radius, "match_radius", 0.0)
     frames = [(list(cands), _as_truths(truths)) for cands, truths in scored_frames]
     if not frames:
         raise ValueError("no frames to sweep")
@@ -629,18 +609,20 @@ def resolve_method(name):
 class BenchConfig:
     """The settings of a benchmark pass, checked when the config is built
     (``dataclasses.replace`` included): ValueError unless both radii are
-    finite numbers >= 0 and ``threshold_count`` an integer >= 1.  Text and
-    bools are refused; text is read only from meta.csv.  Frozen, so a
-    checked config stays checked."""
+    finite numbers >= 0, ``threshold_count`` an integer >= 1 and
+    ``include_timing`` a bool.  Text is refused; it is read only from
+    meta.csv.  Frozen, so a checked config stays checked."""
     nms_radius: float = DEFAULT_NMS_RADIUS
     match_radius: float = DEFAULT_MATCH_RADIUS
     threshold_count: int = DEFAULT_THRESHOLD_COUNT
     include_timing: bool = True
 
     def __post_init__(self):
-        _check_radius(self.nms_radius, "nms_radius")
-        _check_radius(self.match_radius, "match_radius")
-        _check_count(self.threshold_count, "threshold_count")
+        pm._real(self.nms_radius, "nms_radius", 0.0)
+        pm._real(self.match_radius, "match_radius", 0.0)
+        pm._count(self.threshold_count, "threshold_count")
+        if not isinstance(self.include_timing, (bool, np.bool_)):
+            raise ValueError(f"include_timing must be a bool, got {self.include_timing!r}")
 
 
 @dataclass
@@ -830,7 +812,7 @@ def read_benchmark_scores(out_dir):
             rule = "an integer >= 1" if kind is int else "finite and >= 0"
             bad = f"{key} must be {rule}, got {text[key]!r}"
             meta[key] = gridio._numbers([text[key]], bad, kind)[0]
-        frame_count = _check_count(meta.pop("frame_count"), "frame_count")
+        frame_count = pm._count(meta.pop("frame_count"), "frame_count")
         config = BenchConfig(include_timing=False, **meta)
     except ValueError as exc:
         raise ValueError(f"{meta_path}: {exc}") from None

@@ -170,17 +170,18 @@ def _cmd_datagen(args):
 
 
 def _cmd_train(args):
+    # the flags are checked before the dataset is read and augmented
+    config = nn.TrainConfig(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(nn.TrainConfig)})
+    net = nn.init_network(
+        num_filters=args.filters, filter_size=dg.CORE_SIZE,
+        norm_mode=args.norm, seed=args.seed,
+    )
     samples = dg.read_dataset(args.data)
     patches, labels = dg.augmented_arrays(samples)
     n_pos = int(np.sum(labels > 0))
     print(f"{len(samples)} stored samples -> {patches.shape[0]} after "
           f"augmentation ({n_pos} positive)")
-    net = nn.init_network(
-        num_filters=args.filters, filter_size=dg.CORE_SIZE,
-        norm_mode=args.norm, seed=args.seed,
-    )
-    config = nn.TrainConfig(**{f.name: getattr(args, f.name)
-                               for f in dataclasses.fields(nn.TrainConfig)})
     history = nn.train(net, patches, labels, config)
     for ep in history.epochs:
         print(f"epoch {ep.epoch + 1}: loss={ep.mean_loss:.6f} "

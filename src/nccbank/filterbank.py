@@ -28,15 +28,16 @@ from nccbank import patchmath as pm
 
 @dataclasses.dataclass(frozen=True)
 class QFormat:
-    """Signed fixed-point format: value = raw / 2**frac_bits."""
+    """Signed fixed-point format: value = raw / 2**frac_bits, with integer
+    ``total_bits`` in [2, 32] and ``frac_bits`` in [0, total_bits)."""
 
     total_bits: int
     frac_bits: int
 
     def __post_init__(self):
-        if not (2 <= self.total_bits <= 32):
+        if pm._count(self.total_bits, "total_bits", 2) > 32:
             raise ValueError(f"total_bits must be in [2, 32], got {self.total_bits}")
-        if not (0 <= self.frac_bits < self.total_bits):
+        if pm._count(self.frac_bits, "frac_bits", 0) >= self.total_bits:
             raise ValueError(
                 f"frac_bits must be in [0, {self.total_bits - 1}], "
                 f"got {self.frac_bits}"
@@ -64,11 +65,12 @@ TAP_QFORMAT = QFormat(8, 7)
 OUT_QFORMAT = QFormat(16, 10)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class HatParams:
     """Center-surround profile: a 2-D Ricker wavelet sampled on
     [-support_halfwidth, +support_halfwidth]^2 minus a narrow Gaussian pit
-    of amplitude pit_depth and width pit_radius at the center."""
+    of amplitude pit_depth and width pit_radius at the center.  Frozen;
+    ValueError unless pit_depth is finite >= 0 and the others finite > 0."""
 
     support_halfwidth: float = 7.0
     ricker_sigma: float = 2.0
@@ -76,14 +78,10 @@ class HatParams:
     pit_radius: float = 0.5
 
     def __post_init__(self):
-        if self.support_halfwidth <= 0:
-            raise ValueError("support_halfwidth must be > 0")
-        if self.ricker_sigma <= 0:
-            raise ValueError("ricker_sigma must be > 0")
-        if self.pit_depth < 0:
-            raise ValueError("pit_depth must be >= 0")
-        if self.pit_radius <= 0:
-            raise ValueError("pit_radius must be > 0")
+        for name in ("support_halfwidth", "ricker_sigma", "pit_radius"):
+            if pm._real(getattr(self, name), name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        pm._real(self.pit_depth, "pit_depth", 0.0)
 
 
 def _radial_squared(size, halfwidth):

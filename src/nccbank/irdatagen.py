@@ -62,8 +62,11 @@ class DatasetFormatError(ValueError):
     """A malformed dataset file or sample record."""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class SceneConfig:
+    """One scene's settings, checked when built (``dataclasses.replace``
+    included) and frozen after: a field outside the bounds that
+    ``__post_init__`` lists raises ValueError."""
     width: int = 128
     height: int = 128
     clutter_kind: str = SKY
@@ -75,32 +78,26 @@ class SceneConfig:
     bad_pixel_rate: float = 0.0
     rng_seed: int = 0
 
-    def validate(self):
-        for name in ("clutter_strength", "target_amplitude", "psf_sigma",
-                     "noise_sigma", "bad_pixel_rate"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.width < 64 or self.height < 64:
-            raise ValueError("scene dimensions must be at least 64")
+    def __post_init__(self):
+        pm._count(self.width, "width", 64)
+        pm._count(self.height, "height", 64)
         if self.clutter_kind not in CLUTTER_KINDS:
             raise ValueError(f"unknown clutter kind {self.clutter_kind!r}")
-        if self.clutter_strength < 0:
-            raise ValueError("clutter_strength must be >= 0")
-        if self.target_count < 0:
-            raise ValueError("target_count must be >= 0")
-        if self.target_amplitude <= 0:
+        pm._real(self.clutter_strength, "clutter_strength", 0.0)
+        pm._count(self.target_count, "target_count", 0)
+        if pm._real(self.target_amplitude, "target_amplitude") <= 0:
             raise ValueError("target_amplitude must be > 0")
-        if self.psf_sigma <= 0:
+        if pm._real(self.psf_sigma, "psf_sigma") <= 0:
             raise ValueError("psf_sigma must be > 0")
         if self.psf_sigma > _TARGET_BORDER / 4:
             raise ValueError(
                 f"psf_sigma must be <= {_TARGET_BORDER / 4}: the 4-sigma PSF "
                 f"stamp must fit inside the {_TARGET_BORDER} px target border"
             )
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
-        if not (0.0 <= self.bad_pixel_rate < 1.0):
+        pm._real(self.noise_sigma, "noise_sigma", 0.0)
+        if pm._real(self.bad_pixel_rate, "bad_pixel_rate", 0.0) >= 1.0:
             raise ValueError("bad_pixel_rate must be in [0, 1)")
+        pm._count(self.rng_seed, "rng_seed", 0)
 
 
 @dataclasses.dataclass
@@ -274,12 +271,12 @@ def _place_bad_pixels(config, truths, rng):
 def synth_scene(config):
     """Render one scene; deterministic for a given config (seed included).
 
+    ``config`` is a :class:`SceneConfig`, checked when it was built.
     Raises RuntimeError when 10,000 draws cannot place ``target_count``
     separated targets on quiet background (see :func:`_place_targets`),
-    which a validated config does not rule out: a small or rough scene may
+    which a checked config does not rule out: a small or rough scene may
     hold fewer.
     """
-    config.validate()
     rng = np.random.default_rng(config.rng_seed)
     h, w = config.height, config.width
     image = np.full((h, w), BASE_LEVEL)
@@ -657,9 +654,8 @@ def benchmark_scene_configs(count=48, seed=2000):
         target_amplitude=80.0, psf_sigma=1.2, noise_sigma=3.0,
         bad_pixel_rate=2.5e-4,
     )
-    for c in configs[5::6]:
-        c.target_count = 0
-    return configs
+    return [dataclasses.replace(c, target_count=0) if i % 6 == 5 else c
+            for i, c in enumerate(configs)]
 
 
 def collect_samples(scenes):

@@ -31,7 +31,6 @@ epoch.
 """
 
 import dataclasses
-import numbers
 
 import numpy as np
 
@@ -89,8 +88,11 @@ class GradientSet:
     weights: np.ndarray
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class TrainConfig:
+    """The settings of :func:`train`, checked when built (``dataclasses.replace``
+    included) and frozen after: a field outside the bounds that
+    ``__post_init__`` lists raises ValueError."""
     learning_rate: float = 0.001
     momentum: float = 0.95
     weight_decay: float = 0.0005
@@ -98,6 +100,15 @@ class TrainConfig:
     max_epochs: int = 5
     holdout_fraction: float = 0.2
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("learning_rate", "momentum", "weight_decay"):
+            pm._real(getattr(self, name), name)
+        pm._count(self.batch_size, "batch_size")
+        pm._count(self.max_epochs, "max_epochs")
+        if not 0.0 <= pm._real(self.holdout_fraction, "holdout_fraction") < 1.0:
+            raise ValueError(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
+        pm._count(self.seed, "seed", 0)
 
 
 @dataclasses.dataclass
@@ -123,8 +134,7 @@ class TrainHistory:
 
 def init_network(num_filters, filter_size=15, norm_mode=pm.NORM_STD, seed=0):
     """Fresh network: taps i.i.d. uniform on [-0.05, 0.05], weights 1/N."""
-    if num_filters < 1:
-        raise ValueError(f"num_filters must be >= 1, got {num_filters}")
+    pm._count(num_filters, "num_filters")
     rng = np.random.default_rng(seed)
     filters = rng.uniform(-0.05, 0.05, size=(num_filters, filter_size, filter_size))
     weights = np.full(num_filters, 1.0 / num_filters)
@@ -291,26 +301,11 @@ def threshold_accuracy(scores, labels, threshold):
     return float(np.mean((s >= threshold) == (y > 0)))
 
 
-def _check_config(config):
-    for name in ("batch_size", "max_epochs"):
-        value = getattr(config, name)
-        # numpy integers are Integral; bool is too, but is not a count
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    if not 0.0 <= config.holdout_fraction < 1.0:
-        raise ValueError(
-            f"holdout_fraction must be in [0, 1), got {config.holdout_fraction}"
-        )
-    for name in ("learning_rate", "momentum", "weight_decay"):
-        if not np.isfinite(getattr(config, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(config, name)}")
-
-
 def train(net, patches, labels, config=None):
     """Train the network in place; returns a TrainHistory.
 
+    ``config`` is a :class:`TrainConfig` (it checks itself when built) or
+    None for the defaults; any other config raises ValueError.
     ``patches`` is (S, k, k) float, ``labels`` (S,) of +/-1.  The data is
     normalized once, block by block in float64, and stored as one float32
     (S, k*k) matrix: each row is :func:`nccbank.patchmath.normalize_rows`'s
@@ -334,9 +329,9 @@ def train(net, patches, labels, config=None):
     accuracy by 1e-3, its threshold by a relative 1e-5 and its mean loss
     by a relative 1e-8 (measured in README.md, "Training").
     """
-    if config is None:
-        config = TrainConfig()
-    _check_config(config)
+    config = TrainConfig() if config is None else config
+    if not isinstance(config, TrainConfig):
+        raise ValueError(f"config must be a TrainConfig, got {config!r}")
     rows = pm._float_rows(patches)
     k = net.filter_size
     if rows.ndim != 3 or rows.shape[1:] != (k, k):

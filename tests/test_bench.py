@@ -391,6 +391,11 @@ class TestDetect:
         scorer = IdentityScorer()
         with pytest.raises(ValueError, match="threshold must not be NaN"):
             bn.sliding_detect(frame, scorer, float("nan"))
+        # np.isnan would raise TypeError for text and read True as 1
+        for bad in ("0.5", True, np.bool_(False), None):
+            with pytest.raises(ValueError, match=r"must be a number, got "):
+                bn.sliding_detect(frame, scorer, bad)
+        assert bn.sliding_detect(frame, scorer, np.float32(4.5)) == [bn.Detection(4, 4, 5.0)]
         assert bn.sliding_detect(frame, scorer, float("inf")) == []
         assert bn.sliding_detect(frame, scorer, -float("inf")) == [
             bn.Detection(4, 4, 5.0)
@@ -836,9 +841,17 @@ class TestRunBenchmark:
         assert cfg == bn.BenchConfig(include_timing=False)
         assert dataclasses.replace(cfg, nms_radius=3.0).nms_radius == 3.0
         for field, value in [("nms_radius", -1.0), ("match_radius", float("nan")),
-                             ("threshold_count", 0), ("threshold_count", "8")]:
+                             ("threshold_count", 0), ("threshold_count", "8"),
+                             ("include_timing", 1), ("include_timing", None)]:
             with pytest.raises(ValueError, match=field):
                 dataclasses.replace(cfg, **{field: value})
+
+    def test_include_timing_must_be_a_bool(self):
+        # "no" is truthy: it would put ms_per_frame into a --no-timing auc.csv
+        with pytest.raises(ValueError, match="include_timing must be a bool, got 'no'"):
+            bn.BenchConfig(include_timing="no")
+        assert bn.BenchConfig(include_timing=np.bool_(False)) == bn.BenchConfig(
+            include_timing=False)
 
     @pytest.mark.parametrize("truth, message", [
         ((np.nan, 5), r"truths must be finite, got \(nan, 5.0\)"),

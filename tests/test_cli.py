@@ -274,11 +274,16 @@ class TestTrain:
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--epochs", "0", "max_epochs must be >= 1"),
-        ("--batch-size", "0", "batch_size must be >= 1"),
+        # the ids name the messages before counts and reals had one check each
+        pytest.param("--epochs", "0", "max_epochs must be an integer >= 1, got 0\n",
+                     id="--epochs-0-max_epochs must be >= 1"),
+        pytest.param("--batch-size", "0", "batch_size must be an integer >= 1, got 0\n",
+                     id="--batch-size-0-batch_size must be >= 1"),
         ("--holdout", "1.5", "holdout_fraction must be in [0, 1)"),
-        ("--holdout", "nan", "holdout_fraction must be in [0, 1)"),
-        ("--filters", "0", "num_filters must be >= 1"),
+        pytest.param("--holdout", "nan", "holdout_fraction must be finite, got nan\n",
+                     id="--holdout-nan-holdout_fraction must be in [0, 1)"),
+        pytest.param("--filters", "0", "num_filters must be an integer >= 1, got 0\n",
+                     id="--filters-0-num_filters must be >= 1"),
         ("--lr", "nan", "learning_rate must be finite"),
     ])
     def test_bad_config_fails_before_writing(self, small_corpus, tmp_path, capsys,
@@ -287,6 +292,20 @@ class TestTrain:
         out = tmp_path / "net.txt"
         assert run("train", "--data", str(data), "--out", str(out), flag, value) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_config_fails_before_reading(self, tmp_path, capsys, monkeypatch):
+        # a --standard dataset augments to a 146 MB patch array: the flags
+        # are checked before the dataset is read
+        read = []
+        monkeypatch.setattr(dg, "read_dataset", lambda *args: read.append(args))
+        out = tmp_path / "net.txt"
+        assert run("train", "--data", str(tmp_path / "nowhere.nccd"), "--out", str(out),
+                   "--epochs", "0") == 1
+        captured = capsys.readouterr()
+        assert "max_epochs must be an integer >= 1, got 0\n" in captured.err
+        assert captured.out == ""
+        assert read == []
         assert not out.exists()
 
     def test_defaults_are_train_config_defaults(self):

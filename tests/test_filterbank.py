@@ -72,8 +72,13 @@ class TestHat:
             fb.HatParams(pit_radius=0.0)
         with pytest.raises(ValueError, match="ricker_sigma must be > 0"):
             fb.HatParams(ricker_sigma=0.0)
-        with pytest.raises(ValueError, match="pit_depth must be >= 0"):
+        with pytest.raises(ValueError, match="pit_depth must be finite and >= 0, got -0.1"):
             fb.HatParams(pit_depth=-0.1)
+        # a NaN sigma would build an all-NaN hat
+        for field in ("support_halfwidth", "ricker_sigma", "pit_depth", "pit_radius"):
+            for bad in (np.nan, np.inf, "1.0", None, True):
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    fb.HatParams(**{field: bad})
         with pytest.raises(ValueError):
             fb.ricker_hat_grid(8)
 
@@ -172,8 +177,14 @@ class TestQuantize:
     def test_qformat_validation(self):
         with pytest.raises(ValueError):
             fb.QFormat(1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"frac_bits must be in \[0, 7\], got 8"):
             fb.QFormat(8, 8)
+        # float bits would fail with a TypeError inside a shift
+        with pytest.raises(ValueError, match=r"total_bits must be an integer >= 2, got 8\.0"):
+            fb.QFormat(8.0, 7)
+        with pytest.raises(ValueError, match=r"frac_bits must be an integer >= 0, got True"):
+            fb.QFormat(8, True)
+        assert fb.QFormat(np.int64(8), np.int32(7)) == fb.TAP_QFORMAT
         assert fb.QFormat(8, 7).raw_min == -128
         assert fb.QFormat(16, 10).raw_max == 32767
 

@@ -124,8 +124,11 @@ class TestSynth:
         for amplitude in (0.0, -5.0):
             with pytest.raises(ValueError, match="target_amplitude must be > 0"):
                 dg.synth_scene(quiet_config(target_amplitude=amplitude))
-        for field in ("clutter_strength", "target_count", "noise_sigma"):
-            with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+        for field in ("clutter_strength", "noise_sigma", "bad_pixel_rate"):
+            with pytest.raises(ValueError, match=f"{field} must be finite and >= 0, got -1$"):
+                dg.synth_scene(quiet_config(**{field: -1}))
+        for field in ("target_count", "rng_seed"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer >= 0, got -1$"):
                 dg.synth_scene(quiet_config(**{field: -1}))
 
     def test_psf_at_limit_fits_target_border(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import re
 import tracemalloc
@@ -415,21 +416,35 @@ class TestTrain:
         ("holdout_fraction", float("nan")), ("learning_rate", float("nan")),
         ("momentum", float("inf")), ("weight_decay", float("-inf")),
         ("batch_size", 2.5), ("batch_size", True), ("max_epochs", 2.0),
+        ("learning_rate", "0.1"), ("seed", 1.5),
     ])
     def test_config_validation(self, monkeypatch, field, value):
         rng = np.random.default_rng(86)
         patches, labels = toy_dataset(rng, count=20)
         net = nn.init_network(1, filter_size=5, seed=0)
         before = net.filters.copy()
-        cfg = nn.TrainConfig(**{field: value})
 
         def never(*args):
             raise AssertionError("the corpus was normalized before the config was checked")
 
         monkeypatch.setattr(pm, "_normalize_blocks", never)
         with pytest.raises(ValueError, match=field):
-            nn.train(net, patches, labels, cfg)
+            nn.train(net, patches, labels, nn.TrainConfig(**{field: value}))
         assert np.array_equal(net.filters, before)
+
+    @pytest.mark.parametrize("config", [
+        {"max_epochs": 0}, dataclasses.make_dataclass(
+            "Settings", [f.name for f in dataclasses.fields(nn.TrainConfig)]
+        )(0.001, 0.95, 0.0005, 40, 0, 0.2, 0),
+    ], ids=["dict", "look-alike"])
+    def test_config_must_be_a_train_config(self, monkeypatch, config):
+        # a look-alike would skip the checks TrainConfig makes when built
+        rng = np.random.default_rng(86)
+        patches, labels = toy_dataset(rng, count=20)
+        net = nn.init_network(1, filter_size=5, seed=0)
+        monkeypatch.setattr(pm, "_normalize_blocks", None)
+        with pytest.raises(ValueError, match="config must be a TrainConfig"):
+            nn.train(net, patches, labels, config)
 
     def test_numpy_integer_config_accepted(self):
         rng = np.random.default_rng(86)
@@ -676,7 +691,7 @@ class TestInitAndSimilarity:
         np.testing.assert_allclose(net.weights, 0.25)
 
     def test_init_needs_a_filter(self):
-        with pytest.raises(ValueError, match="num_filters must be >= 1"):
+        with pytest.raises(ValueError, match="num_filters must be an integer >= 1, got 0"):
             nn.init_network(0, filter_size=5)
 
     @pytest.mark.parametrize("filters, weights, mode, message", [
