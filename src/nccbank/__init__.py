@@ -16,20 +16,4 @@ The package is organized as a plain numpy library:
 * ``cli``        -- the ``nccbank`` command-line interface.
 """
 
-from nccbank.patchmath import (
-    DegeneratePatchError,
-    backprop_normalization,
-    cross_correlate_valid,
-    ncc_score,
-    normalize_rows,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DegeneratePatchError",
-    "backprop_normalization",
-    "cross_correlate_valid",
-    "ncc_score",
-    "normalize_rows",
-]

@@ -13,6 +13,7 @@ false alarms per frame.
 """
 
 import csv
+import math
 import os
 import re
 import time
@@ -264,9 +265,7 @@ class MadRatioScorer:
     window denominator is ``sqrt(k*k) * mad`` and ``sqrt(k*k) == k``."""
 
     def __init__(self, window=15):
-        if window % 2 == 0 or window < 3:
-            raise ValueError(f"window must be odd and >= 3, got {window}")
-        self.window = window
+        self.window = window = pm._odd(window, "window", 3)
         self.mode = pm.NORM_MAD
         self._mat = np.zeros((1, window * window))
         self._mat[0, window * window // 2] = window
@@ -370,15 +369,29 @@ def detect_candidates(frame, scorer, nms_radius=DEFAULT_NMS_RADIUS):
                     scores[kept].tolist()))
 
 
+def _thresholds(values, name, ndim=1):
+    """``values`` as a float64 array of ``ndim`` dimensions (0: one threshold,
+    1: a sweep), the one threshold rule of :func:`sliding_detect` and
+    :func:`roc_curve`: ValueError unless every entry is a number other than
+    NaN.  Text, bools and None are refused; +-inf are allowed."""
+    numbers = (int, float, np.integer, np.floating)
+    entries = np.asarray(values, dtype=object)
+    bad = [v for v in entries.flat
+           if isinstance(v, bool) or not isinstance(v, numbers) or math.isnan(v)]
+    if bad or entries.ndim != ndim:
+        what = "a number" if ndim == 0 else "a 1-D sequence of numbers"
+        raise ValueError(f"{name} must be {what}, got {bad[0] if bad else values!r}")
+    return entries.astype(float)
+
+
 def sliding_detect(frame, scorer, threshold, nms_radius=DEFAULT_NMS_RADIUS):
     """Detections = NMS-surviving local maxima with score > threshold.
 
     Thresholding after suppression equals suppressing the thresholded set:
-    greedy NMS only ever suppresses downward in score order.  A NaN,
-    text or bool ``threshold`` raises ValueError; +-inf are allowed.
+    greedy NMS only ever suppresses downward in score order.  ``threshold``
+    is checked by :func:`_thresholds`.
     """
-    if np.isnan(pm._float(threshold)):
-        raise ValueError(f"threshold must not be NaN and must be a number, got {threshold!r}")
+    threshold = float(_thresholds(threshold, "threshold", 0))
     return [
         d for d in detect_candidates(frame, scorer, nms_radius)
         if d.score > threshold
@@ -511,8 +524,8 @@ def roc_curve(scored_frames, thresholds, match_radius=DEFAULT_MATCH_RADIUS):
     area under the curve integrates hit rate over false alarms per frame,
     normalized by the largest false-alarm rate the sweep reached (the
     abscissa has no natural upper bound).  ``match_radius`` is checked
-    once, as :func:`match_detections` checks it.  A NaN threshold, or a
-    NaN or infinite truth, raises ValueError; +-inf thresholds are allowed.
+    once, as :func:`match_detections` checks it, and ``thresholds`` by
+    :func:`_thresholds`.  A NaN or infinite truth raises ValueError.
     """
     radius = pm._real(match_radius, "match_radius", 0.0)
     frames = [(list(cands), _as_truths(truths)) for cands, truths in scored_frames]
@@ -521,11 +534,9 @@ def roc_curve(scored_frames, thresholds, match_radius=DEFAULT_MATCH_RADIUS):
     total_truths = sum(t.shape[0] for _, t in frames)
     if total_truths == 0:
         raise ValueError("no ground truth targets in any frame")
-    thr = np.sort(np.asarray(thresholds, dtype=float))[::-1]
+    thr = np.sort(_thresholds(thresholds, "thresholds"))[::-1]
     if thr.size == 0:
         raise ValueError("no thresholds")
-    if np.isnan(thr).any():
-        raise ValueError("thresholds must not be NaN")
 
     # Greedy matching of a threshold's surviving subset walks the frame's
     # sorted pairs, skipping filtered detections; that equals

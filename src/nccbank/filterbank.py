@@ -94,10 +94,10 @@ def _radial_squared(size, halfwidth):
 
 
 def gaussian_grid(size, sigma):
-    """Isotropic Gaussian, peak 1 at center, sampled at integer offsets."""
-    if size % 2 == 0 or size < 1:
-        raise ValueError(f"size must be odd and positive, got {size}")
-    if sigma <= 0:
+    """Isotropic Gaussian, peak 1 at center, sampled at integer offsets.
+    ValueError unless ``size`` is an odd integer and ``sigma`` finite > 0."""
+    size = pm._odd(size, "size")
+    if pm._real(sigma, "sigma") <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     rsq = _radial_squared(size, (size - 1) // 2)
     return np.exp(-rsq / (2.0 * sigma * sigma))
@@ -113,10 +113,9 @@ def ricker_hat_grid(size, params=None):
     parameters, the center tap sits strictly below its ring-1 neighbors:
     the pit that penalizes isolated single-pixel impulses.
     """
+    size = pm._odd(size, "size", 3)
     if params is None:
         params = HatParams()
-    if size % 2 == 0 or size < 3:
-        raise ValueError(f"size must be odd and >= 3, got {size}")
     rsq = _radial_squared(size, params.support_halfwidth)
     s2 = params.ricker_sigma**2
     ricker = (1.0 - rsq / s2) * np.exp(-rsq / (2.0 * s2))
@@ -208,17 +207,18 @@ def crop_grid(grid, new_size):
     size = g.shape[0]
     if g.shape[0] != g.shape[1]:
         raise ValueError(f"filter must be square, got {g.shape}")
-    if new_size % 2 == 0 or size % 2 == 0:
-        raise ValueError("crop requires odd sizes")
-    if not (1 <= new_size <= size):
+    if pm._odd(new_size, "new_size") > pm._odd(size, "filter side"):
         raise ValueError(f"cannot crop {size} -> {new_size}")
     trim = (size - new_size) // 2
     return g[trim : trim + new_size, trim : trim + new_size].copy()
 
 
 def quantize_taps(values, qformat=TAP_QFORMAT):
-    """Round-half-even to the format grid, saturating at the raw limits."""
+    """Round-half-even to the format grid, saturating at the raw limits;
+    ValueError for a NaN or infinite value, whatever the shape."""
     v = np.asarray(values, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError(f"values must be finite, got {v[~np.isfinite(v)][0]}")
     raw = np.rint(v * qformat.scale)
     return np.clip(raw, qformat.raw_min, qformat.raw_max).astype(np.int32)
 
@@ -510,11 +510,9 @@ def op_count(method, image_side, filter_side):
 
     Additions include subtractions and absolute differences.  Only
     ``ncc-std`` takes square roots, one per window.  Raises ValueError
-    for an unknown method or a filter that does not fit the frame.
+    for an unknown method, a side not an integer >= 1, or a filter too big.
     """
-    if image_side < 1 or filter_side < 1:
-        raise ValueError("image and filter sides must be positive")
-    if filter_side > image_side:
+    if pm._count(image_side, "image_side") < pm._count(filter_side, "filter_side"):
         raise ValueError(f"{filter_side}x{filter_side} filter does not fit "
                          f"a {image_side}x{image_side} frame")
     f, n = filter_side, filter_side * filter_side

@@ -430,14 +430,14 @@ def subsample_negatives(negatives, budget, seed=0):
     alone cannot fill the budget.  The first pick is seeded; a tie in the
     computed distances breaks toward the lower index (NCC-identical cores
     can still compute distances a rounding step apart, which decides their
-    order).  Returns exactly ``budget`` samples.
+    order).  Returns exactly ``budget`` samples, an integer in [1, len(negatives)].
     """
     _check_samples(negatives)
     if not len(negatives):
         raise ValueError("no negatives to subsample")
     if np.any(negatives["label"] != -1):
         raise ValueError("subsample_negatives expects negative samples only")
-    if not (1 <= budget <= len(negatives)):
+    if pm._count(budget, "budget") > len(negatives):
         raise ValueError(f"budget must be in [1, {len(negatives)}], got {budget}")
     if budget == len(negatives):
         return negatives
@@ -613,9 +613,10 @@ def read_frames(dirpath):
     return frames, [truth_map[name] for name in names]
 
 
-def _scene_recipe(count, seed, strength_range, **fixed):
-    """Configs cycling through all clutter kinds, with jittered strengths
-    and per-scene seeds drawn from one master seed."""
+def _scene_recipe(count, seed, strength_range, count_name="count", **fixed):
+    """``count`` configs (checked as ``count_name``) cycling through all clutter
+    kinds, with jittered strengths and per-scene seeds from one master seed."""
+    count = pm._count(count, count_name)
     rng = np.random.default_rng(seed)
     return [
         SceneConfig(
@@ -632,7 +633,7 @@ def training_scene_configs(scene_count=36, seed=1000, width=128, height=128,
                            targets_per_scene=9):
     """Training-scene recipe: every clutter kind, strength 0.7-1.3."""
     return _scene_recipe(
-        scene_count, seed, (0.7, 1.3), width=width, height=height,
+        scene_count, seed, (0.7, 1.3), "scene_count", width=width, height=height,
         target_count=targets_per_scene, target_amplitude=60.0, psf_sigma=1.2,
         noise_sigma=5.0, bad_pixel_rate=3e-4,
     )

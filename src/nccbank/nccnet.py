@@ -133,9 +133,11 @@ class TrainHistory:
 
 
 def init_network(num_filters, filter_size=15, norm_mode=pm.NORM_STD, seed=0):
-    """Fresh network: taps i.i.d. uniform on [-0.05, 0.05], weights 1/N."""
+    """Fresh network: taps i.i.d. uniform on [-0.05, 0.05], weights 1/N;
+    ``num_filters`` must be an integer >= 1, ``filter_size`` >= 2, ``seed`` >= 0."""
     pm._count(num_filters, "num_filters")
-    rng = np.random.default_rng(seed)
+    pm._count(filter_size, "filter_size", 2)
+    rng = np.random.default_rng(pm._count(seed, "seed", 0))
     filters = rng.uniform(-0.05, 0.05, size=(num_filters, filter_size, filter_size))
     weights = np.full(num_filters, 1.0 / num_filters)
     return NccNetwork(filters=filters, weights=weights, norm_mode=norm_mode)

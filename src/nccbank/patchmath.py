@@ -67,25 +67,28 @@ def as_patch(values, name="patch"):
 
 def _count(value, name, low=1):
     """``value`` as an int; ValueError unless it is an integer >= ``low``.
-    numpy integers are accepted; bools, floats and text are not.  This and
-    :func:`_real` check every count and real setting of the package."""
+    numpy integers are accepted; bools, floats and text are not.  With
+    :func:`_odd` and :func:`_real`, the one check of every count, size
+    and real setting or argument of the package."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 
 
-def _float(value):
-    """``value`` as a float, or NaN for text, bools and what float refuses."""
-    try:
-        return math.nan if isinstance(value, (str, bytes, bool, np.bool_)) else float(value)
-    except (TypeError, ValueError):
-        return math.nan
+def _odd(value, name, low=1):
+    """:func:`_count` of a window or grid side, which must also be odd."""
+    if _count(value, name, low) % 2 == 0:
+        raise ValueError(f"{name} must be an odd integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def _real(value, name, low=-math.inf):
     """``value`` as a float; ValueError unless it is a finite number >=
-    ``low`` (text, bools and None are refused, see :func:`_float`)."""
-    x = _float(value)
+    ``low``.  Text, bools, None and what float refuses are refused."""
+    try:
+        x = math.nan if isinstance(value, (str, bytes, bool, np.bool_)) else float(value)
+    except (TypeError, ValueError):
+        x = math.nan
     if not (math.isfinite(x) and x >= low):
         bound = "" if low == -math.inf else f" and >= {low:g}"
         raise ValueError(f"{name} must be finite{bound}, got {value!r}")

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -389,7 +390,7 @@ class TestDetect:
         frame = np.zeros((9, 9))
         frame[4, 4] = 5.0
         scorer = IdentityScorer()
-        with pytest.raises(ValueError, match="threshold must not be NaN"):
+        with pytest.raises(ValueError, match="threshold must be a number, got nan"):
             bn.sliding_detect(frame, scorer, float("nan"))
         # np.isnan would raise TypeError for text and read True as 1
         for bad in ("0.5", True, np.bool_(False), None):
@@ -644,13 +645,20 @@ class TestRocCurve:
         assert curve.auc == pytest.approx(0.5)
 
     def test_nan_threshold_rejected(self):
-        # +-inf stay allowed, as in sliding_detect
+        # +-inf stay allowed, as in sliding_detect; text, bools and None
+        # are refused, not parsed or read as 1, 0 and NaN
         scored = [([D(1, 1, 0.5)], [(1, 1)])]
-        with pytest.raises(ValueError, match="NaN"):
-            bn.roc_curve(scored, [0.2, np.nan])
+        for bad, got in (([0.2, np.nan], "nan"), (["0.5", "4.9"], "'0.5'"),
+                         ([True, False], "True"), ([None], "None")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"thresholds must be a 1-D sequence of numbers, got {got}")):
+                bn.roc_curve(scored, bad)
         curve = bn.roc_curve(scored, [-np.inf, 0.2, np.inf])
         assert curve.thresholds.tolist() == [np.inf, 0.2, -np.inf]
         assert curve.hit_rates.tolist() == [0.0, 1.0, 1.0]
+        curve = bn.roc_curve(scored, [-np.inf, np.inf])
+        assert curve.thresholds.tolist() == [np.inf, -np.inf]
+        assert curve.hit_rates.tolist() == [0.0, 1.0]
 
     def test_no_truths_raises(self):
         with pytest.raises(ValueError):

@@ -458,7 +458,7 @@ class TestDetect:
         _, frames = small_corpus
         assert run("detect", "--frame", str(frames / "frame_0000.txt"),
                    "--method", "hat7-fixed-mad", "--threshold", "nan") == 1
-        assert "threshold must not be NaN" in capsys.readouterr().err
+        assert "threshold must be a number, got nan" in capsys.readouterr().err
 
     def test_non_finite_frame_fails_cleanly(self, tmp_path, capsys):
         # write_grid refuses NaN, so put the bad value (9, 9) into the text

@@ -129,6 +129,8 @@ class TestCrop:
             fb.crop_grid(g, 17)
         with pytest.raises(ValueError, match=r"filter must be square, got \(15, 13\)"):
             fb.crop_grid(np.zeros((15, 13)), 9)
+        with pytest.raises(ValueError, match="^filter side must be an odd integer >= 1, got 14$"):
+            fb.crop_grid(np.zeros((14, 14)), 7)
 
 
 class TestQuantize:
@@ -139,6 +141,14 @@ class TestQuantize:
     def test_round_half_even(self):
         raw = fb.quantize_taps(np.array([[64.5 / 128, 65.5 / 128]]))
         np.testing.assert_array_equal(raw, [[64, 66]])
+
+    @pytest.mark.parametrize("values, got", [
+        ([[np.nan, 0.5]], "nan"), ([0.5, -np.inf], "-inf"), (np.inf, "inf"),
+    ], ids=["2-D-nan", "1-D-inf", "scalar-inf"])
+    def test_non_finite_values_rejected(self, values, got):
+        # the cast would turn NaN into -2**31, with a numpy RuntimeWarning
+        with pytest.raises(ValueError, match=f"^values must be finite, got {got}$"):
+            fb.quantize_taps(values)
 
     def test_roundtrip_error_half_ulp(self):
         rng = np.random.default_rng(92)
@@ -564,7 +574,7 @@ class TestOpCount:
         assert fb.op_count("mad-ratio", 8, 1) == fb.OpCount(64, 128, 128, 0)
         with pytest.raises(ValueError, match="does not fit"):
             fb.op_count("ncc-std", 10, 15)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="image_side must be an integer >= 1, got 0"):
             fb.op_count("ncc-std", 0, 1)
 
     def test_unknown_method(self):

@@ -1,10 +1,14 @@
-"""The settings objects of the package check themselves when built.
+"""The settings objects and the size, count and threshold arguments of
+the package are checked in one place each.
 
 ``SceneConfig``, ``TrainConfig``, ``HatParams``, ``QFormat`` and
 ``BenchConfig`` are frozen, check every numeric field through
 ``patchmath._count`` or ``patchmath._real`` in ``__post_init__`` (so
 ``dataclasses.replace`` is checked too), and refuse a bad value with
-ValueError.
+ValueError.  The functions that take a grid or window side, a count or a
+sigma check it through ``_count``, ``patchmath._odd`` or ``_real``, and
+thresholds go through ``bench._thresholds``: a bad argument is refused
+with a ValueError that names it.
 """
 
 import dataclasses
@@ -104,3 +108,125 @@ def test_real_accepts_numbers():
         assert pm._real(value, "x", 0.0) == 0.5
     assert pm._real(np.int64(3), "x") == 3.0
     assert pm._real(-2, "x") == -2.0
+
+
+def _negatives(count=4):
+    samples = np.empty(count, dtype=dg.SAMPLE_DTYPE)
+    samples["label"] = -1
+    samples["flags"] = 1
+    samples["context"] = np.random.default_rng(5).normal(1000.0, 5.0, (count, 19, 19))
+    return samples
+
+
+_FRAME = np.zeros((9, 9))
+_SCORED = [([bn.Detection(4, 4, 5.0)], [(4, 4)])]
+
+# each checked argument: a call that passes the value in that argument, its
+# name, and its smallest valid value (None for a threshold)
+ARGUMENTS = {
+    "gaussian_grid-size": (lambda v: fb.gaussian_grid(v, 1.2), "size", 1),
+    "gaussian_grid-sigma": (lambda v: fb.gaussian_grid(15, v), "sigma", None),
+    "ricker_hat_grid-size": (lambda v: fb.ricker_hat_grid(v), "size", 3),
+    "crop_grid-new_size": (lambda v: fb.crop_grid(np.ones((15, 15)), v), "new_size", 1),
+    "op_count-image_side": (lambda v: fb.op_count("ncc-std", v, 3), "image_side", 1),
+    "op_count-filter_side": (lambda v: fb.op_count("ncc-std", 16, v), "filter_side", 1),
+    "MadRatioScorer-window": (lambda v: bn.MadRatioScorer(v), "window", 3),
+    "init_network-filter_size": (lambda v: nn.init_network(1, filter_size=v),
+                                 "filter_size", 2),
+    "init_network-seed": (lambda v: nn.init_network(1, seed=v), "seed", 0),
+    "subsample_negatives-budget": (lambda v: dg.subsample_negatives(_negatives(), v),
+                                   "budget", 1),
+    "training_scene_configs-scene_count": (
+        lambda v: dg.training_scene_configs(scene_count=v), "scene_count", 1),
+    "benchmark_scene_configs-count": (lambda v: dg.benchmark_scene_configs(count=v),
+                                      "count", 1),
+    "sliding_detect-threshold": (
+        lambda v: bn.sliding_detect(_FRAME, bn.MadRatioScorer(3), v), "threshold", None),
+    "roc_curve-thresholds": (lambda v: bn.roc_curve(_SCORED, v), "thresholds", None),
+}
+_ODD = {"gaussian_grid-size", "ricker_hat_grid-size", "crop_grid-new_size",
+        "MadRatioScorer-window"}
+
+
+def _bad_arguments():
+    for site, (_, name, low) in ARGUMENTS.items():
+        if site == "gaussian_grid-sigma":
+            # sigma <= 0 kept its message, "sigma must be > 0, got 0"
+            rows = [(math.nan, "finite, got nan"), (math.inf, "finite, got inf"),
+                    (True, "finite, got True"), ("1.2", "finite, got '1.2'")]
+        elif site == "sliding_detect-threshold":
+            rows = [(bad, f"a number, got {bad!r}") for bad in (math.nan, "0.5", True, None)]
+        elif site == "roc_curve-thresholds":
+            rows = [(bad, f"a 1-D sequence of numbers, got {bad[0]!r}")
+                    for bad in ([math.nan], ["0.5", "4.9"], [True, False], [None])]
+        else:
+            count = f"an integer >= {low}, got"
+            rows = [(2.5, f"{count} 2.5"), (True, f"{count} True"), ("5", f"{count} '5'"),
+                    (low - 1, f"{count} {low - 1}")]
+            if site in _ODD:
+                rows.append((low + 1, f"an odd integer >= {low}, got {low + 1}"))
+        for bad, message in rows:
+            yield pytest.param(site, bad, f"{name} must be {message}",
+                               id=f"{site}-{bad!r}")
+
+
+@pytest.mark.parametrize("site, bad, message", _bad_arguments())
+def test_bad_argument_is_refused_by_name(site, bad, message):
+    call = ARGUMENTS[site][0]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+# a valid call per site and the arguments it must check
+VALID_CALLS = [
+    pytest.param(lambda: fb.gaussian_grid(15, 1.2), {"size", "sigma"}, id="gaussian_grid"),
+    pytest.param(lambda: fb.ricker_hat_grid(15, fb.HatParams()), {"size"},
+                 id="ricker_hat_grid"),
+    pytest.param(lambda: fb.crop_grid(np.ones((15, 15)), 7), {"new_size"}, id="crop_grid"),
+    pytest.param(lambda: fb.op_count("ncc-std", 16, 3), {"image_side", "filter_side"},
+                 id="op_count"),
+    pytest.param(lambda: bn.MadRatioScorer(5), {"window"}, id="MadRatioScorer"),
+    pytest.param(lambda: nn.init_network(1, 3, seed=0), {"num_filters", "filter_size", "seed"},
+                 id="init_network"),
+    pytest.param(lambda: dg.subsample_negatives(_negatives(), 2), {"budget"},
+                 id="subsample_negatives"),
+    pytest.param(lambda: dg.training_scene_configs(scene_count=2), {"scene_count"},
+                 id="training_scene_configs"),
+    pytest.param(lambda: dg.benchmark_scene_configs(count=2), {"count"},
+                 id="benchmark_scene_configs"),
+    pytest.param(lambda: bn.sliding_detect(_FRAME, bn.MadRatioScorer(3), 0.5), {"threshold"},
+                 id="sliding_detect"),
+    pytest.param(lambda: bn.roc_curve(_SCORED, [0.5]), {"thresholds"}, id="roc_curve"),
+]
+
+
+@pytest.mark.parametrize("call, arguments", VALID_CALLS)
+def test_every_argument_goes_through_one_check(call, arguments):
+    checked = set()
+
+    def spy(check):
+        return lambda value, name, *rest: checked.add(name) or check(value, name, *rest)
+
+    with mock.patch.object(pm, "_count", spy(pm._count)), \
+            mock.patch.object(pm, "_odd", spy(pm._odd)), \
+            mock.patch.object(pm, "_real", spy(pm._real)), \
+            mock.patch.object(bn, "_thresholds", spy(bn._thresholds)):
+        call()
+    assert arguments <= checked
+
+
+@pytest.mark.parametrize("value, low, message", [
+    (4, 1, "n must be an odd integer >= 1, got 4"),
+    (1, 3, "n must be an integer >= 3, got 1"),
+    (np.int64(6), 3, "n must be an odd integer >= 3, got np.int64(6)"),
+    (5.0, 1, "n must be an integer >= 1, got 5.0"),
+], ids=["even", "below-low", "numpy-even", "float"])
+def test_odd_refuses(value, low, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pm._odd(value, "n", low)
+
+
+def test_odd_accepts_odd_integers():
+    for value in (np.int16(7), 7):
+        assert pm._odd(value, "n", 3) == 7
+        assert type(pm._odd(value, "n", 3)) is int
