@@ -785,13 +785,7 @@ def write_benchmark_report(report, out_dir):
 def _finite(what):
     """A converter of text to a float that raises ValueError, naming
     ``what``, unless the float is finite."""
-    def convert(text):
-        value = gridio._number(text, float)
-        if not np.isfinite(value):
-            raise ValueError(f"{what} must be finite, got {text!r}")
-        return value
-
-    return convert
+    return lambda text: pm._real(gridio._number(text, float), what)
 
 
 # meta.csv's keys, each with the type its text is read as
@@ -829,10 +823,7 @@ def read_benchmark_scores(out_dir):
         raise ValueError(f"{meta_path}: {exc}") from None
 
     def frame(text):
-        fi = gridio._number(text)
-        if not 0 <= fi < frame_count:
-            raise ValueError(f"frame {fi} outside [0, {frame_count})")
-        return fi
+        return pm._count(gridio._number(text), "frame", 0, frame_count - 1)
 
     def by_frame(name, header, types, make):
         per_frame = [[] for _ in range(frame_count)]

@@ -132,8 +132,7 @@ def _cmd_datagen(args):
     for flag, count in (("--scenes", args.scenes),
                         ("--frames-per-scene", args.frames_per_scene),
                         ("--negatives", args.negatives)):
-        if count < 1:
-            raise ValueError(f"{flag} must be >= 1, got {count}")
+        pm._count(count, flag)
     if args.frames_dir:
         dg._check_unused_frames_dir(args.frames_dir)
     if args.standard:
@@ -195,10 +194,7 @@ def _cmd_train(args):
 
 def _cmd_export_filter(args):
     net = nn.load_network(args.net)
-    if not (0 <= args.index < net.num_filters):
-        raise ValueError(
-            f"filter index {args.index} out of range [0, {net.num_filters})"
-        )
+    pm._count(args.index, "--index", 0, net.num_filters - 1)
     grid = net.filters[args.index]
     if args.fixed:
         qf = fb.QFormat(*args.qformat)

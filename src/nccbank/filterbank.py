@@ -35,13 +35,8 @@ class QFormat:
     frac_bits: int
 
     def __post_init__(self):
-        if pm._count(self.total_bits, "total_bits", 2) > 32:
-            raise ValueError(f"total_bits must be in [2, 32], got {self.total_bits}")
-        if pm._count(self.frac_bits, "frac_bits", 0) >= self.total_bits:
-            raise ValueError(
-                f"frac_bits must be in [0, {self.total_bits - 1}], "
-                f"got {self.frac_bits}"
-            )
+        pm._count(self.total_bits, "total_bits", 2, 32)
+        pm._count(self.frac_bits, "frac_bits", 0, self.total_bits - 1)
 
     @property
     def raw_min(self):
@@ -79,8 +74,7 @@ class HatParams:
 
     def __post_init__(self):
         for name in ("support_halfwidth", "ricker_sigma", "pit_radius"):
-            if pm._real(getattr(self, name), name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            pm._real(getattr(self, name), name, 0.0, ends="(]")
         pm._real(self.pit_depth, "pit_depth", 0.0)
 
 
@@ -97,8 +91,7 @@ def gaussian_grid(size, sigma):
     """Isotropic Gaussian, peak 1 at center, sampled at integer offsets.
     ValueError unless ``size`` is an odd integer and ``sigma`` finite > 0."""
     size = pm._odd(size, "size")
-    if pm._real(sigma, "sigma") <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    pm._real(sigma, "sigma", 0.0, ends="(]")
     rsq = _radial_squared(size, (size - 1) // 2)
     return np.exp(-rsq / (2.0 * sigma * sigma))
 
@@ -202,13 +195,13 @@ def fit_hat(target):
 
 
 def crop_grid(grid, new_size):
-    """Central new_size x new_size window (trimming, not downsampling)."""
+    """Central new_size x new_size window (trimming, not downsampling) of a
+    square grid of odd side; ``new_size`` is an odd integer in [1, side]."""
     g = pm.as_patch(grid, "filter")
     size = g.shape[0]
     if g.shape[0] != g.shape[1]:
         raise ValueError(f"filter must be square, got {g.shape}")
-    if pm._odd(new_size, "new_size") > pm._odd(size, "filter side"):
-        raise ValueError(f"cannot crop {size} -> {new_size}")
+    pm._odd(new_size, "new_size", 1, pm._odd(size, "filter side"))
     trim = (size - new_size) // 2
     return g[trim : trim + new_size, trim : trim + new_size].copy()
 
@@ -512,9 +505,7 @@ def op_count(method, image_side, filter_side):
     ``ncc-std`` takes square roots, one per window.  Raises ValueError
     for an unknown method, a side not an integer >= 1, or a filter too big.
     """
-    if pm._count(image_side, "image_side") < pm._count(filter_side, "filter_side"):
-        raise ValueError(f"{filter_side}x{filter_side} filter does not fit "
-                         f"a {image_side}x{image_side} frame")
+    pm._count(filter_side, "filter_side", 1, pm._count(image_side, "image_side"))
     f, n = filter_side, filter_side * filter_side
     box, sad = 2 * (f - 1), 2 * n - 1
     if method == "unnorm-corr":

@@ -85,18 +85,11 @@ class SceneConfig:
             raise ValueError(f"unknown clutter kind {self.clutter_kind!r}")
         pm._real(self.clutter_strength, "clutter_strength", 0.0)
         pm._count(self.target_count, "target_count", 0)
-        if pm._real(self.target_amplitude, "target_amplitude") <= 0:
-            raise ValueError("target_amplitude must be > 0")
-        if pm._real(self.psf_sigma, "psf_sigma") <= 0:
-            raise ValueError("psf_sigma must be > 0")
-        if self.psf_sigma > _TARGET_BORDER / 4:
-            raise ValueError(
-                f"psf_sigma must be <= {_TARGET_BORDER / 4}: the 4-sigma PSF "
-                f"stamp must fit inside the {_TARGET_BORDER} px target border"
-            )
+        pm._real(self.target_amplitude, "target_amplitude", 0.0, ends="(]")
+        # the 4-sigma PSF stamp must fit inside the target border
+        pm._real(self.psf_sigma, "psf_sigma", 0.0, _TARGET_BORDER / 4, "(]")
         pm._real(self.noise_sigma, "noise_sigma", 0.0)
-        if pm._real(self.bad_pixel_rate, "bad_pixel_rate", 0.0) >= 1.0:
-            raise ValueError("bad_pixel_rate must be in [0, 1)")
+        pm._real(self.bad_pixel_rate, "bad_pixel_rate", 0.0, 1.0, "[)")
         pm._count(self.rng_seed, "rng_seed", 0)
 
 
@@ -340,15 +333,13 @@ def extract_samples(scene):
 
 
 def shifted_core(context, dr, dc):
-    """The 15x15 core re-windowed by (dr, dc) inside a full 19x19 context,
-    or inside every context of a (..., 19, 19) stack."""
+    """The 15x15 core re-windowed by (dr, dc), integers in [-2, 2], inside
+    a full 19x19 context, or inside every context of a (..., 19, 19) stack."""
     ctx = np.asarray(context)
     if ctx.shape[-2:] != (CONTEXT_SIZE, CONTEXT_SIZE):
         raise ValueError(f"context must be {CONTEXT_SIZE}x{CONTEXT_SIZE}")
-    if not (-MARGIN <= dr <= MARGIN and -MARGIN <= dc <= MARGIN):
-        raise ValueError(f"shift ({dr}, {dc}) exceeds the {MARGIN}-pixel margin")
-    r0 = MARGIN + dr
-    c0 = MARGIN + dc
+    r0 = MARGIN + pm._count(dr, "dr", -MARGIN, MARGIN)
+    c0 = MARGIN + pm._count(dc, "dc", -MARGIN, MARGIN)
     return ctx[..., r0 : r0 + CORE_SIZE, c0 : c0 + CORE_SIZE]
 
 
@@ -430,15 +421,16 @@ def subsample_negatives(negatives, budget, seed=0):
     alone cannot fill the budget.  The first pick is seeded; a tie in the
     computed distances breaks toward the lower index (NCC-identical cores
     can still compute distances a rounding step apart, which decides their
-    order).  Returns exactly ``budget`` samples, an integer in [1, len(negatives)].
+    order).  Returns exactly ``budget`` samples, an integer in [1, len(negatives)];
+    ``seed`` is an integer >= 0.
     """
     _check_samples(negatives)
     if not len(negatives):
         raise ValueError("no negatives to subsample")
     if np.any(negatives["label"] != -1):
         raise ValueError("subsample_negatives expects negative samples only")
-    if pm._count(budget, "budget") > len(negatives):
-        raise ValueError(f"budget must be in [1, {len(negatives)}], got {budget}")
+    budget = pm._count(budget, "budget", 1, len(negatives))
+    seed = pm._count(seed, "seed", 0)
     if budget == len(negatives):
         return negatives
 
@@ -535,7 +527,7 @@ def read_dataset(path):
     version, core, ctx, count = struct.unpack("<HHHQ", blob[4:18])
     if version != DATASET_VERSION:
         raise DatasetFormatError(f"unsupported dataset version {version}")
-    if core != CORE_SIZE or ctx != CONTEXT_SIZE or core > ctx:
+    if core != CORE_SIZE or ctx != CONTEXT_SIZE:
         raise DatasetFormatError(f"unsupported patch geometry {core}/{ctx}")
     if count == 0:
         raise DatasetFormatError("sample_count 0; a dataset holds at least one sample")
@@ -615,9 +607,10 @@ def read_frames(dirpath):
 
 def _scene_recipe(count, seed, strength_range, count_name="count", **fixed):
     """``count`` configs (checked as ``count_name``) cycling through all clutter
-    kinds, with jittered strengths and per-scene seeds from one master seed."""
+    kinds, with jittered strengths and per-scene seeds from one master
+    ``seed``, an integer >= 0."""
     count = pm._count(count, count_name)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(pm._count(seed, "seed", 0))
     return [
         SceneConfig(
             clutter_kind=CLUTTER_KINDS[i % len(CLUTTER_KINDS)],

@@ -106,8 +106,7 @@ class TrainConfig:
             pm._real(getattr(self, name), name)
         pm._count(self.batch_size, "batch_size")
         pm._count(self.max_epochs, "max_epochs")
-        if not 0.0 <= pm._real(self.holdout_fraction, "holdout_fraction") < 1.0:
-            raise ValueError(f"holdout_fraction must be in [0, 1), got {self.holdout_fraction}")
+        pm._real(self.holdout_fraction, "holdout_fraction", 0.0, 1.0, "[)")
         pm._count(self.seed, "seed", 0)
 
 
@@ -298,8 +297,7 @@ def threshold_accuracy(scores, labels, threshold):
     gets right.  Raises ValueError for the inputs
     :func:`calibrate_threshold` rejects and for a non-finite threshold."""
     s, y = _scores_and_labels(scores, labels)
-    if not np.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
+    threshold = pm._real(threshold, "threshold")
     return float(np.mean((s >= threshold) == (y > 0)))
 
 
@@ -442,8 +440,7 @@ def load_network(path):
     if mode not in pm.NORM_MODES:
         raise ValueError(f"bad norm_mode line: {lines[1]!r}")
     (count,) = gridio._field(lines[2], "filters", 1, int)
-    if count < 1:
-        raise ValueError("filter count must be positive")
+    pm._count(count, "filters")
     pos = 3
     grids = []
     for i in range(count):

@@ -65,32 +65,47 @@ def as_patch(values, name="patch"):
     return arr
 
 
-def _count(value, name, low=1):
-    """``value`` as an int; ValueError unless it is an integer >= ``low``.
-    numpy integers are accepted; bools, floats and text are not.  With
-    :func:`_odd` and :func:`_real`, the one check of every count, size
-    and real setting or argument of the package."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+def _count(value, name, low=1, high=None):
+    """``value`` as an int; ValueError unless it is an integer >= ``low``
+    (and <= ``high`` unless None).  numpy integers are accepted; bools,
+    floats and text are not.  With :func:`_odd` and :func:`_real`, the one
+    check of every count, size, index and real setting or argument of the
+    package."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value > high)):
+        raise ValueError(f"{name} must be an integer {_span(low, high)}, got {value!r}")
     return int(value)
 
 
-def _odd(value, name, low=1):
+def _odd(value, name, low=1, high=None):
     """:func:`_count` of a window or grid side, which must also be odd."""
-    if _count(value, name, low) % 2 == 0:
-        raise ValueError(f"{name} must be an odd integer >= {low}, got {value!r}")
+    if _count(value, name, low, high) % 2 == 0:
+        raise ValueError(f"{name} must be an odd integer {_span(low, high)}, got {value!r}")
     return int(value)
 
 
-def _real(value, name, low=-math.inf):
-    """``value`` as a float; ValueError unless it is a finite number >=
-    ``low``.  Text, bools, None and what float refuses are refused."""
+def _span(low, high):
+    """The bound of an integer check, as its messages spell it."""
+    return f">= {low}" if high is None else f"in [{low}, {high}]"
+
+
+def _real(value, name, low=-math.inf, high=math.inf, ends="[]"):
+    """``value`` as a float; ValueError unless it is a finite number in
+    ``low`` .. ``high``, each end included unless ``ends`` (``"[]"``,
+    ``"(]"``, ``"[)"`` or ``"()"``) opens it.  Text, bools, None and what
+    float refuses are refused."""
     try:
         x = math.nan if isinstance(value, (str, bytes, bool, np.bool_)) else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         x = math.nan
-    if not (math.isfinite(x) and x >= low):
-        bound = "" if low == -math.inf else f" and >= {low:g}"
+    if not (math.isfinite(x) and (x > low if ends[0] == "(" else x >= low)
+            and (x < high if ends[1] == ")" else x <= high)):
+        if high < math.inf:
+            bound = f" and in {ends[0]}{low:g}, {high:g}{ends[1]}"
+        elif low > -math.inf:
+            bound = f" and {'>' if ends[0] == '(' else '>='} {low:g}"
+        else:
+            bound = ""
         raise ValueError(f"{name} must be finite{bound}, got {value!r}")
     return x
 

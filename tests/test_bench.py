@@ -1070,7 +1070,7 @@ class TestReadBenchmarkScores:
             fh.write(f"{frame},5,5\n")
         lines = len((report_dir / "truths.csv").read_text().splitlines())
         with pytest.raises(ValueError, match=(
-            rf"truths.csv: line {lines}: frame {frame} outside \[0, 4\)"
+            rf"truths.csv: line {lines}: frame must be an integer in \[0, 3\], got {frame}"
         )):
             bn.read_benchmark_scores(report_dir)
 
@@ -1080,7 +1080,7 @@ class TestReadBenchmarkScores:
             fh.write("7,5,5,1.0\n")
         lines = len(dump.read_text().splitlines())
         with pytest.raises(ValueError, match=(
-            rf"mad-ratio.csv: line {lines}: frame 7 outside \[0, 4\)"
+            rf"mad-ratio.csv: line {lines}: frame must be an integer in \[0, 3\], got 7"
         )):
             bn.read_benchmark_scores(report_dir)
 
@@ -1095,7 +1095,7 @@ class TestReadBenchmarkScores:
         dump.write_text("\n".join([header] + rows) + "\n")
         line = 2 if first else len(rows) + 1
         with pytest.raises(ValueError, match=(
-            rf"mad-ratio.csv: line {line}: score must be finite, got '{score}'"
+            rf"mad-ratio.csv: line {line}: score must be finite, got {score}$"
         )):
             bn.read_benchmark_scores(report_dir)
 
@@ -1106,7 +1106,7 @@ class TestReadBenchmarkScores:
         with open(truths, "a") as fh:
             fh.write(f"0,{value},5\n" if field == "row" else f"0,5,{value}\n")
         line = len(truths.read_text().splitlines())
-        match = rf"truths.csv: line {line}: {field} must be finite, got '{value}'"
+        match = rf"truths.csv: line {line}: {field} must be finite, got {value}$"
         with pytest.raises(ValueError, match=match):
             bn.read_benchmark_scores(report_dir)
         dest = tmp_path_factory.mktemp("resweep")

@@ -61,20 +61,29 @@ class TestDatagen:
         out = tmp_path / "x.nccd"
         assert run("datagen", "--scenes", "36", "--psf-sigma", "2.6",
                    "--out", str(out)) == 1
-        assert "psf_sigma must be <= 2.5" in capsys.readouterr().err
+        assert "psf_sigma must be finite and in (0, 2.5], got 2.6" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--amplitude", "nan", "target_amplitude must be finite"),
         ("--amplitude", "inf", "target_amplitude must be finite"),
-        ("--amplitude", "-5", "target_amplitude must be > 0"),
+        # explicit ids keep the test IDs these cases had under their earlier messages
+        pytest.param("--amplitude", "-5", "target_amplitude must be finite and > 0, got -5.0\n",
+                     id="--amplitude--5-target_amplitude must be > 0"),
         ("--noise", "nan", "noise_sigma must be finite"),
         ("--psf-sigma", "nan", "psf_sigma must be finite"),
-        ("--scenes", "0", "--scenes must be >= 1, got 0"),
-        ("--frames-per-scene", "0", "--frames-per-scene must be >= 1, got 0"),
-        ("--frames-per-scene", "-4", "--frames-per-scene must be >= 1, got -4"),
-        ("--negatives", "0", "--negatives must be >= 1, got 0"),
-        ("--negatives", "-3", "--negatives must be >= 1, got -3"),
+        pytest.param("--scenes", "0", "--scenes must be an integer >= 1, got 0\n",
+                     id="--scenes-0---scenes must be >= 1, got 0"),
+        pytest.param("--frames-per-scene", "0",
+                     "--frames-per-scene must be an integer >= 1, got 0\n",
+                     id="--frames-per-scene-0---frames-per-scene must be >= 1, got 0"),
+        pytest.param("--frames-per-scene", "-4",
+                     "--frames-per-scene must be an integer >= 1, got -4\n",
+                     id="--frames-per-scene--4---frames-per-scene must be >= 1, got -4"),
+        pytest.param("--negatives", "0", "--negatives must be an integer >= 1, got 0\n",
+                     id="--negatives-0---negatives must be >= 1, got 0"),
+        pytest.param("--negatives", "-3", "--negatives must be an integer >= 1, got -3\n",
+                     id="--negatives--3---negatives must be >= 1, got -3"),
     ])
     def test_bad_scene_parameter_fails_cleanly(self, tmp_path, capsys, flag,
                                                value, message):
@@ -88,7 +97,7 @@ class TestDatagen:
         assert run("datagen", "--scenes", "2", "--negatives", "0",
                    "--out", str(tmp_path / "x.nccd"), "--frames-dir", str(frames)) == 1
         captured = capsys.readouterr()
-        assert "--negatives must be >= 1, got 0" in captured.err
+        assert "--negatives must be an integer >= 1, got 0" in captured.err
         assert captured.out == ""
         assert not frames.exists()
 
@@ -279,8 +288,11 @@ class TestTrain:
                      id="--epochs-0-max_epochs must be >= 1"),
         pytest.param("--batch-size", "0", "batch_size must be an integer >= 1, got 0\n",
                      id="--batch-size-0-batch_size must be >= 1"),
-        ("--holdout", "1.5", "holdout_fraction must be in [0, 1)"),
-        pytest.param("--holdout", "nan", "holdout_fraction must be finite, got nan\n",
+        pytest.param("--holdout", "1.5",
+                     "holdout_fraction must be finite and in [0, 1), got 1.5\n",
+                     id="--holdout-1.5-holdout_fraction must be in [0, 1)"),
+        pytest.param("--holdout", "nan",
+                     "holdout_fraction must be finite and in [0, 1), got nan\n",
                      id="--holdout-nan-holdout_fraction must be in [0, 1)"),
         pytest.param("--filters", "0", "num_filters must be an integer >= 1, got 0\n",
                      id="--filters-0-num_filters must be >= 1"),
@@ -549,7 +561,7 @@ class TestBenchAndRoc:
         dump.write_text("\n".join([header, f"0,5,5,{score}"] + rows) + "\n")
         assert run("roc", "--scores", str(orig), "--out-dir", str(tmp_path / "a")) == 1
         err = capsys.readouterr().err
-        assert f"mad-ratio.csv: line 2: score must be finite, got '{score}'" in err
+        assert f"mad-ratio.csv: line 2: score must be finite, got {score}\n" in err
 
     @pytest.mark.parametrize("text, message", [
         ("frame,r,c\n", "truths.csv: bad header"),
@@ -567,10 +579,12 @@ class TestBenchAndRoc:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, edit, message", [
-        ("truths.csv", lambda t: t + "99,5,5\n", "frame 99 outside [0, 4)"),
-        ("truths.csv", lambda t: t + "-1,5,5\n", "frame -1 outside [0, 4)"),
+        ("truths.csv", lambda t: t + "99,5,5\n",
+         "frame must be an integer in [0, 3], got 99\n"),
+        ("truths.csv", lambda t: t + "-1,5,5\n",
+         "frame must be an integer in [0, 3], got -1\n"),
         ("detections/mad-ratio.csv", lambda t: t + "7,5,5,1.0\n",
-         "frame 7 outside [0, 4)"),
+         "frame must be an integer in [0, 3], got 7\n"),
         ("meta.csv", lambda t: t.replace("frame_count,4\n", ""),
          "meta.csv: missing frame_count"),
         ("meta.csv", lambda t: t.replace("frame_count,4", "frame_count,-3"),

@@ -114,7 +114,7 @@ class TestSynth:
         with pytest.raises(ValueError):
             dg.synth_scene(quiet_config(clutter_kind="fog"))
         # the PSF stamp would overrun the 10-px border kept around truths
-        with pytest.raises(ValueError, match=r"psf_sigma must be <= 2\.5"):
+        with pytest.raises(ValueError, match=r"psf_sigma must be finite and in \(0, 2\.5\], got 2\.6"):
             dg.synth_scene(quiet_config(psf_sigma=2.6))
         for field in ("clutter_strength", "target_amplitude", "psf_sigma",
                       "noise_sigma", "bad_pixel_rate"):
@@ -122,10 +122,12 @@ class TestSynth:
                 with pytest.raises(ValueError, match=f"{field} must be finite"):
                     dg.synth_scene(quiet_config(**{field: bad}))
         for amplitude in (0.0, -5.0):
-            with pytest.raises(ValueError, match="target_amplitude must be > 0"):
+            with pytest.raises(ValueError, match=f"target_amplitude must be finite and > 0, "
+                                                 f"got {amplitude}$"):
                 dg.synth_scene(quiet_config(target_amplitude=amplitude))
-        for field in ("clutter_strength", "noise_sigma", "bad_pixel_rate"):
-            with pytest.raises(ValueError, match=f"{field} must be finite and >= 0, got -1$"):
+        for field, rule in (("clutter_strength", ">= 0"), ("noise_sigma", ">= 0"),
+                            ("bad_pixel_rate", r"in \[0, 1\)")):
+            with pytest.raises(ValueError, match=f"{field} must be finite and {rule}, got -1$"):
                 dg.synth_scene(quiet_config(**{field: -1}))
         for field in ("target_count", "rng_seed"):
             with pytest.raises(ValueError, match=f"{field} must be an integer >= 0, got -1$"):
@@ -304,8 +306,9 @@ class TestAugment:
     def test_shifted_core_validation(self):
         with pytest.raises(ValueError, match="context must be 19x19"):
             dg.shifted_core(np.zeros((15, 15)), 0, 0)
-        for dr, dc in ((3, 0), (0, -3)):
-            with pytest.raises(ValueError, match="exceeds the 2-pixel margin"):
+        for dr, dc, name, bad in ((3, 0, "dr", 3), (0, -3, "dc", -3)):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer in \[-2, 2\], "
+                                                 rf"got {bad}$"):
                 dg.shifted_core(np.zeros((19, 19)), dr, dc)
 
     def test_rotation_shift_group_identity(self):

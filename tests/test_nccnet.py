@@ -671,7 +671,7 @@ class TestThresholdCalibration:
 
     @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
     def test_non_finite_threshold_rejected(self, threshold):
-        with pytest.raises(ValueError, match="threshold must be finite"):
+        with pytest.raises(ValueError, match=f"^threshold must be finite, got {threshold!r}$"):
             nn.threshold_accuracy([0.1, 0.5, 0.8], [-1.0, 1.0, 1.0], threshold)
 
     def test_one_signed_network_outputs(self):
@@ -802,7 +802,7 @@ class TestNetworkIO:
         (HEAD + "filters 1 2\n2 2\n1 2\n3 4\nweights 1.0\n",
          "bad filters line: 'filters 1 2'"),
         (HEAD + "filters 0\n2 2\n1 2\n3 4\nweights 1.0\n",
-         "filter count must be positive"),
+         "filters must be an integer >= 1, got 0"),
         (HEAD + "filters 2\n2 2\n1 2\n3 4\n", "filter 1: missing grid header"),
         (HEAD + "filters 1\n2\n1 2\n3 4\nweights 1.0\n",
          "filter 0: bad grid header: '2'"),

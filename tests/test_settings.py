@@ -1,14 +1,15 @@
-"""The settings objects and the size, count and threshold arguments of
-the package are checked in one place each.
+"""The settings objects and the size, count, seed, shift and threshold
+arguments of the package are checked in one place each.
 
 ``SceneConfig``, ``TrainConfig``, ``HatParams``, ``QFormat`` and
 ``BenchConfig`` are frozen, check every numeric field through
 ``patchmath._count`` or ``patchmath._real`` in ``__post_init__`` (so
 ``dataclasses.replace`` is checked too), and refuse a bad value with
-ValueError.  The functions that take a grid or window side, a count or a
-sigma check it through ``_count``, ``patchmath._odd`` or ``_real``, and
-thresholds go through ``bench._thresholds``: a bad argument is refused
-with a ValueError that names it.
+ValueError.  The functions that take a grid or window side, a count, a
+seed, a shift or a sigma check it through ``_count``, ``patchmath._odd``
+or ``_real``, both ends of a range included, and detection thresholds go
+through ``bench._thresholds``: a bad argument is refused with a
+ValueError that names it.
 """
 
 import dataclasses
@@ -59,7 +60,8 @@ def test_every_numeric_field_goes_through_one_check(settings, bad):
     checked = []
 
     def spy(check):
-        return lambda value, name, *low: checked.append(name) or check(value, name, *low)
+        return lambda value, name, *rest, **kw: (checked.append(name)
+                                                 or check(value, name, *rest, **kw))
 
     with mock.patch.object(pm, "_count", spy(pm._count)), \
             mock.patch.object(pm, "_real", spy(pm._real)):
@@ -68,18 +70,25 @@ def test_every_numeric_field_goes_through_one_check(settings, bad):
     assert sorted(checked) == sorted(numeric)
 
 
-@pytest.mark.parametrize("value, low, message", [
-    (0, 1, "n must be an integer >= 1, got 0"),
-    (-1, 0, "n must be an integer >= 0, got -1"),
-    (2.0, 1, "n must be an integer >= 1, got 2.0"),
-    ("3", 1, "n must be an integer >= 1, got '3'"),
-    (True, 0, "n must be an integer >= 0, got True"),
-    (None, 1, "n must be an integer >= 1, got None"),
-    (63, 64, "n must be an integer >= 64, got 63"),
-], ids=["zero", "negative", "float", "text", "bool", "None", "below-low"])
-def test_count_refuses(value, low, message):
+@pytest.mark.parametrize("value, bounds, message", [
+    (0, (1,), "n must be an integer >= 1, got 0"),
+    (-1, (0,), "n must be an integer >= 0, got -1"),
+    (2.0, (1,), "n must be an integer >= 1, got 2.0"),
+    ("3", (1,), "n must be an integer >= 1, got '3'"),
+    (True, (0,), "n must be an integer >= 0, got True"),
+    (None, (1,), "n must be an integer >= 1, got None"),
+    (63, (64,), "n must be an integer >= 64, got 63"),
+    (-3, (-2, 2), "n must be an integer in [-2, 2], got -3"),
+    (3, (-2, 2), "n must be an integer in [-2, 2], got 3"),
+    (np.int64(5), (1, 4), "n must be an integer in [1, 4], got np.int64(5)"),
+    (0.5, (-2, 2), "n must be an integer in [-2, 2], got 0.5"),
+    (True, (0, 1), "n must be an integer in [0, 1], got True"),
+], ids=["zero", "negative", "float", "text", "bool", "None", "below-low",
+        "range-below-low", "range-above-high", "range-numpy-above-high", "range-float",
+        "range-bool"])
+def test_count_refuses(value, bounds, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        pm._count(value, "n", low)
+        pm._count(value, "n", *bounds)
 
 
 def test_count_accepts_numpy_integers():
@@ -88,19 +97,50 @@ def test_count_accepts_numpy_integers():
         assert type(pm._count(value, "n")) is int
 
 
-@pytest.mark.parametrize("value, low, message", [
-    (math.nan, -math.inf, "x must be finite, got nan"),
-    (math.inf, 0.0, "x must be finite and >= 0, got inf"),
-    (-1, 0.0, "x must be finite and >= 0, got -1"),
-    ("0.5", -math.inf, "x must be finite, got '0.5'"),
-    (False, -math.inf, "x must be finite, got False"),
-    (np.bool_(True), -math.inf, "x must be finite, got np.True_"),
-    (None, -math.inf, "x must be finite, got None"),
-    ([1.0, 2.0], -math.inf, "x must be finite, got [1.0, 2.0]"),
-], ids=["nan", "inf", "below-low", "text", "bool", "numpy-bool", "None", "list"])
-def test_real_refuses(value, low, message):
+def test_count_range_includes_both_ends():
+    for value in (-2, 2, np.int8(-2), np.uint8(2)):
+        assert pm._count(value, "n", -2, 2) == value
+        assert type(pm._count(value, "n", -2, 2)) is int
+    assert pm._count(0, "n", 0, 0) == 0
+
+
+@pytest.mark.parametrize("value, bounds, message", [
+    (math.nan, (-math.inf,), "x must be finite, got nan"),
+    (math.inf, (0.0,), "x must be finite and >= 0, got inf"),
+    (-1, (0.0,), "x must be finite and >= 0, got -1"),
+    ("0.5", (-math.inf,), "x must be finite, got '0.5'"),
+    (False, (-math.inf,), "x must be finite, got False"),
+    (np.bool_(True), (-math.inf,), "x must be finite, got np.True_"),
+    (None, (-math.inf,), "x must be finite, got None"),
+    ([1.0, 2.0], (-math.inf,), "x must be finite, got [1.0, 2.0]"),
+    (0.0, (0.0, math.inf, "(]"), "x must be finite and > 0, got 0.0"),
+    (-0.0, (0.0, math.inf, "(]"), "x must be finite and > 0, got -0.0"),
+    (-1e-300, (0.0, 1.0, "[)"), "x must be finite and in [0, 1), got -1e-300"),
+    (1.0, (0.0, 1.0, "[)"), "x must be finite and in [0, 1), got 1.0"),
+    (2.6, (0.0, 2.5, "(]"), "x must be finite and in (0, 2.5], got 2.6"),
+    (0.0, (0.0, 2.5, "(]"), "x must be finite and in (0, 2.5], got 0.0"),
+    (0.0, (0.0, 1.0, "()"), "x must be finite and in (0, 1), got 0.0"),
+    (1.0, (0.0, 1.0, "()"), "x must be finite and in (0, 1), got 1.0"),
+    (1.5, (0.0, 1.0), "x must be finite and in [0, 1], got 1.5"),
+    (math.nan, (0.0, 1.0, "[)"), "x must be finite and in [0, 1), got nan"),
+    (math.inf, (0.0, math.inf, "(]"), "x must be finite and > 0, got inf"),
+    (10**400, (0.0, 1.0, "[)"), f"x must be finite and in [0, 1), got {10**400}"),
+], ids=["nan", "inf", "below-low", "text", "bool", "numpy-bool", "None", "list",
+        "open-low-at-low", "open-low-at-minus-zero", "closed-low-below-low",
+        "open-high-at-high", "closed-high-above-high", "open-low-at-low-with-high",
+        "open-both-at-low", "open-both-at-high", "closed-both-above-high",
+        "range-nan", "open-low-inf", "int-too-big-for-float"])
+def test_real_refuses(value, bounds, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        pm._real(value, "x", low)
+        pm._real(value, "x", *bounds)
+
+
+def test_real_range_includes_closed_ends():
+    assert pm._real(0.0, "x", 0.0, 1.0, "[)") == 0.0
+    assert pm._real(np.float32(2.5), "x", 0.0, 2.5, "(]") == 2.5
+    assert pm._real(1, "x", 0.0, 1.0) == 1.0
+    assert pm._real(5e-324, "x", 0.0, ends="(]") == 5e-324
+    assert pm._real(np.nextafter(1.0, 0.0), "x", 0.0, 1.0, "()") < 1.0
 
 
 def test_real_accepts_numbers():
@@ -122,24 +162,36 @@ _FRAME = np.zeros((9, 9))
 _SCORED = [([bn.Detection(4, 4, 5.0)], [(4, 4)])]
 
 # each checked argument: a call that passes the value in that argument, its
-# name, and its smallest valid value (None for a threshold)
+# name, and its smallest valid value, (low, high) for a range, or None for a
+# threshold
 ARGUMENTS = {
     "gaussian_grid-size": (lambda v: fb.gaussian_grid(v, 1.2), "size", 1),
     "gaussian_grid-sigma": (lambda v: fb.gaussian_grid(15, v), "sigma", None),
     "ricker_hat_grid-size": (lambda v: fb.ricker_hat_grid(v), "size", 3),
-    "crop_grid-new_size": (lambda v: fb.crop_grid(np.ones((15, 15)), v), "new_size", 1),
+    "crop_grid-new_size": (lambda v: fb.crop_grid(np.ones((15, 15)), v), "new_size", (1, 15)),
     "op_count-image_side": (lambda v: fb.op_count("ncc-std", v, 3), "image_side", 1),
-    "op_count-filter_side": (lambda v: fb.op_count("ncc-std", 16, v), "filter_side", 1),
+    "op_count-filter_side": (lambda v: fb.op_count("ncc-std", 16, v), "filter_side",
+                             (1, 16)),
     "MadRatioScorer-window": (lambda v: bn.MadRatioScorer(v), "window", 3),
     "init_network-filter_size": (lambda v: nn.init_network(1, filter_size=v),
                                  "filter_size", 2),
     "init_network-seed": (lambda v: nn.init_network(1, seed=v), "seed", 0),
     "subsample_negatives-budget": (lambda v: dg.subsample_negatives(_negatives(), v),
-                                   "budget", 1),
+                                   "budget", (1, 4)),
+    "subsample_negatives-seed": (lambda v: dg.subsample_negatives(_negatives(), 2, seed=v),
+                                 "seed", 0),
     "training_scene_configs-scene_count": (
         lambda v: dg.training_scene_configs(scene_count=v), "scene_count", 1),
+    "training_scene_configs-seed": (
+        lambda v: dg.training_scene_configs(scene_count=2, seed=v), "seed", 0),
     "benchmark_scene_configs-count": (lambda v: dg.benchmark_scene_configs(count=v),
                                       "count", 1),
+    "benchmark_scene_configs-seed": (lambda v: dg.benchmark_scene_configs(count=2, seed=v),
+                                     "seed", 0),
+    "shifted_core-dr": (lambda v: dg.shifted_core(np.zeros((19, 19)), v, 0), "dr", (-2, 2)),
+    "shifted_core-dc": (lambda v: dg.shifted_core(np.zeros((19, 19)), 0, v), "dc", (-2, 2)),
+    "threshold_accuracy-threshold": (
+        lambda v: nn.threshold_accuracy([0.0, 2.0], [1, -1], v), "threshold", None),
     "sliding_detect-threshold": (
         lambda v: bn.sliding_detect(_FRAME, bn.MadRatioScorer(3), v), "threshold", None),
     "roc_curve-thresholds": (lambda v: bn.roc_curve(_SCORED, v), "thresholds", None),
@@ -151,20 +203,27 @@ _ODD = {"gaussian_grid-size", "ricker_hat_grid-size", "crop_grid-new_size",
 def _bad_arguments():
     for site, (_, name, low) in ARGUMENTS.items():
         if site == "gaussian_grid-sigma":
-            # sigma <= 0 kept its message, "sigma must be > 0, got 0"
-            rows = [(math.nan, "finite, got nan"), (math.inf, "finite, got inf"),
-                    (True, "finite, got True"), ("1.2", "finite, got '1.2'")]
+            rows = [(bad, f"finite and > 0, got {bad!r}")
+                    for bad in (math.nan, math.inf, True, "1.2", 0.0)]
+        elif site == "threshold_accuracy-threshold":
+            rows = [(bad, f"finite, got {bad!r}") for bad in (True, "0.5", math.nan)]
         elif site == "sliding_detect-threshold":
             rows = [(bad, f"a number, got {bad!r}") for bad in (math.nan, "0.5", True, None)]
         elif site == "roc_curve-thresholds":
             rows = [(bad, f"a 1-D sequence of numbers, got {bad[0]!r}")
                     for bad in ([math.nan], ["0.5", "4.9"], [True, False], [None])]
         else:
-            count = f"an integer >= {low}, got"
+            low, high = low if isinstance(low, tuple) else (low, None)
+            rule = f">= {low}" if high is None else f"in [{low}, {high}]"
+            count = f"an integer {rule}, got"
             rows = [(2.5, f"{count} 2.5"), (True, f"{count} True"), ("5", f"{count} '5'"),
                     (low - 1, f"{count} {low - 1}")]
+            if high is not None:
+                rows.append((high + 1, f"{count} {high + 1}"))
+            if site.startswith("shifted_core"):
+                rows.append((0.5, f"{count} 0.5"))
             if site in _ODD:
-                rows.append((low + 1, f"an odd integer >= {low}, got {low + 1}"))
+                rows.append((low + 1, f"an odd integer {rule}, got {low + 1}"))
         for bad, message in rows:
             yield pytest.param(site, bad, f"{name} must be {message}",
                                id=f"{site}-{bad!r}")
@@ -188,12 +247,16 @@ VALID_CALLS = [
     pytest.param(lambda: bn.MadRatioScorer(5), {"window"}, id="MadRatioScorer"),
     pytest.param(lambda: nn.init_network(1, 3, seed=0), {"num_filters", "filter_size", "seed"},
                  id="init_network"),
-    pytest.param(lambda: dg.subsample_negatives(_negatives(), 2), {"budget"},
+    pytest.param(lambda: dg.subsample_negatives(_negatives(), 2), {"budget", "seed"},
                  id="subsample_negatives"),
-    pytest.param(lambda: dg.training_scene_configs(scene_count=2), {"scene_count"},
+    pytest.param(lambda: dg.training_scene_configs(scene_count=2), {"scene_count", "seed"},
                  id="training_scene_configs"),
-    pytest.param(lambda: dg.benchmark_scene_configs(count=2), {"count"},
+    pytest.param(lambda: dg.benchmark_scene_configs(count=2), {"count", "seed"},
                  id="benchmark_scene_configs"),
+    pytest.param(lambda: dg.shifted_core(np.zeros((19, 19)), -2, 2), {"dr", "dc"},
+                 id="shifted_core"),
+    pytest.param(lambda: nn.threshold_accuracy([0.0, 2.0], [1, -1], 1.0), {"threshold"},
+                 id="threshold_accuracy"),
     pytest.param(lambda: bn.sliding_detect(_FRAME, bn.MadRatioScorer(3), 0.5), {"threshold"},
                  id="sliding_detect"),
     pytest.param(lambda: bn.roc_curve(_SCORED, [0.5]), {"thresholds"}, id="roc_curve"),
@@ -205,7 +268,8 @@ def test_every_argument_goes_through_one_check(call, arguments):
     checked = set()
 
     def spy(check):
-        return lambda value, name, *rest: checked.add(name) or check(value, name, *rest)
+        return lambda value, name, *rest, **kw: (checked.add(name)
+                                                 or check(value, name, *rest, **kw))
 
     with mock.patch.object(pm, "_count", spy(pm._count)), \
             mock.patch.object(pm, "_odd", spy(pm._odd)), \
@@ -215,18 +279,21 @@ def test_every_argument_goes_through_one_check(call, arguments):
     assert arguments <= checked
 
 
-@pytest.mark.parametrize("value, low, message", [
-    (4, 1, "n must be an odd integer >= 1, got 4"),
-    (1, 3, "n must be an integer >= 3, got 1"),
-    (np.int64(6), 3, "n must be an odd integer >= 3, got np.int64(6)"),
-    (5.0, 1, "n must be an integer >= 1, got 5.0"),
-], ids=["even", "below-low", "numpy-even", "float"])
-def test_odd_refuses(value, low, message):
+@pytest.mark.parametrize("value, bounds, message", [
+    (4, (1,), "n must be an odd integer >= 1, got 4"),
+    (1, (3,), "n must be an integer >= 3, got 1"),
+    (np.int64(6), (3,), "n must be an odd integer >= 3, got np.int64(6)"),
+    (5.0, (1,), "n must be an integer >= 1, got 5.0"),
+    (8, (1, 15), "n must be an odd integer in [1, 15], got 8"),
+    (17, (1, 15), "n must be an integer in [1, 15], got 17"),
+], ids=["even", "below-low", "numpy-even", "float", "range-even", "range-above-high"])
+def test_odd_refuses(value, bounds, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        pm._odd(value, "n", low)
+        pm._odd(value, "n", *bounds)
 
 
 def test_odd_accepts_odd_integers():
     for value in (np.int16(7), 7):
         assert pm._odd(value, "n", 3) == 7
         assert type(pm._odd(value, "n", 3)) is int
+    assert pm._odd(15, "n", 1, 15) == 15
